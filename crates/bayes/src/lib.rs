@@ -6,7 +6,8 @@
 //! * discrete **factors** and **conditional probability tables** (CPTs),
 //! * **Bayesian networks** over discrete variables with DAG validation,
 //! * exact inference by **variable elimination** (sum-product posteriors
-//!   and max-product joint MAP with traceback),
+//!   and max-product joint MAP with traceback), with MAP queries
+//!   compiled once per evidence pattern into allocation-free kernels,
 //! * **interventions** (`do(·)` in Pearl's calculus): graph surgery that
 //!   severs a node from its parents and pins its value, which is exactly
 //!   how the paper models a fault injection inside the network,
@@ -42,6 +43,7 @@ pub mod dbn;
 pub mod discretize;
 pub mod factor;
 pub mod learn;
+pub mod map;
 pub mod network;
 pub mod sampling;
 pub mod score;
@@ -50,6 +52,7 @@ pub use dbn::{DbnTemplate, SliceVar, TemporalEdge, UnrolledDbn};
 pub use discretize::Discretizer;
 pub use factor::Factor;
 pub use learn::fit_cpts;
+pub use map::{MapQuery, MapScratch};
 pub use network::{BayesNet, Cpt, VarId};
 pub use sampling::{forward_sample, gibbs_posterior, likelihood_weighting, SampleOpts};
 pub use score::{dimension, fit_and_score, log_likelihood, StructureScore};

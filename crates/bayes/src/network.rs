@@ -1,6 +1,7 @@
 //! Bayesian networks: variables, CPTs, DAG validation, and inference.
 
 use crate::factor::Factor;
+use crate::map::MapScratch;
 use crate::{BayesError, Evidence};
 
 /// Identifier of a variable within a [`BayesNet`] (dense index).
@@ -338,6 +339,10 @@ impl BayesNet {
     /// the joint — the stronger query behind the paper's Eq. 2 when
     /// several kinematic variables are reconstructed together.
     ///
+    /// This compiles the query for the evidence pattern and runs it once;
+    /// callers asking many queries on one pattern keep the
+    /// [`BayesNet::compile_map`] result instead.
+    ///
     /// # Errors
     ///
     /// Propagates the same errors as [`BayesNet::posterior_do`].
@@ -346,55 +351,23 @@ impl BayesNet {
         evidence: &Evidence,
         interventions: &Evidence,
     ) -> Result<Evidence, BayesError> {
-        let factors = self.prepared_factors(evidence, interventions)?;
-
-        // Scope to eliminate: everything unassigned.
-        let mut scope: Vec<VarId> = Vec::new();
-        for f in &factors {
-            for v in f.vars() {
-                if !scope.contains(v) {
-                    scope.push(*v);
-                }
-            }
+        self.check_assignment(evidence)?;
+        self.check_assignment(interventions)?;
+        let observed: Vec<VarId> = evidence.keys().copied().collect();
+        let intervened: Vec<VarId> = interventions.keys().copied().collect();
+        let query = self.compile_map(&observed, &intervened)?;
+        // Evidence is reduced before interventions, so a variable both
+        // observed and intervened enters the factors at its observed
+        // category but is reported at its intervened one.
+        let mut assignment = vec![0; self.len()];
+        for (&var, &value) in interventions.iter().chain(evidence) {
+            assignment[var.0] = value;
         }
-        scope.sort_unstable();
-
-        struct Record {
-            var: VarId,
-            reduced: Factor,
-            arg: Vec<usize>,
+        query.run(&mut assignment, &mut MapScratch::default())?;
+        for (&var, &value) in interventions {
+            assignment[var.0] = value;
         }
-        let mut records: Vec<Record> = Vec::with_capacity(scope.len());
-        let mut remaining = factors;
-        for var in scope {
-            let (touching, rest): (Vec<Factor>, Vec<Factor>) =
-                remaining.into_iter().partition(|f| f.contains(var));
-            let mut product = Factor::scalar(1.0);
-            for f in &touching {
-                product = product.product(f);
-            }
-            let (reduced, arg) = product.max_marginalize(var);
-            records.push(Record { var, reduced: reduced.clone(), arg });
-            remaining = rest;
-            remaining.push(reduced);
-        }
-
-        // Traceback in reverse elimination order.
-        let mut assignment: Evidence = evidence.clone();
-        for (&k, &v) in interventions {
-            assignment.insert(k, v);
-        }
-        for record in records.iter().rev() {
-            let cats: Vec<usize> = record
-                .reduced
-                .vars()
-                .iter()
-                .map(|v| *assignment.get(v).expect("traceback variable already assigned"))
-                .collect();
-            let idx = record.reduced.assignment_index(&cats);
-            assignment.insert(record.var, record.arg[idx]);
-        }
-        Ok(assignment)
+        Ok(self.variables().zip(assignment).collect())
     }
 
     /// Joint probability of a complete assignment (all variables).

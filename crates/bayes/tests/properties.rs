@@ -1,8 +1,13 @@
 //! Property tests: variable elimination agrees with brute-force
-//! enumeration on randomly parameterized networks.
+//! enumeration on randomly parameterized networks, and compiled MAP
+//! queries agree bit for bit with the factor-by-factor reference.
 
-use drivefi_bayes::{BayesNet, Cpt, Evidence, VarId};
+mod oracle;
+
+use drivefi_bayes::{BayesNet, Cpt, Evidence, MapScratch, VarId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Builds a 4-variable diamond network A -> {B, C} -> D with CPTs derived
 /// from the given raw parameters (each squashed into (0, 1)).
@@ -136,6 +141,129 @@ proptest! {
             }
         }
         prop_assert!((p_map - best).abs() < 1e-12, "MAP {p_map} vs best {best}");
+    }
+}
+
+/// A random DAG of 2–6 variables with cardinalities 1–3. Its topological
+/// order is a random permutation of the ids, so it disagrees with the
+/// ascending-id elimination order. Half the CPT rows are uniform and the
+/// rest are built from weights in {1, 2, 3}, so products tie often and
+/// the first-maximum tie-break is exercised.
+fn random_net(rng: &mut StdRng) -> BayesNet {
+    let n = rng.random_range(2..=6usize);
+    let mut net = BayesNet::new();
+    let mut order: Vec<VarId> =
+        (0..n).map(|i| net.add_variable(&format!("v{i}"), rng.random_range(1..=3usize))).collect();
+    for i in (1..n).rev() {
+        order.swap(i, rng.random_range(0..=i));
+    }
+    for (pos, &child) in order.iter().enumerate() {
+        let mut parents: Vec<VarId> =
+            order[..pos].iter().copied().filter(|_| rng.random_bool(0.5)).take(3).collect();
+        for i in (1..parents.len()).rev() {
+            parents.swap(i, rng.random_range(0..=i));
+        }
+        let rows: usize = parents.iter().map(|p| net.cardinality(*p)).product();
+        let card = net.cardinality(child);
+        let mut table = Vec::with_capacity(rows * card);
+        for _ in 0..rows {
+            if rng.random_bool(0.5) {
+                table.extend(std::iter::repeat_n(1.0 / card as f64, card));
+            } else {
+                let weights: Vec<f64> =
+                    (0..card).map(|_| rng.random_range(1..=3u32) as f64).collect();
+                let total: f64 = weights.iter().sum();
+                table.extend(weights.iter().map(|w| w / total));
+            }
+        }
+        net.set_cpt(Cpt::new(child, parents, table)).unwrap();
+    }
+    net
+}
+
+/// Random evidence and interventions over `net`: each variable is left
+/// free, observed, intervened, or both. Now and then a category is out of
+/// range or an id is outside the network, which both paths must reject
+/// with the same error.
+fn random_pattern(net: &BayesNet, rng: &mut StdRng) -> (Evidence, Evidence) {
+    let (mut evidence, mut interventions) = (Evidence::new(), Evidence::new());
+    let category = |rng: &mut StdRng, var: VarId| {
+        let card = net.cardinality(var);
+        if rng.random_bool(0.05) {
+            card
+        } else {
+            rng.random_range(0..card)
+        }
+    };
+    for var in net.variables() {
+        match rng.random_range(0..6u32) {
+            0 | 1 => {}
+            2 | 3 => {
+                evidence.insert(var, category(rng, var));
+            }
+            4 => {
+                interventions.insert(var, category(rng, var));
+            }
+            _ => {
+                evidence.insert(var, category(rng, var));
+                interventions.insert(var, category(rng, var));
+            }
+        }
+    }
+    if rng.random_bool(0.05) {
+        let unknown = VarId(net.len() + rng.random_range(0..3usize));
+        if rng.random_bool(0.5) {
+            evidence.insert(unknown, 0);
+        } else {
+            interventions.insert(unknown, 0);
+        }
+    }
+    (evidence, interventions)
+}
+
+proptest! {
+    /// The compiled MAP query returns the reference's assignment, or its
+    /// error, on random nets with tied rows and random patterns.
+    #[test]
+    fn compiled_map_matches_factor_chain(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_net(&mut rng);
+        for _ in 0..4 {
+            let (evidence, interventions) = random_pattern(&net, &mut rng);
+            let compiled = net.map_assignment(&evidence, &interventions);
+            let reference = oracle::map_assignment(&net, &evidence, &interventions);
+            prop_assert_eq!(compiled, reference, "evidence {:?} do {:?}", evidence, interventions);
+        }
+    }
+
+    /// One compiled query answers every category assignment on its
+    /// pattern, with one scratch reused across runs.
+    #[test]
+    fn compiled_query_reruns_on_its_pattern(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_net(&mut rng);
+        let observed: Vec<VarId> = net.variables().filter(|_| rng.random_bool(0.4)).collect();
+        let intervened: Vec<VarId> = net
+            .variables()
+            .filter(|v| !observed.contains(v) && rng.random_bool(0.3))
+            .collect();
+        let query = net.compile_map(&observed, &intervened).unwrap();
+        let mut scratch = MapScratch::default();
+        for _ in 0..6 {
+            let draw = |rng: &mut StdRng, vars: &[VarId]| -> Evidence {
+                vars.iter().map(|&v| (v, rng.random_range(0..net.cardinality(v)))).collect()
+            };
+            let evidence = draw(&mut rng, &observed);
+            let interventions = draw(&mut rng, &intervened);
+            let mut assignment = vec![0; net.len()];
+            for (&var, &value) in evidence.iter().chain(&interventions) {
+                assignment[var.0] = value;
+            }
+            query.run(&mut assignment, &mut scratch).unwrap();
+            let reference = oracle::map_assignment(&net, &evidence, &interventions).unwrap();
+            let compiled: Evidence = net.variables().zip(assignment).collect();
+            prop_assert_eq!(compiled, reference);
+        }
     }
 }
 

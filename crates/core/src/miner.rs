@@ -2,10 +2,12 @@
 
 use crate::tbn::{SceneObs, TbnModel, TbnVar};
 use drivefi_ads::Signal;
-use drivefi_bayes::{BayesError, Evidence};
+use drivefi_bayes::{BayesError, MapQuery, MapScratch, VarId};
 use drivefi_fault::ScalarFaultModel;
 use drivefi_sim::Trace;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Miner configuration.
 #[derive(Debug, Clone, Copy)]
@@ -137,6 +139,32 @@ fn intra_descendants(var: TbnVar) -> &'static [TbnVar] {
     }
 }
 
+/// The slice-1 variables a [`ResponseForecast`] reads.
+const FORECAST_VARS: [TbnVar; 3] = [TbnVar::AThrottle, TbnVar::ABrake, TbnVar::ASteer];
+
+/// Variables in the unrolled 3-TBN.
+const NET_VARS: usize = 3 * TbnVar::ALL.len();
+
+thread_local! {
+    /// Working memory of the compiled counterfactual queries, one per
+    /// thread so that parallel mining shares none.
+    static SCRATCH: RefCell<MapScratch> = RefCell::new(MapScratch::default());
+}
+
+/// The counterfactual query for interventions on one template variable:
+/// its evidence pattern, compiled.
+#[derive(Debug, Clone)]
+struct Counterfactual {
+    /// The observed network ids, ascending: all of slice 0, and slice 1
+    /// except the intervened variable and its intra-slice descendants.
+    observed: Vec<VarId>,
+    /// The intervened network id, in slice 1.
+    intervened: VarId,
+    /// The compiled MAP query, or `None` when no forecast variable is
+    /// left unobserved: the forecast is then read off the evidence.
+    query: Option<MapQuery>,
+}
+
 /// The continuous value of `signal` recorded in a trace frame, when the
 /// trace captures that signal.
 fn recorded_value(frame: &drivefi_sim::FrameRecord, signal: Signal) -> Option<f64> {
@@ -158,6 +186,9 @@ fn recorded_value(frame: &drivefi_sim::FrameRecord, signal: Signal) -> Option<f6
 pub struct BayesianMiner {
     model: TbnModel,
     config: MinerConfig,
+    /// Per template variable, its counterfactual query, compiled on the
+    /// first forecast that intervenes on it.
+    counterfactuals: [OnceLock<Result<Counterfactual, BayesError>>; TbnVar::ALL.len()],
 }
 
 impl BayesianMiner {
@@ -168,7 +199,7 @@ impl BayesianMiner {
     /// Propagates model-fitting failures.
     pub fn fit(traces: &[Trace], config: MinerConfig) -> Result<Self, BayesError> {
         let model = TbnModel::fit_with(traces, config.bins, config.kinematic_augmentation)?;
-        Ok(BayesianMiner { model, config })
+        Ok(BayesianMiner { model, config, counterfactuals: Default::default() })
     }
 
     /// Fits the miner from the golden traces persisted in a
@@ -203,21 +234,32 @@ impl BayesianMiner {
         &self.config
     }
 
-    /// Builds the evidence for slices 0 and 1 given an intervention on
-    /// `intervened` in slice 1.
-    fn evidence_for(&self, obs0: &SceneObs, obs1: &SceneObs, intervened: TbnVar) -> Evidence {
-        let mut ev = Evidence::new();
-        for var in TbnVar::ALL {
-            ev.insert(self.model.id(0, var), self.model.obs_category(var, obs0));
-        }
-        let blocked = intra_descendants(intervened);
-        for var in TbnVar::ALL {
-            if var == intervened || blocked.contains(&var) {
-                continue;
-            }
-            ev.insert(self.model.id(1, var), self.model.obs_category(var, obs1));
-        }
-        ev
+    /// The counterfactual query for interventions on `var`, compiled on
+    /// first use.
+    fn counterfactual(&self, var: TbnVar) -> Result<&Counterfactual, BayesError> {
+        self.counterfactuals[var.index()]
+            .get_or_init(|| {
+                let blocked = intra_descendants(var);
+                let observed: Vec<VarId> = TbnVar::ALL
+                    .iter()
+                    .map(|&v| self.model.id(0, v))
+                    .chain(
+                        TbnVar::ALL
+                            .iter()
+                            .filter(|&&v| v != var && !blocked.contains(&v))
+                            .map(|&v| self.model.id(1, v)),
+                    )
+                    .collect();
+                let intervened = self.model.id(1, var);
+                let query = if FORECAST_VARS.iter().any(|v| blocked.contains(v)) {
+                    Some(self.model.net.compile_map(&observed, &[intervened])?)
+                } else {
+                    None
+                };
+                Ok(Counterfactual { observed, intervened, query })
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// The BN's forecast of the ADS's *within-period response* to a held
@@ -232,11 +274,16 @@ impl BayesianMiner {
     /// and hence its actuation, but not the physical obstacles.
     ///
     /// Uses the joint MAP over all unobserved variables (one max-product
-    /// elimination pass).
+    /// elimination pass), compiled once per intervened variable. When
+    /// the forecast variables are all observed or intervened (the
+    /// interventions on a final-actuation channel), the joint MAP keeps
+    /// them at their evidence, so the forecast skips inference.
     ///
     /// # Errors
     ///
-    /// Propagates inference failures (which indicate a model bug).
+    /// Propagates inference failures (which indicate a model bug) and
+    /// out-of-range categories, as [`drivefi_bayes::BayesNet::map_assignment`]
+    /// reports them.
     pub fn forecast(
         &self,
         obs0: &SceneObs,
@@ -244,11 +291,32 @@ impl BayesianMiner {
         var: TbnVar,
         category: usize,
     ) -> Result<ResponseForecast, BayesError> {
-        let ev = self.evidence_for(obs0, obs1, var);
-        let interventions = Evidence::from([(self.model.id(1, var), category)]);
-        let map = self.model.net.map_assignment(&ev, &interventions)?;
-        let rep1 =
-            |v: TbnVar| self.model.representative(v, map[&self.model.id(1, v)]).unwrap_or(0.0);
+        let counterfactual = self.counterfactual(var)?;
+        let blocked = intra_descendants(var);
+        let mut assignment = [0usize; NET_VARS];
+        for v in TbnVar::ALL {
+            assignment[self.model.id(0, v).0] = self.model.obs_category(v, obs0);
+            if v != var && !blocked.contains(&v) {
+                assignment[self.model.id(1, v).0] = self.model.obs_category(v, obs1);
+            }
+        }
+        assignment[counterfactual.intervened.0] = category;
+        match &counterfactual.query {
+            Some(query) => {
+                SCRATCH.with_borrow_mut(|scratch| query.run(&mut assignment, scratch))?
+            }
+            // No inference, but the category check `map_assignment` makes.
+            None => {
+                for &id in counterfactual.observed.iter().chain([&counterfactual.intervened]) {
+                    if assignment[id.0] >= self.model.net.cardinality(id) {
+                        return Err(BayesError::BadCategory { var: id, value: assignment[id.0] });
+                    }
+                }
+            }
+        }
+        let rep1 = |v: TbnVar| {
+            self.model.representative(v, assignment[self.model.id(1, v).0]).unwrap_or(0.0)
+        };
         Ok(ResponseForecast {
             throttle: rep1(TbnVar::AThrottle),
             brake: rep1(TbnVar::ABrake),
@@ -418,10 +486,11 @@ impl BayesianMiner {
     /// threshold. Results are sorted by ascending δ̂ (most critical
     /// first).
     ///
-    /// Counterfactual queries are memoized on the discretized evidence,
-    /// which collapses the (highly repetitive) scene corpus to a few
-    /// thousand distinct inferences — this is what makes Bayesian FI fast
-    /// enough to beat exhaustive injection by orders of magnitude.
+    /// The cost is one [`BayesianMiner::forecast`] per candidate that is
+    /// not a no-op: a compiled MAP query, or none at all for the
+    /// final-actuation interventions. Forecasts are memoized on the
+    /// discretized evidence, which pays only when sampled scenes repeat
+    /// their bins; the paper-scale benchmark at stride 64 sees no repeats.
     pub fn mine(&self, traces: &[Trace]) -> Vec<CandidateFault> {
         let mut cache: HashMap<(SceneObs, SceneObs, usize, usize), ResponseForecast> =
             HashMap::new();
@@ -708,6 +777,23 @@ mod tests {
         for c in &crit {
             assert!(c.golden_delta > 0.0, "Eq. 1 pre-condition violated");
             assert!(c.predicted_delta <= 0.0);
+        }
+    }
+
+    #[test]
+    fn forecasts_reject_out_of_range_categories_with_or_without_inference() {
+        let (m, traces) = miner();
+        let obs0 = m.model.observe(&traces[2].frames[40]);
+        let obs1 = m.model.observe(&traces[2].frames[41]);
+        for var in [TbnVar::AThrottle, TbnVar::WDist] {
+            let id = m.model.id(1, var);
+            let value = m.model.net.cardinality(id);
+            assert_eq!(
+                m.forecast(&obs0, &obs1, var, value),
+                Err(BayesError::BadCategory { var: id, value }),
+                "do({})",
+                var.name()
+            );
         }
     }
 

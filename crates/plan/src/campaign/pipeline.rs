@@ -518,9 +518,11 @@ fn run_two_stage(
     let (miner, traces) = BayesianMiner::fit_from_store(pipeline.stage_dir(GOLDEN_SUBDIR), config)
         .map_err(store_err)?;
     let candidates: Vec<(u32, FaultSpec)> = match plan.kind {
-        CampaignKind::Mine { .. } => {
-            miner.mine(&traces).iter().map(|c| (c.scenario_id, c.fault_spec())).collect()
-        }
+        CampaignKind::Mine { .. } => miner
+            .mine_parallel(&traces, workers)
+            .iter()
+            .map(|c| (c.scenario_id, c.fault_spec()))
+            .collect(),
         _ => candidate_specs(&miner, &traces),
     };
 

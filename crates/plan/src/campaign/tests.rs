@@ -467,6 +467,56 @@ fn mine_plans_round_trip_and_enforce_their_schema() {
 }
 
 #[test]
+fn mine_plans_are_byte_identical_at_any_worker_count() {
+    // `[campaign] workers` is outside the fingerprint because results are
+    // bit-identical at any worker count; the mine stage fans out over the
+    // same workers as the injection stages, so it must keep that promise.
+    let dir =
+        std::env::temp_dir().join(format!("drivefi-plan-mine-workers-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let run_dir = |workers: usize| {
+        let out = dir.join(format!("w{workers}"));
+        let plan = CampaignPlan {
+            name: "mine-workers".into(),
+            kind: CampaignKind::Mine { scene_stride: 25 },
+            seed: 0,
+            workers: Some(workers),
+            sink: SinkChoice::Stats,
+            scenarios: ScenarioSelection::Paper { count: 4, seed: 42 },
+            faults: FaultSpace::default(),
+            sim: SimSection::default(),
+            submit: Default::default(),
+            control: Default::default(),
+            output: Some(OutputSpec::new(out.to_string_lossy().into_owned())),
+        };
+        let PlanResult::Persisted(report) = run_plan(&plan).unwrap() else { panic!() };
+        assert!(report.complete() && !report.jobs.is_empty(), "nothing mined");
+        out
+    };
+    let (serial, parallel) = (run_dir(1), run_dir(2));
+    // Shards append records as jobs complete; compaction puts both
+    // stores in pure job order, so the bytes compare what was computed.
+    for out in [&serial, &parallel] {
+        drivefi_store::compact_store(out.join(VALIDATE_SUBDIR)).unwrap();
+    }
+    let shards: Vec<String> = std::fs::read_dir(serial.join(VALIDATE_SUBDIR))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("shard-"))
+        .collect();
+    assert!(!shards.is_empty(), "the validate store has no shards");
+    let files = [crate::report::REPORT_FILE.to_owned(), crate::report::JOBS_FILE.to_owned()]
+        .into_iter()
+        .chain(shards.iter().map(|shard| format!("{VALIDATE_SUBDIR}/{shard}")));
+    for file in files {
+        let a = std::fs::read(serial.join(&file)).unwrap();
+        let b = std::fs::read(parallel.join(&file)).unwrap();
+        assert!(a == b, "{file} differs between 1 and 2 workers");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn fingerprint_ignores_scheduling_knobs_but_not_computation() {
     let base = tiny_random_plan();
     let fp = campaign_fingerprint(&base);

@@ -20,6 +20,7 @@
 
 use crate::PlanError;
 use std::collections::BTreeMap;
+use std::num::IntErrorKind;
 
 /// A parsed TOML value.
 #[derive(Debug, Clone, PartialEq)]
@@ -317,8 +318,17 @@ impl<'a> Parser<'a> {
                     .map_err(|_| self.err("invalid number"))?;
                 let is_float = text.contains(['.', 'e', 'E']) || text.contains("inf");
                 if !is_float {
-                    if let Ok(i) = text.parse::<i64>() {
-                        return Ok(Toml::Int(i));
+                    match text.parse::<i64>() {
+                        Ok(i) => return Ok(Toml::Int(i)),
+                        Err(e)
+                            if matches!(
+                                e.kind(),
+                                IntErrorKind::PosOverflow | IntErrorKind::NegOverflow
+                            ) =>
+                        {
+                            return Err(self.err(format!("integer out of range: `{text}`")));
+                        }
+                        Err(_) => {}
                     }
                 }
                 text.parse::<f64>()

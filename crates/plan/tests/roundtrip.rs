@@ -341,13 +341,19 @@ fn every_registered_spec_round_trips() {
 }
 
 /// The headline rejection cases the plan schema must catch: malformed
-/// TOML, unknown keys, inverted ranges, unknown signals, and bad
-/// `[adaptive]` sections.
+/// TOML, out-of-range integers, unknown keys, inverted ranges, unknown
+/// signals, and bad `[adaptive]` sections.
 #[test]
 fn malformed_inputs_are_rejected() {
-    let cases: [(&str, &str); 9] = [
+    let cases: [(&str, &str); 10] = [
         // Broken syntax.
         ("name = \"x\"\n[campaign\nkind = \"random\"\n", "unterminated"),
+        // An integer literal outside i64, reported where it stands rather
+        // than as a float rejected downstream.
+        (
+            "name = \"x\"\n[campaign]\nkind = \"random\"\nruns = 18446744073709551615\n",
+            "line 4: integer out of range",
+        ),
         // Bad keys.
         (
             "name = \"x\"\nturbo = true\n[campaign]\nkind = \"random\"\nruns = 1\n\
