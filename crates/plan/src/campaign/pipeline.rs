@@ -518,11 +518,15 @@ fn run_two_stage(
     let (miner, traces) = BayesianMiner::fit_from_store(pipeline.stage_dir(GOLDEN_SUBDIR), config)
         .map_err(store_err)?;
     let candidates: Vec<(u32, FaultSpec)> = match plan.kind {
-        CampaignKind::Mine { .. } => miner
-            .mine_parallel(&traces, workers)
-            .iter()
-            .map(|c| (c.scenario_id, c.fault_spec()))
-            .collect(),
+        // Mining stays on this thread; only the injection stages fan out
+        // over `workers`. With compiled queries the mine stage is a
+        // fraction of the validation sweep, and running it on two threads
+        // as well made campaign wall times far less repeatable on a shared
+        // 2-vCPU VM (campaignbench paper_mine: the spread of the fastest
+        // runs ~5x wider) for a ~15% shorter median.
+        CampaignKind::Mine { .. } => {
+            miner.mine(&traces).iter().map(|c| (c.scenario_id, c.fault_spec())).collect()
+        }
         _ => candidate_specs(&miner, &traces),
     };
 

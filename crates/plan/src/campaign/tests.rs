@@ -469,8 +469,9 @@ fn mine_plans_round_trip_and_enforce_their_schema() {
 #[test]
 fn mine_plans_are_byte_identical_at_any_worker_count() {
     // `[campaign] workers` is outside the fingerprint because results are
-    // bit-identical at any worker count; the mine stage fans out over the
-    // same workers as the injection stages, so it must keep that promise.
+    // bit-identical at any worker count; the golden and validate stages of
+    // a mine pipeline fan out over those workers, so they must keep that
+    // promise.
     let dir =
         std::env::temp_dir().join(format!("drivefi-plan-mine-workers-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
