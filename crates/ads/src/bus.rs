@@ -83,21 +83,6 @@ pub struct Bus {
     pub heartbeats: [u64; 5],
 }
 
-impl Bus {
-    /// Returns every signal to its [`Bus::default`] value in place,
-    /// keeping the world-model object storage allocated — the campaign
-    /// arena path. The sensor frame is reset to empty; callers that pool
-    /// its detection buffers reclaim them first (the simulation arena
-    /// parks them back into the `SensorSuite` spare pool before
-    /// resetting). Built on `Bus::default()` so a new field can never
-    /// diverge between fresh and reset buses.
-    pub fn reset(&mut self) {
-        let mut objects = std::mem::take(&mut self.world_model.objects);
-        objects.clear();
-        *self = Bus { world_model: WorldModel { objects }, ..Bus::default() };
-    }
-}
-
 impl Default for Bus {
     fn default() -> Self {
         Bus {

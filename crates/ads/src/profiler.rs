@@ -41,7 +41,7 @@ pub enum TickPhase {
     Control,
     /// Ego vehicle dynamics integration.
     Vehicle,
-    /// World actor sweep (`World::step` / SoA batch sweep).
+    /// World actor sweep (`World::step`).
     World,
     /// Scene-rate outcome evaluation.
     Eval,

@@ -220,28 +220,6 @@ impl AdsStack {
         }
     }
 
-    /// Resets the stack in place for a new drive: every module returns
-    /// to its freshly constructed state, but heap storage — the
-    /// tracker's track/object vectors, the bus world model, the road's
-    /// lane vector — stays allocated. Behavior after a reset is
-    /// identical to [`AdsStack::with_road`] with the same config; the
-    /// campaign engine's worker arenas call this between jobs instead of
-    /// rebuilding the stack.
-    pub fn reset(&mut self, set_speed: f64, road: &drivefi_world::Road) {
-        self.localization = PoseEstimator::new();
-        self.tracker.reset();
-        self.planner = Planner::new(PlannerConfig::default(), self.config.vehicle);
-        self.smoother = ActuationSmoother::default();
-        self.pose_gate = PoseGate::default();
-        self.last_gps = None;
-        self.road.copy_from(road);
-        self.set_speed = set_speed;
-        self.watchdog.reset();
-        self.bus.reset();
-        self.raw_track_seq = 0;
-        self.det_scratch.clear();
-    }
-
     /// The module-health watchdog (for inspection).
     pub fn watchdog(&self) -> &crate::Watchdog {
         &self.watchdog

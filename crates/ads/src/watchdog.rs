@@ -93,12 +93,6 @@ impl Watchdog {
         &self.config
     }
 
-    /// Returns the watchdog to its freshly constructed state (no
-    /// heartbeat history, fallback disengaged) — the campaign arena path.
-    pub fn reset(&mut self) {
-        *self = Watchdog::new(self.config);
-    }
-
     /// True once the watchdog has latched into fallback.
     pub fn is_fallback(&self) -> bool {
         self.trigger.is_some()

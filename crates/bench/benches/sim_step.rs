@@ -1,14 +1,9 @@
-//! Stepping-core microbenchmark: the scalar `Simulation` loop against
-//! the batched struct-of-arrays core at lane counts B ∈ {1, 8, 32}.
-//!
-//! All arms execute the same 32 golden jobs over short lead-cruise
-//! scenarios and report throughput in scene-steps per second (jobs ×
-//! scenes per iteration), so the numbers are directly comparable: any
-//! gap between `scalar` and `batched_b*` is the SoA sweep + lockstep
-//! dispatch, not different work.
+//! Stepping-core microbenchmark: the scalar `Simulation` loop over 32
+//! golden jobs on short lead-cruise scenarios, reported in scene-steps
+//! per second (jobs × scenes per iteration).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use drivefi_sim::{BatchSimulation, SimConfig, Simulation};
+use drivefi_sim::{SimConfig, Simulation};
 use drivefi_world::scenario::ScenarioConfig;
 use std::hint::black_box;
 
@@ -43,24 +38,6 @@ fn bench_sim_step(c: &mut Criterion) {
             black_box(acc)
         })
     });
-
-    for lanes in [1usize, 8, 32] {
-        group.bench_function(&format!("batched_b{lanes}"), |b| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for chunk in scenarios.chunks(lanes) {
-                    let mut batch = BatchSimulation::new(true);
-                    for (i, scenario) in chunk.iter().enumerate() {
-                        batch.push_job(config, black_box(scenario), vec![], i as u64);
-                    }
-                    for result in batch.run_to_completion() {
-                        acc ^= result.report.scenes;
-                    }
-                }
-                black_box(acc)
-            })
-        });
-    }
 
     group.finish();
 }

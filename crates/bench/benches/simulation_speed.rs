@@ -79,7 +79,7 @@ fn bench_campaign_dispatch(c: &mut Criterion) {
     // The mined-injection shape (the paper's point): faults concentrated
     // in the hazardous tail. Jobs fork off the shared golden prefix right
     // before their window, so most of each run is never re-simulated —
-    // the shape the batched engine's prefix sharing is built for.
+    // the shape the engine's golden-prefix sharing is built for.
     let tail_scenes: Vec<u64> = (scenes - 8..scenes - 1).collect();
     let tail_sweep = |model| {
         let scenario = Arc::clone(&scenario);

@@ -205,16 +205,6 @@ impl MultiObjectTracker {
         }
     }
 
-    /// Drops every track and the published model, returning the tracker
-    /// to its freshly constructed state while keeping the track and
-    /// object storage allocated — the campaign arena path.
-    pub fn reset(&mut self) {
-        self.tracks.clear();
-        self.next_id = 0;
-        self.model.objects.clear();
-        self.claimed.clear();
-    }
-
     /// The most recently published world model.
     pub fn world_model(&self) -> &WorldModel {
         &self.model

@@ -266,12 +266,6 @@ pub struct SimSection {
     pub pid_smoothing: bool,
     /// Engage the module-health watchdog.
     pub watchdog: bool,
-    /// Campaign-engine batch width: how many jobs a worker steps in
-    /// lockstep per dispatch (`None` = auto,
-    /// [`drivefi_sim::DEFAULT_BATCH`]). Pure scheduling — results are
-    /// bit-identical at any width, so like `workers` it is stripped from
-    /// the campaign fingerprint.
-    pub batch: Option<usize>,
 }
 
 impl Default for SimSection {
@@ -282,7 +276,6 @@ impl Default for SimSection {
             kalman_fusion: ads.kalman_fusion,
             pid_smoothing: ads.pid_smoothing,
             watchdog: ads.watchdog,
-            batch: None,
         }
     }
 }
@@ -557,7 +550,6 @@ pub struct CampaignPlan {
 /// `[adaptive] batch`) is identity.
 pub const FINGERPRINT_EXCLUDED: &[(&str, &str)] = &[
     ("[campaign] workers", "results are bit-identical at any worker count"),
-    ("[sim] batch", "engine batch width is pure scheduling"),
     ("[output]", "store location and sharding are destinations, not inputs"),
     ("[submit] weight", "daemon fair-share weight never changes what a slice computes"),
     ("[control] assert", "the control-point assertion is policy around the run, not part of it"),
@@ -576,7 +568,6 @@ pub const FINGERPRINT_EXCLUDED: &[(&str, &str)] = &[
 /// [`FINGERPRINT_EXCLUDED`], one statement per table row (same order).
 fn strip_fingerprint_excluded(identity: &mut CampaignPlan) {
     identity.workers = None;
-    identity.sim.batch = None;
     identity.output = None;
     identity.submit = SubmitSection::default();
     identity.control = ControlSection::default();
@@ -640,16 +631,6 @@ pub fn run_plan(plan: &CampaignPlan) -> Result<PlanResult, PlanError> {
     run_plan_budget(plan, None)
 }
 
-/// The engine a plan's direct campaign passes run on: worker count plus
-/// the plan's optional `[sim] batch` width override.
-fn plan_engine(plan: &CampaignPlan, sim: SimConfig, workers: usize) -> CampaignEngine {
-    let engine = CampaignEngine::new(sim).with_workers(workers);
-    match plan.sim.batch {
-        Some(batch) => engine.with_batch(batch),
-        None => engine,
-    }
-}
-
 /// [`run_plan`] with a job budget: at most `budget` *pending* jobs are
 /// executed this invocation (already-persisted jobs don't count), then
 /// the run stops cleanly — the CI-style "interrupt via budget cap".
@@ -700,7 +681,7 @@ pub fn run_plan_budget(plan: &CampaignPlan, budget: Option<u64>) -> Result<PlanR
                 }
                 SinkChoice::Outcomes => {
                     let picks = random_fault_picks(&suite, &plan.faults, &config);
-                    let engine = plan_engine(plan, sim, workers);
+                    let engine = CampaignEngine::new(sim).with_workers(workers);
                     let shared = suite.shared();
                     let jobs = picks.iter().enumerate().map(|(id, &(index, spec))| CampaignJob {
                         id: id as u64,

@@ -14,8 +14,8 @@
 //! in [`super::adaptive`].
 
 use super::{
-    campaign_fingerprint, plan_engine, CampaignKind, CampaignPlan, OutputSpec, PlanResult,
-    GOLDEN_SUBDIR, SWEEP_SUBDIR, VALIDATE_SUBDIR,
+    campaign_fingerprint, CampaignKind, CampaignPlan, OutputSpec, PlanResult, GOLDEN_SUBDIR,
+    SWEEP_SUBDIR, VALIDATE_SUBDIR,
 };
 use crate::report::PlanReport;
 use crate::PlanError;
@@ -25,7 +25,7 @@ use drivefi_core::{
 };
 use drivefi_fault::FaultSpec;
 use drivefi_obs::{EventLog, Field};
-use drivefi_sim::{CampaignJob, RunningStats, SimConfig, Tee};
+use drivefi_sim::{CampaignEngine, CampaignJob, RunningStats, SimConfig, Tee};
 use drivefi_store::{
     open_store, open_store_with_traces, read_manifest, read_store, CampaignRecord, RecordMeta,
     StoreSink,
@@ -193,7 +193,7 @@ impl<'a> Pipeline<'a> {
                 );
             }
         }
-        let engine = plan_engine(self.plan, stage.sim, self.workers);
+        let engine = CampaignEngine::new(stage.sim).with_workers(self.workers);
         let mut sink = StoreSink::new(&mut writer, &stage.metas);
         let ran = match running {
             Some(running) => engine.run_skipping_budget(

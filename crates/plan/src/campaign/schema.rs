@@ -233,15 +233,12 @@ pub fn campaign_plan_to_toml(plan: &CampaignPlan) -> Map {
         }
     }
     if plan.sim != SimSection::default() {
-        let mut sim = Map::from([
+        let sim = Map::from([
             ("planner_divisor".into(), Toml::Int(i64::from(plan.sim.planner_divisor))),
             ("kalman_fusion".into(), Toml::Bool(plan.sim.kalman_fusion)),
             ("pid_smoothing".into(), Toml::Bool(plan.sim.pid_smoothing)),
             ("watchdog".into(), Toml::Bool(plan.sim.watchdog)),
         ]);
-        if let Some(batch) = plan.sim.batch {
-            sim.insert("batch".into(), Toml::Int(batch as i64));
-        }
         doc.insert("sim".into(), Toml::Table(sim));
     }
     if let Some(output) = &plan.output {
@@ -679,7 +676,7 @@ fn sim_section_from_toml(table: &Map) -> Result<SimSection, PlanError> {
     expect_keys(
         table,
         "[sim]",
-        &["planner_divisor", "kalman_fusion", "pid_smoothing", "watchdog", "batch"],
+        &["planner_divisor", "kalman_fusion", "pid_smoothing", "watchdog"],
     )?;
     let default = SimSection::default();
     let planner_divisor = match table.get("planner_divisor") {
@@ -697,24 +694,11 @@ fn sim_section_from_toml(table: &Map) -> Result<SimSection, PlanError> {
             Some(v) => as_bool(v, &format!("`{key}`")),
         }
     };
-    let batch = match table.get("batch") {
-        None => None,
-        Some(v) => {
-            let b = as_uint(v, "`batch`")?;
-            if b == 0 {
-                return Err(PlanError::new("`batch` must be at least 1".into()));
-            }
-            Some(usize::try_from(b).map_err(|_| {
-                PlanError::new(format!("`batch` does not fit this platform's usize: {b}"))
-            })?)
-        }
-    };
     Ok(SimSection {
         planner_divisor,
         kalman_fusion: bool_or("kalman_fusion", default.kalman_fusion)?,
         pid_smoothing: bool_or("pid_smoothing", default.pid_smoothing)?,
         watchdog: bool_or("watchdog", default.watchdog)?,
-        batch,
     })
 }
 

@@ -323,14 +323,8 @@ fn sim_section_defaults_mirror_ads_config() {
     assert_eq!(section.watchdog, ads.watchdog);
     // apply() round-trips the switches into a SimConfig.
     let mut config = SimConfig::default();
-    SimSection {
-        planner_divisor: 4,
-        kalman_fusion: false,
-        pid_smoothing: false,
-        watchdog: false,
-        batch: None,
-    }
-    .apply(&mut config);
+    SimSection { planner_divisor: 4, kalman_fusion: false, pid_smoothing: false, watchdog: false }
+        .apply(&mut config);
     assert_eq!(config.ads.planner_divisor, 4);
     assert!(!config.ads.kalman_fusion && !config.ads.pid_smoothing && !config.ads.watchdog);
 }
@@ -343,7 +337,6 @@ fn sim_and_output_sections_round_trip() {
         kalman_fusion: false,
         pid_smoothing: true,
         watchdog: false,
-        batch: Some(16),
     };
     plan.output = Some(OutputSpec { dir: "out/tiny".into(), shards: 7, checkpoint_every: 99 });
     let text = emit_campaign_plan(&plan);
@@ -376,11 +369,6 @@ fn sim_section_rejects_unknown_keys_and_bad_values() {
             base.replace("kalman_fusion = false", "kalman_fusion = false\nplanner_divisor = 0"),
             "planner_divisor",
         ),
-        (
-            base.replace("kalman_fusion = false", "kalman_fusion = false\nbatch = 0"),
-            "`batch` must be at least 1",
-        ),
-        (base.replace("kalman_fusion = false", "kalman_fusion = false\nbatch = \"wide\""), "batch"),
     ] {
         let err =
             parse_campaign_plan(&mutation).expect_err(&format!("mutation should fail: {needle}"));
@@ -529,11 +517,6 @@ fn fingerprint_ignores_scheduling_knobs_but_not_computation() {
     let mut no_workers = base.clone();
     no_workers.workers = None;
     assert_eq!(campaign_fingerprint(&no_workers), fp);
-    // The batch width is scheduling too: rebatching never
-    // invalidates a store resume.
-    let mut rebatched = base.clone();
-    rebatched.sim.batch = Some(1);
-    assert_eq!(campaign_fingerprint(&rebatched), fp);
     // Daemon scheduling metadata: reweighting a submission never
     // invalidates a store resume either.
     let mut reweighted = base.clone();
@@ -574,7 +557,6 @@ fn fingerprint_exclusion_table_is_exhaustive() {
     type Mutation = fn(&mut CampaignPlan);
     let excluded_mutations: Vec<(&str, Mutation)> = vec![
         ("[campaign] workers", |p| p.workers = Some(64)),
-        ("[sim] batch", |p| p.sim.batch = Some(2)),
         ("[output]", |p| {
             p.output = Some(OutputSpec { dir: "elsewhere".into(), shards: 9, checkpoint_every: 7 })
         }),

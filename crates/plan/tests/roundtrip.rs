@@ -257,7 +257,6 @@ fn arb_plan(rng: &mut StdRng) -> CampaignPlan {
             kalman_fusion: rng.random(),
             pid_smoothing: rng.random(),
             watchdog: rng.random(),
-            batch: if rng.random() { Some(rng.random_range(1..64usize)) } else { None },
         }
     };
     // Exhaustive campaigns reject [output], adaptive ones require it,
@@ -345,7 +344,7 @@ fn every_registered_spec_round_trips() {
 /// signals, and bad `[adaptive]` sections.
 #[test]
 fn malformed_inputs_are_rejected() {
-    let cases: [(&str, &str); 10] = [
+    let cases: [(&str, &str); 11] = [
         // Broken syntax.
         ("name = \"x\"\n[campaign\nkind = \"random\"\n", "unterminated"),
         // An integer literal outside i64, reported where it stands rather
@@ -359,6 +358,13 @@ fn malformed_inputs_are_rejected() {
             "name = \"x\"\nturbo = true\n[campaign]\nkind = \"random\"\nruns = 1\n\
              [scenarios]\nsource = \"paper\"\ncount = 1\nseed = 0\n",
             "unknown key `turbo`",
+        ),
+        // The engine has no batch width to set.
+        (
+            "name = \"x\"\n[campaign]\nkind = \"random\"\nruns = 1\n\
+             [scenarios]\nsource = \"paper\"\ncount = 1\nseed = 0\n\
+             [sim]\nbatch = 32\n",
+            "unknown key `batch` in [sim]",
         ),
         // Range inversions.
         (

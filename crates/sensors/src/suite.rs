@@ -76,9 +76,7 @@ impl SensorSuite {
     /// Resets the suite in place to the state [`SensorSuite::with_seed`]
     /// constructs — sensor configurations, noise levels, RNG stream, and
     /// IMU differentiator history. The pooled detection buffers keep
-    /// their capacity (they are cleared, not dropped), so on the
-    /// campaign arena path — one suite serving every job of a worker —
-    /// sampling stays allocation-free across job boundaries.
+    /// their capacity (they are cleared, not dropped).
     pub fn reseed(&mut self, seed: u64) {
         self.camera = ObjectSensor::camera();
         self.lidar = ObjectSensor::lidar();
@@ -169,20 +167,6 @@ impl SensorSuite {
             let accel = self.last_speed.map_or(0.0, |prev| (speed - prev) / dt);
             self.last_speed = Some(speed);
             out.imu = Some(ImuSample { speed, accel, yaw_rate: ego.v * ego.phi.tan() / 2.8 });
-        }
-    }
-
-    /// Takes the detection buffers out of `frame` (clearing them) and
-    /// parks them in the suite's spare pool. Campaign arenas call this
-    /// before resetting the bus between jobs so the pooled buffers
-    /// survive job boundaries instead of being dropped with the frame.
-    pub fn reclaim_frame(&mut self, frame: &mut SensorFrame) {
-        let channels = [&mut frame.camera, &mut frame.lidar, &mut frame.radar];
-        for (spare, channel) in self.spares.iter_mut().zip(channels) {
-            if let Some(mut buf) = channel.take() {
-                buf.clear();
-                *spare = buf;
-            }
         }
     }
 

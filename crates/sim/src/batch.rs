@@ -1,26 +1,4 @@
-//! Batched campaign execution: lockstep lane stepping over the
-//! struct-of-arrays world sweep, plus golden-prefix sharing.
-//!
-//! # Lockstep lanes
-//!
-//! [`BatchSimulation`] steps B independent jobs ("lanes") together. Each
-//! base tick runs every lane's sensing → ADS → actuation half scalar
-//! (those paths carry per-lane RNG streams and fault interceptors), then
-//! advances **all** lane worlds in one [`SoaActors`] sweep. Because forks
-//! and retirements happen only at scene boundaries and every scenario's
-//! frame count is a multiple of [`BASE_TICKS_PER_SCENE`], lanes always
-//! stay scene-aligned.
-//!
-//! Every lane reproduces the scalar path bit-for-bit: the world sweep is
-//! op-identical (pinned in `drivefi-world`), and scene accounting goes
-//! through the same `Simulation::eval_scene`. A lane *retires* exactly
-//! where `Simulation::run_with` would have returned — end of scenario, or
-//! the first collision under `stop_on_collision`. With early exit
-//! disabled (test mode), finished lanes keep stepping to full length with
-//! their report frozen at the scalar stop point, so early exit can only
-//! ever change wall-clock, never results.
-//!
-//! # Golden-prefix sharing
+//! Chunked campaign execution with golden-prefix sharing.
 //!
 //! A faulted job is bitwise identical to the golden (fault-free) run of
 //! its scenario until the injector first acts — and the injector is a
@@ -28,7 +6,9 @@
 //! lookahead). `ChunkRunner` exploits this: per scenario it drives one
 //! golden *pilot*, snapshots the simulation at the scene boundaries where
 //! jobs diverge, and forks each job from its snapshot instead of
-//! re-simulating the shared prefix. Golden jobs take the pilot's result
+//! re-simulating the shared prefix. Each forked job then runs to
+//! completion on its own `Simulation`, through the scene loop
+//! `Simulation::run_with` uses. Golden jobs take the pilot's result
 //! verbatim; if the pilot stops at a collision in scene c, any job whose
 //! faults cannot act before frame 4c is provably identical and also takes
 //! the result verbatim. The pilot is cached across a worker's chunks
@@ -38,180 +18,11 @@
 use crate::outcome::RunReport;
 use crate::simulation::{RunState, SimConfig, Simulation, BASE_TICKS_PER_SCENE};
 use crate::{CampaignJob, CampaignResult};
-use drivefi_ads::profiler::{self, TickPhase};
 use drivefi_ads::NullInterceptor;
 use drivefi_fault::{Fault, Injector};
-use drivefi_world::{ScenarioConfig, SoaActors};
+use drivefi_world::ScenarioConfig;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// Default lane count when the batch width is left on auto.
-pub const DEFAULT_BATCH: usize = 32;
-
-/// One in-flight job inside a [`BatchSimulation`].
-struct Lane {
-    sim: Simulation,
-    injector: Injector,
-    /// Live accounting; taken when the lane reaches the scalar stop.
-    state: Option<RunState>,
-    /// The finished result, frozen at the scalar stop point.
-    finished: Option<CampaignResult>,
-    /// Push order, used to restore submission order on drain.
-    key: usize,
-    id: u64,
-}
-
-impl Lane {
-    /// Freezes the lane's report exactly as the scalar loop would have
-    /// returned it here.
-    fn freeze(&mut self) {
-        let state = self.state.take().expect("lane frozen once");
-        let mut report = state.into_report(&self.sim);
-        report.injections = self.injector.injection_count();
-        self.finished = Some(CampaignResult { id: self.id, report });
-    }
-}
-
-/// Steps a batch of jobs in lockstep over the struct-of-arrays world
-/// sweep. See the module docs for the execution model.
-pub struct BatchSimulation {
-    early_exit: bool,
-    soa: SoaActors,
-    lanes: Vec<Lane>,
-    /// Lanes retire out of `lanes`; results wait here until drained.
-    done: Vec<(usize, CampaignResult)>,
-    /// Set when batch composition changed and lanes must be re-gathered.
-    dirty: bool,
-    next_key: usize,
-    ticks: u64,
-}
-
-impl BatchSimulation {
-    /// An empty batch. `early_exit` retires a lane as soon as the scalar
-    /// loop would stop; disabling it (test mode) steps every lane to full
-    /// scenario length with results frozen at the scalar stop point.
-    pub fn new(early_exit: bool) -> Self {
-        BatchSimulation {
-            early_exit,
-            soa: SoaActors::new(),
-            lanes: Vec::new(),
-            done: Vec::new(),
-            dirty: false,
-            next_key: 0,
-            ticks: 0,
-        }
-    }
-
-    /// Adds a fresh job lane (fork at scenario start).
-    pub fn push_job(
-        &mut self,
-        config: SimConfig,
-        scenario: &ScenarioConfig,
-        faults: Vec<Fault>,
-        id: u64,
-    ) {
-        let sim = Simulation::new(config, scenario);
-        let state = RunState::new(&sim);
-        self.push_lane(sim, Injector::new(faults), state, id);
-    }
-
-    /// Adds a lane mid-scenario: a simulation forked from a golden-prefix
-    /// snapshot together with the accounting accumulated so far.
-    pub(crate) fn push_lane(
-        &mut self,
-        sim: Simulation,
-        injector: Injector,
-        state: RunState,
-        id: u64,
-    ) {
-        let key = self.next_key;
-        self.next_key += 1;
-        if sim.done() {
-            // Zero scenes left (degenerate scenario): finish immediately.
-            let mut lane = Lane { sim, injector, state: Some(state), finished: None, key, id };
-            lane.freeze();
-            self.done.push((key, lane.finished.take().expect("frozen")));
-            return;
-        }
-        self.lanes.push(Lane { sim, injector, state: Some(state), finished: None, key, id });
-        self.dirty = true;
-    }
-
-    /// True when no lanes are still stepping.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Total base ticks stepped across all lanes (the early-exit test's
-    /// wall-clock proxy).
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Advances every live lane by one scene (4 base ticks + scene
-    /// evaluation), retiring lanes that reach their scalar stop point.
-    pub fn step_scene(&mut self) {
-        if self.lanes.is_empty() {
-            return;
-        }
-        if self.dirty {
-            self.soa.clear();
-            for lane in &self.lanes {
-                self.soa.attach(lane.sim.world());
-            }
-            self.dirty = false;
-        }
-        let dt = self.lanes[0].sim.dt();
-        for _ in 0..BASE_TICKS_PER_SCENE {
-            for lane in &mut self.lanes {
-                lane.sim.pre_world_tick(&mut lane.injector);
-            }
-            {
-                // Sweep every lane's world straight through the lane
-                // structs — no per-tick `Vec<&mut World>` gather.
-                let probe = profiler::start();
-                self.soa.step_each(&mut self.lanes, |lane| &mut lane.sim.world, dt);
-                profiler::record(TickPhase::World, probe);
-            }
-            for lane in &mut self.lanes {
-                lane.sim.post_world_tick();
-            }
-            self.ticks += self.lanes.len() as u64;
-        }
-        let mut i = 0;
-        while i < self.lanes.len() {
-            let lane = &mut self.lanes[i];
-            if lane.finished.is_none() {
-                let stop = {
-                    let state = lane.state.as_mut().expect("live lane has accounting");
-                    lane.sim.eval_scene(state)
-                };
-                if stop || lane.sim.done() {
-                    lane.freeze();
-                }
-            }
-            let retire = lane.finished.is_some() && (self.early_exit || lane.sim.done());
-            if retire {
-                let mut lane = self.lanes.swap_remove(i);
-                self.done.push((lane.key, lane.finished.take().expect("retired lane is frozen")));
-                self.dirty = true;
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Steps until every lane has retired and returns the results in push
-    /// order.
-    pub fn run_to_completion(&mut self) -> Vec<CampaignResult> {
-        while !self.is_empty() {
-            self.step_scene();
-        }
-        self.done.sort_by_key(|(key, _)| *key);
-        self.next_key = 0;
-        self.done.drain(..).map(|(_, result)| result).collect()
-    }
-}
 
 /// Accounting snapshot taken alongside a pilot simulation snapshot.
 struct SceneMark {
@@ -228,7 +39,7 @@ struct PilotCache {
     state: RunState,
     /// Snapshots at requested fork-scene boundaries, ascending by scene.
     marks: Vec<SceneMark>,
-    /// Set once the pilot hit its scalar stop point (collision under
+    /// Set once the pilot hit its stop point (collision under
     /// `stop_on_collision`).
     broke: bool,
 }
@@ -246,14 +57,14 @@ impl PilotCache {
     }
 
     /// True when the pilot cannot advance further (scenario exhausted or
-    /// scalar stop reached).
+    /// stop point reached).
     fn ended(&self) -> bool {
         self.broke || self.sim.done()
     }
 
     /// Drives the pilot forward until it has passed every scene in
     /// `needs` (snapshotting each as it is reached) and, if `full`, to
-    /// the end of the scenario. Stops early at the scalar stop point.
+    /// the end of the scenario. Stops early at the stop point.
     fn ensure(&mut self, needs: &BTreeSet<u64>, full: bool) {
         let target = needs.iter().next_back().copied();
         loop {
@@ -281,7 +92,7 @@ impl PilotCache {
         }
     }
 
-    /// The pilot's own result — what a scalar run of the golden job (or
+    /// The pilot's own result — what a run of the golden job (or
     /// of any job whose faults cannot act before the pilot's stop point)
     /// returns.
     fn verbatim(&self) -> RunReport {
@@ -290,7 +101,7 @@ impl PilotCache {
 
     /// Clones the fork snapshot at `scene`, if one was taken. A cached
     /// pilot reused across chunks may already be past a scene it never
-    /// snapshotted — the caller falls back to a fresh lane then.
+    /// snapshotted — the caller falls back to a fresh run then.
     fn fork(&self, scene: u64) -> Option<(Simulation, RunState)> {
         let mark = self.marks.iter().find(|m| m.scene == scene)?;
         Some((mark.sim.clone(), mark.state.clone()))
@@ -305,9 +116,9 @@ fn first_divergent_frame(faults: &[Fault]) -> Option<u64> {
     faults.iter().map(|f| f.window.start_frame.saturating_sub(1)).min()
 }
 
-/// A worker's batched chunk executor: groups a chunk's jobs by scenario,
-/// shares golden prefixes through a cached pilot, and runs the forked
-/// lanes to completion in lockstep.
+/// A worker's chunk executor: groups a chunk's jobs by scenario, shares
+/// golden prefixes through a cached pilot, and runs each job to
+/// completion from its fork.
 pub(crate) struct ChunkRunner {
     config: SimConfig,
     cache: Option<PilotCache>,
@@ -359,48 +170,37 @@ impl ChunkRunner {
             }
             cache.ensure(&needs, full);
 
-            let mut batch = BatchSimulation::new(true);
-            let mut batch_positions = Vec::new();
             for &pos in &positions {
                 let job = &chunk[pos];
                 let fork_scene = first_divergent_frame(&job.faults)
                     .filter(|f0| *f0 < total_frames)
                     .map(|f0| f0 / BASE_TICKS_PER_SCENE);
-                match fork_scene {
+                let report = match fork_scene {
                     // The job cannot diverge before the pilot's end:
-                    // its scalar run is the pilot's run, bit for bit.
+                    // its run is the pilot's run, bit for bit.
                     // (`verbatim` reports zero injections, which is right:
-                    // the scalar run stops before any fault window opens.)
-                    None => {
-                        results[pos] =
-                            Some(CampaignResult { id: job.id, report: cache.verbatim() });
-                    }
-                    Some(scene) if cache.ended() && scene >= cache.progress() => {
-                        // Pilot stopped at a collision in an earlier
-                        // scene, so this job's faults never get to act.
-                        results[pos] =
-                            Some(CampaignResult { id: job.id, report: cache.verbatim() });
-                    }
-                    Some(scene) => match cache.fork(scene) {
-                        Some((sim, state)) => {
-                            batch.push_lane(sim, Injector::new(job.faults.clone()), state, job.id);
-                            batch_positions.push(pos);
-                        }
-                        // The cached pilot passed this scene in an earlier
-                        // chunk without snapshotting it: run the whole job
-                        // as a fresh lane (prefix sharing is only an
+                    // the run stops before any fault window opens.)
+                    None => cache.verbatim(),
+                    // Pilot stopped at a collision in an earlier scene, so
+                    // this job's faults never get to act.
+                    Some(scene) if cache.ended() && scene >= cache.progress() => cache.verbatim(),
+                    Some(scene) => {
+                        // The cached pilot may have passed this scene in an
+                        // earlier chunk without snapshotting it: run the
+                        // whole job fresh then (prefix sharing is only an
                         // optimization).
-                        None => {
+                        let (mut sim, state) = cache.fork(scene).unwrap_or_else(|| {
                             let sim = Simulation::new(self.config, &job.scenario);
                             let state = RunState::new(&sim);
-                            batch.push_lane(sim, Injector::new(job.faults.clone()), state, job.id);
-                            batch_positions.push(pos);
-                        }
-                    },
-                }
-            }
-            for (pos, result) in batch_positions.into_iter().zip(batch.run_to_completion()) {
-                results[pos] = Some(result);
+                            (sim, state)
+                        });
+                        let mut injector = Injector::new(job.faults.clone());
+                        let mut report = sim.run_from(state, &mut injector, None);
+                        report.injections = injector.injection_count();
+                        report
+                    }
+                };
+                results[pos] = Some(CampaignResult { id: job.id, report });
             }
         }
         results.into_iter().map(|r| r.expect("every chunk job produced a result")).collect()
@@ -510,6 +310,9 @@ mod tests {
     fn pilot_cache_survives_chunks_and_window_edges() {
         // Fault windows beyond the scenario end, at frame 0, and straddling
         // the end; the second chunk reuses the first chunk's pilot.
+        // Then a golden job alone in its chunk drives a fresh pilot to the
+        // end without a snapshot, so the next chunk's faulted jobs find
+        // no fork point and must run fresh.
         let config = SimConfig::default();
         let scenario = Arc::new(ScenarioConfig::lead_brake(5));
         let frames = scenario.scene_count() as u64 * BASE_TICKS_PER_SCENE;
@@ -534,86 +337,22 @@ mod tests {
                 }],
             })
             .collect();
-        let mut runner = ChunkRunner::new(config);
-        for chunk in jobs.chunks(2) {
-            for (job, result) in chunk.iter().zip(runner.run_chunk(chunk.to_vec())) {
-                assert_results_identical(&scalar_reference(config, job), &result);
+        let edges: Vec<Vec<CampaignJob>> = jobs.chunks(2).map(<[_]>::to_vec).collect();
+
+        let cruise = Arc::new(ScenarioConfig::lead_vehicle_cruise(4));
+        let job = |id, faults| CampaignJob { id, scenario: Arc::clone(&cruise), faults };
+        let golden_first = vec![
+            vec![job(0, vec![])],
+            vec![job(1, vec![throttle_fault(3)]), job(2, vec![throttle_fault(17)])],
+        ];
+
+        for stream in [edges, golden_first] {
+            let mut runner = ChunkRunner::new(config);
+            for chunk in stream {
+                for (job, result) in chunk.iter().zip(runner.run_chunk(chunk.clone())) {
+                    assert_results_identical(&scalar_reference(config, job), &result);
+                }
             }
-        }
-    }
-
-    #[test]
-    fn batch_of_fresh_jobs_matches_scalar() {
-        let config = SimConfig::default();
-        let scenarios: Vec<_> =
-            (0..5u64).map(|i| Arc::new(ScenarioConfig::lead_vehicle_cruise(i))).collect();
-        let mut batch = BatchSimulation::new(true);
-        for (i, s) in scenarios.iter().enumerate() {
-            let faults = if i % 2 == 0 { vec![] } else { vec![throttle_fault(5 * i as u64)] };
-            batch.push_job(config, s, faults, i as u64);
-        }
-        let results = batch.run_to_completion();
-        for (i, s) in scenarios.iter().enumerate() {
-            let faults = if i % 2 == 0 { vec![] } else { vec![throttle_fault(5 * i as u64)] };
-            let job = CampaignJob { id: i as u64, scenario: Arc::clone(s), faults };
-            assert_results_identical(&scalar_reference(config, &job), &results[i]);
-        }
-    }
-
-    #[test]
-    fn early_exit_changes_only_wall_clock() {
-        // Faults that rear-end a braking lead: with early exit a colliding
-        // lane retires at the scalar stop point; without it the lane keeps
-        // stepping to full scenario length with its report frozen. The
-        // results must be identical either way — only `ticks()` moves.
-        let config = SimConfig::default();
-        let scenario = ScenarioConfig::lead_brake(3);
-        let runaway = vec![
-            Fault {
-                kind: FaultKind::Scalar {
-                    signal: Signal::FinalThrottle,
-                    model: ScalarFaultModel::StuckMax,
-                },
-                window: FaultWindow::permanent(8),
-            },
-            Fault {
-                kind: FaultKind::Scalar {
-                    signal: Signal::FinalBrake,
-                    model: ScalarFaultModel::StuckMin,
-                },
-                window: FaultWindow::permanent(8),
-            },
-        ];
-
-        let run = |early_exit: bool| {
-            let mut batch = BatchSimulation::new(early_exit);
-            batch.push_job(config, &scenario, runaway.clone(), 0);
-            batch.push_job(config, &scenario, vec![], 1);
-            (batch.run_to_completion(), batch.ticks())
-        };
-        let (eager, ticks_eager) = run(true);
-        let (full, ticks_full) = run(false);
-
-        assert!(
-            eager[0].report.outcome.is_collision(),
-            "runaway throttle into a braking lead must collide: {:?}",
-            eager[0].report.outcome
-        );
-        for (a, b) in eager.iter().zip(&full) {
-            assert_results_identical(a, b);
-        }
-        // The colliding lane stopped early only in eager mode.
-        assert!(
-            ticks_eager < ticks_full,
-            "early exit saved no ticks ({ticks_eager} vs {ticks_full})"
-        );
-        // Both must also match the scalar path.
-        let jobs = [
-            CampaignJob { id: 0, scenario: Arc::new(scenario.clone()), faults: runaway.clone() },
-            CampaignJob { id: 1, scenario: Arc::new(scenario.clone()), faults: vec![] },
-        ];
-        for (job, result) in jobs.iter().zip(&eager) {
-            assert_results_identical(&scalar_reference(config, job), result);
         }
     }
 

@@ -3,16 +3,16 @@
 //! A campaign is a stream of (scenario × fault) jobs executed on a
 //! worker pool. The [`CampaignEngine`] pulls jobs lazily from a
 //! [`JobSource`] (so exhaustive sweeps never materialize their full
-//! cross-product) in chunks of [`CampaignEngine::batch`] jobs, executes
-//! each chunk on the batched struct-of-arrays core
-//! ([`crate::batch::BatchSimulation`], with golden-prefix sharing across
-//! jobs of one scenario), and streams [`CampaignResult`]s into a
-//! [`CampaignSink`] as chunks complete. Every job is fully deterministic
-//! (scenario seed + sensor seed) and the batched path is bit-identical to
-//! a scalar `Simulation::run_with`, so campaign results are
-//! reproducible regardless of scheduling, worker count, or batch width.
+//! cross-product) in fixed-size chunks, runs each job on its own
+//! [`crate::Simulation`] — forked from a golden pilot that a chunk's
+//! jobs over one scenario share, so their fault-free prefix is simulated
+//! once — and streams [`CampaignResult`]s into a [`CampaignSink`] as
+//! chunks complete. Every job is fully deterministic
+//! (scenario seed + sensor seed) and a forked job is bit-identical to
+//! `Simulation::run_with` of the same job, so campaign results are
+//! reproducible regardless of scheduling or worker count.
 
-use crate::batch::{ChunkRunner, Chunks, DEFAULT_BATCH};
+use crate::batch::{ChunkRunner, Chunks};
 use crate::engine::{default_workers, stream_map, IndexedSlots};
 use crate::outcome::RunReport;
 use crate::simulation::SimConfig;
@@ -21,6 +21,10 @@ use drivefi_fault::Fault;
 use drivefi_world::ScenarioConfig;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// Jobs a worker pulls per dispatch: the dispatch granularity, and how
+/// many jobs at most share one golden pilot.
+const CHUNK: usize = 32;
 
 /// One campaign job: a scenario plus the faults to arm.
 ///
@@ -222,8 +226,7 @@ impl CampaignSink for TraceSink {
     }
 }
 
-/// The campaign runner: a [`SimConfig`] plus worker-count and
-/// batch-width policies.
+/// The campaign runner: a [`SimConfig`] plus a worker-count policy.
 ///
 /// ```
 /// use drivefi_sim::{CampaignEngine, CampaignJob, SimConfig};
@@ -245,27 +248,17 @@ impl CampaignSink for TraceSink {
 pub struct CampaignEngine {
     config: SimConfig,
     workers: usize,
-    batch: Option<usize>,
 }
 
 impl CampaignEngine {
-    /// An engine with [`default_workers`] worker threads and the default
-    /// batch width.
+    /// An engine with [`default_workers`] worker threads.
     pub fn new(config: SimConfig) -> Self {
-        CampaignEngine { config, workers: default_workers(), batch: None }
+        CampaignEngine { config, workers: default_workers() }
     }
 
     /// Overrides the worker count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Overrides the batch width — how many jobs a worker pulls and steps
-    /// in lockstep per dispatch (clamped to at least 1). The width is a
-    /// scheduling knob only: results are bit-identical at any value.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = Some(batch.max(1));
         self
     }
 
@@ -279,17 +272,12 @@ impl CampaignEngine {
         self.workers
     }
 
-    /// The effective batch width ([`DEFAULT_BATCH`] unless overridden).
-    pub fn batch(&self) -> usize {
-        self.batch.unwrap_or(DEFAULT_BATCH)
-    }
-
     /// Runs every job from `jobs`, streaming each result into `sink` on
     /// the calling thread as chunks complete. Jobs are pulled from the
-    /// source lazily, one chunk of [`CampaignEngine::batch`] jobs per
-    /// idle worker, and each chunk runs on the batched
-    /// struct-of-arrays core. Submission indices are per job (chunks are
-    /// full except possibly the last, so job `i` keeps index `i`).
+    /// source lazily, one chunk of jobs per idle worker, and the jobs of
+    /// a chunk over one scenario share a golden pilot. Submission
+    /// indices are per job (chunks are full except possibly the last, so
+    /// job `i` keeps index `i`).
     ///
     /// # Panics
     ///
@@ -300,14 +288,13 @@ impl CampaignEngine {
         K: CampaignSink + ?Sized,
     {
         let config = self.config;
-        let batch = self.batch();
         stream_map(
-            Chunks::new(jobs.into_jobs(), batch),
+            Chunks::new(jobs.into_jobs(), CHUNK),
             self.workers,
             || ChunkRunner::new(config),
             ChunkRunner::run_chunk,
             |chunk_index, results| {
-                let base = chunk_index * batch as u64;
+                let base = chunk_index * CHUNK as u64;
                 for (pos, result) in results.into_iter().enumerate() {
                     sink.accept(base + pos as u64, result);
                 }
@@ -412,8 +399,8 @@ mod tests {
     #[test]
     fn parallel_equals_serial() {
         // Golden jobs and jobs with armed faults must produce bitwise
-        // identical reports across worker counts 1/2/8: worker arenas are
-        // reset between jobs, so scheduling cannot leak state.
+        // identical reports across worker counts 1/2/8: every job runs on
+        // its own simulation, so scheduling cannot leak state.
         let mut jobs: Vec<_> = (0..4).map(|i| golden_job(i, i * 7)).collect();
         jobs.extend((0..4).map(|i| faulted_job(100 + i, i * 3 + 1, 20 + 5 * i)));
         let serial = run_campaign(SimConfig::default(), &jobs, 1);
@@ -432,8 +419,8 @@ mod tests {
 
     #[test]
     fn arena_reuse_matches_fresh_construction() {
-        // One worker, many jobs: every job after the first runs in a
-        // reset arena and must match a freshly constructed Simulation.
+        // One worker runs every job in turn; each result must match a
+        // freshly constructed Simulation's.
         let jobs: Vec<_> = (0..3)
             .map(|i| faulted_job(i, 5, 30))
             .chain((0..2).map(|i| golden_job(10 + i, 2)))

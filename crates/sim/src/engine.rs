@@ -24,7 +24,7 @@ pub fn default_workers() -> usize {
 /// * `tasks` is consumed lazily: a worker pulls the next task only when
 ///   it goes idle, so an exhaustive cross-product source never has to be
 ///   materialized up front.
-/// * `init` builds one context per worker (an arena reused across that
+/// * `init` builds one context per worker (state reused across that
 ///   worker's tasks).
 /// * The result channel is bounded, so a slow consumer back-pressures
 ///   the workers instead of buffering unboundedly.

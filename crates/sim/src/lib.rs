@@ -13,10 +13,10 @@
 //!
 //! The [`CampaignEngine`] executes many (scenario × fault) runs in
 //! parallel with deterministic seeding: jobs stream lazily from a
-//! [`JobSource`], each worker reuses one [`Simulation`] arena, and
-//! results stream into a [`CampaignSink`] ([`Collector`],
-//! [`RunningStats`], [`TraceSink`]). [`campaign::run_campaign`] is the
-//! eager compatibility wrapper. This crate is also the only place in the
+//! [`JobSource`], each job runs on its own [`Simulation`] forked from a
+//! shared golden prefix, and results stream into a [`CampaignSink`]
+//! ([`Collector`], [`RunningStats`], [`TraceSink`]).
+//! [`campaign::run_campaign`] is the eager compatibility wrapper. This crate is also the only place in the
 //! workspace that spawns worker threads ([`engine::stream_map`] /
 //! [`engine::parallel_map`], with [`default_workers`] as the one
 //! worker-count policy).
@@ -33,7 +33,7 @@
 //! assert!(report.outcome.is_safe());
 //! ```
 
-pub mod batch;
+mod batch;
 pub mod campaign;
 pub mod engine;
 pub mod outcome;
@@ -41,7 +41,6 @@ pub mod rules;
 pub mod simulation;
 pub mod trace;
 
-pub use batch::{BatchSimulation, DEFAULT_BATCH};
 pub use campaign::{
     run_campaign, CampaignEngine, CampaignJob, CampaignResult, CampaignSink, Collector, JobSource,
     RunningStats, Tee, TraceSink,

@@ -1,6 +1,7 @@
 //! The closed loop: world ↔ sensors ↔ ADS ↔ vehicle dynamics.
 
 use crate::outcome::{Outcome, RunReport};
+use crate::rules::RuleMonitor;
 use crate::trace::{FrameRecord, Trace};
 use drivefi_ads::profiler::{self, TickPhase};
 use drivefi_ads::{AdsConfig, AdsStack, BusInterceptor, NullInterceptor, Signal};
@@ -42,27 +43,26 @@ impl Default for SimConfig {
 /// A closed-loop simulation of one scenario.
 #[derive(Debug, Clone)]
 pub struct Simulation {
-    pub(crate) config: SimConfig,
-    pub(crate) world: World,
+    config: SimConfig,
+    world: World,
     sensors: SensorSuite,
     ads: AdsStack,
     vehicle: BicycleModel,
     ego: VehicleState,
-    pub(crate) frame: u64,
-    pub(crate) total_frames: u64,
+    frame: u64,
+    total_frames: u64,
     scenario_id: u32,
 }
 
-/// Per-run accounting (outcome, running min-δ, optional trace), factored
-/// out of the scalar loop so the batched runner shares the *same*
-/// evaluation code — scene accounting cannot diverge between the two
-/// paths.
+/// Per-run accounting (outcome, running min-δ, optional trace), kept
+/// apart from the [`Simulation`] so a campaign job forked from a golden
+/// pilot continues the pilot's accounting in the same scene loop.
 #[derive(Debug, Clone)]
 pub(crate) struct RunState {
-    pub(crate) outcome: Outcome,
-    pub(crate) min_lon: f64,
-    pub(crate) min_lat: f64,
-    pub(crate) trace: Option<Trace>,
+    outcome: Outcome,
+    min_lon: f64,
+    min_lat: f64,
+    trace: Option<Trace>,
 }
 
 impl RunState {
@@ -112,31 +112,6 @@ impl Simulation {
         }
     }
 
-    /// Resets the closed loop in place for a new scenario, reusing the
-    /// existing allocations — world actor storage, the tracker's track
-    /// vectors, the bus world model, the road's lane vector — instead of
-    /// reconstructing any module. This is the campaign engine's
-    /// per-worker arena path: a worker builds one `Simulation` and
-    /// resets it between jobs. Behavior after a reset is identical to
-    /// [`Simulation::new`] with the same config and scenario (the
-    /// `arena_reset_traces_equal_fresh_build` test pins trace-level
-    /// equality).
-    pub fn reset(&mut self, scenario: &ScenarioConfig) {
-        self.world.reset_from_scenario(scenario);
-        self.world.set_ego(scenario.ego_start, ActorKind::Car.dims());
-        // Park the bus frame's detection buffers back in the suite's
-        // spare pool before the bus reset would drop them: sampling
-        // stays allocation-free across job boundaries too.
-        self.sensors.reclaim_frame(&mut self.ads.bus.sensors);
-        self.sensors.reseed(self.config.sensor_seed ^ scenario.seed);
-        self.ads.reset(scenario.ego_set_speed, &scenario.road);
-        self.vehicle = BicycleModel::new(self.config.ads.vehicle);
-        self.ego = scenario.ego_start;
-        self.frame = 0;
-        self.total_frames = scenario.scene_count() as u64 * BASE_TICKS_PER_SCENE;
-        self.scenario_id = scenario.id;
-    }
-
     /// Ground-truth ego state.
     pub fn ego(&self) -> &VehicleState {
         &self.ego
@@ -163,14 +138,12 @@ impl Simulation {
     }
 
     /// Base tick duration \[s\].
-    pub(crate) fn dt(&self) -> f64 {
+    fn dt(&self) -> f64 {
         1.0 / self.config.ads.tick_hz
     }
 
-    /// The sensing → ADS → actuation half of a base tick: everything up
-    /// to (but excluding) the world step. The batched runner calls this
-    /// per lane and then advances all lane worlds in one SoA sweep.
-    pub(crate) fn pre_world_tick<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) {
+    /// Advances one 30 Hz base tick with the given interceptor.
+    pub(crate) fn step_tick<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) {
         let dt = self.dt();
         // Sample straight into the bus frame: the same detection buffers
         // carry every tick of the run, so the sensing → ADS half of the
@@ -183,27 +156,17 @@ impl Simulation {
         self.ego = self.vehicle.step(&self.ego, &actuation, dt);
         self.world.set_ego(self.ego, ActorKind::Car.dims());
         profiler::record(TickPhase::Vehicle, probe);
-    }
-
-    /// Closes a base tick after the world has been advanced.
-    pub(crate) fn post_world_tick(&mut self) {
-        self.frame += 1;
-    }
-
-    /// Advances one 30 Hz base tick with the given interceptor.
-    pub(crate) fn step_tick<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) {
-        self.pre_world_tick(interceptor);
         let probe = profiler::start();
-        self.world.step(self.dt());
+        self.world.step(dt);
         profiler::record(TickPhase::World, probe);
-        self.post_world_tick();
+        self.frame += 1;
     }
 
     /// Scene-rate evaluation after [`BASE_TICKS_PER_SCENE`] base ticks:
     /// ground truth, running min-δ, outcome transitions, and the optional
     /// trace frame. Returns `true` when the run stops here (collision
     /// with `stop_on_collision` set) — the single definition of the
-    /// scalar break point that the batched early-exit must reproduce.
+    /// stop point that golden pilots and forked jobs share.
     pub(crate) fn eval_scene(&mut self, state: &mut RunState) -> bool {
         let probe = profiler::start();
         let scene = self.scene() - 1;
@@ -262,51 +225,16 @@ impl Simulation {
     }
 
     /// Runs the scenario to completion with `interceptor` attached to the
-    /// bus and a [`crate::rules::RuleMonitor`] fed ground truth once per
-    /// scene — the paper's "extended notions of safety" hook.
+    /// bus and a [`RuleMonitor`] fed ground truth once per scene — the
+    /// paper's "extended notions of safety" hook. The report is the one
+    /// [`Simulation::run_with`] returns.
     pub fn run_monitored<I: BusInterceptor + ?Sized>(
         &mut self,
         interceptor: &mut I,
-        monitor: &mut crate::rules::RuleMonitor,
+        monitor: &mut RuleMonitor,
     ) -> RunReport {
-        let mut outcome = Outcome::Safe;
-        let mut min_lon = f64::INFINITY;
-        let mut min_lat = f64::INFINITY;
-        let scene_dt = BASE_TICKS_PER_SCENE as f64 / self.config.ads.tick_hz;
-        while self.frame < self.total_frames {
-            for _ in 0..BASE_TICKS_PER_SCENE {
-                self.step_tick(interceptor);
-            }
-            let scene = self.scene() - 1;
-            let gt = self.world.ground_truth();
-            let envelope = gt.envelope.with_min_margin(0.0, 0.0);
-            let delta = SafetyPotential::evaluate(&self.config.ads.vehicle, &self.ego, &envelope);
-            min_lon = min_lon.min(delta.longitudinal);
-            min_lat = min_lat.min(delta.lateral);
-            monitor.observe_scene(
-                scene,
-                &self.ego,
-                self.world.ego_lead(),
-                self.world.road(),
-                scene_dt,
-            );
-            if let Some(actor) = gt.collision {
-                outcome = Outcome::Collision { scene, actor: actor.0 };
-            } else if !delta.is_safe() && outcome == Outcome::Safe {
-                outcome = Outcome::Hazard { scene };
-            }
-            if outcome.is_collision() && self.config.stop_on_collision {
-                break;
-            }
-        }
-        RunReport {
-            outcome,
-            min_delta_lon: min_lon,
-            min_delta_lat: min_lat,
-            scenes: self.scene(),
-            injections: 0,
-            trace: None,
-        }
+        let state = RunState::new(self);
+        self.run_from(state, interceptor, Some(monitor))
     }
 
     /// Runs the scenario to completion with `interceptor` (typically a
@@ -315,12 +243,36 @@ impl Simulation {
     /// The hazard monitor evaluates ground truth at scene rate, matching
     /// the paper's per-scene accounting.
     pub fn run_with<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) -> RunReport {
-        let mut state = RunState::new(self);
-        while self.frame < self.total_frames {
+        let state = RunState::new(self);
+        self.run_from(state, interceptor, None)
+    }
+
+    /// The one scene loop: steps from the current frame to the end of
+    /// the scenario, or to the first collision under `stop_on_collision`,
+    /// continuing the accounting in `state` — fresh for a run from scene
+    /// 0, or a golden pilot's at the scene a campaign job forks from.
+    pub(crate) fn run_from<I: BusInterceptor + ?Sized>(
+        &mut self,
+        mut state: RunState,
+        interceptor: &mut I,
+        mut monitor: Option<&mut RuleMonitor>,
+    ) -> RunReport {
+        let scene_dt = BASE_TICKS_PER_SCENE as f64 / self.config.ads.tick_hz;
+        while !self.done() {
             for _ in 0..BASE_TICKS_PER_SCENE {
                 self.step_tick(interceptor);
             }
-            if self.eval_scene(&mut state) {
+            let stop = self.eval_scene(&mut state);
+            if let Some(monitor) = monitor.as_deref_mut() {
+                monitor.observe_scene(
+                    self.scene() - 1,
+                    &self.ego,
+                    self.world.ego_lead(),
+                    self.world.road(),
+                    scene_dt,
+                );
+            }
+            if stop {
                 break;
             }
         }
@@ -506,41 +458,43 @@ mod tests {
     }
 
     #[test]
-    fn arena_reset_traces_equal_fresh_build() {
-        // The deepened arena reuse: after a dirty run (faults armed, the
-        // watchdog latched, tracker full of tracks, smoother wound up),
-        // a reset-in-place arena must reproduce a freshly constructed
-        // Simulation *trace-for-trace* — every recorded scene record of
-        // every ADS variable bitwise identical.
+    fn run_monitored_reports_like_run_with() {
+        // The rule monitor rides on the same scene loop as `run_with`: a
+        // colliding faulted run reports the same outcome, min-δ, stop
+        // scene and trace, and the monitor sees every evaluated scene.
+        use crate::rules::{RuleConfig, RuleMonitor};
         let config = SimConfig { record_trace: true, ..SimConfig::default() };
-        let mut arena = Simulation::new(config, &ScenarioConfig::lead_brake(3));
-
-        // Dirty the arena: a planner hang latches the watchdog, and a
-        // steering corruption winds up the smoother and pose gate.
-        let mut dirt = Injector::new(vec![
+        let scenario = ScenarioConfig::lead_brake(3);
+        let runaway = vec![
             Fault {
-                kind: FaultKind::ModuleHang { stage: drivefi_ads::Stage::Planning },
-                window: FaultWindow::permanent(90),
+                kind: FaultKind::Scalar {
+                    signal: Signal::FinalThrottle,
+                    model: ScalarFaultModel::StuckMax,
+                },
+                window: FaultWindow::permanent(8),
             },
             Fault {
                 kind: FaultKind::Scalar {
-                    signal: Signal::FinalSteering,
-                    model: ScalarFaultModel::StuckMax,
+                    signal: Signal::FinalBrake,
+                    model: ScalarFaultModel::StuckMin,
                 },
-                window: FaultWindow::burst(60, 40),
+                window: FaultWindow::permanent(8),
             },
-        ]);
-        let _ = arena.run_with(&mut dirt);
-        assert!(arena.ads().watchdog().is_fallback(), "the dirtying run never latched");
+        ];
+        let plain =
+            Simulation::new(config, &scenario).run_with(&mut Injector::new(runaway.clone()));
+        let mut monitor = RuleMonitor::new(RuleConfig::default(), config.ads.vehicle);
+        let monitored = Simulation::new(config, &scenario)
+            .run_monitored(&mut Injector::new(runaway), &mut monitor);
 
-        for scenario in [ScenarioConfig::cut_in(7), ScenarioConfig::platoon(2)] {
-            arena.reset(&scenario);
-            let reused = arena.run();
-            let mut fresh_sim = Simulation::new(config, &scenario);
-            let fresh = fresh_sim.run();
-            assert_eq!(reused.outcome, fresh.outcome, "{}", scenario.name);
-            assert_eq!(reused.trace, fresh.trace, "{} trace diverged", scenario.name);
-        }
+        assert!(plain.outcome.is_collision(), "runaway stayed collision-free: {:?}", plain.outcome);
+        assert_eq!(monitored.outcome, plain.outcome);
+        assert_eq!(monitored.min_delta_lon.to_bits(), plain.min_delta_lon.to_bits());
+        assert_eq!(monitored.min_delta_lat.to_bits(), plain.min_delta_lat.to_bits());
+        assert_eq!(monitored.scenes, plain.scenes);
+        assert!(plain.trace.is_some());
+        assert_eq!(monitored.trace, plain.trace);
+        assert_eq!(monitor.finish().observed_scenes, plain.scenes);
     }
 
     #[test]

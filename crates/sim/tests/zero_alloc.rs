@@ -1,11 +1,13 @@
 //! The allocation-free hot-path invariant, enforced.
 //!
 //! A counting `#[global_allocator]` wraps `System` and tallies every
-//! `alloc`/`realloc`/`alloc_zeroed`. After a warm-up pass sizes every
-//! pooled buffer (bus sensor frames, tracker scratch, world actor and
-//! lead-order vectors, SoA lanes), the steady-state tick must perform
-//! **zero** heap operations — on both the scalar `Simulation` arena
-//! path and the batched SoA `step_scene` path.
+//! `alloc`/`realloc`/`alloc_zeroed`. Once a run has sized every pooled
+//! buffer (bus sensor frames, tracker scratch, world actor and
+//! lead-order vectors), its steady-state ticks must perform **zero**
+//! heap operations. A counting interceptor reads the counter at the
+//! Sensors stage of two frames deep into a 60-s run, so the measured
+//! window spans whole ticks: sensing, the ADS stages, vehicle and world
+//! steps, and scene evaluation.
 //!
 //! Everything lives in ONE `#[test]` so no sibling test thread can
 //! pollute the global counter.
@@ -15,7 +17,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use drivefi_sim::{BatchSimulation, SimConfig, Simulation};
+use drivefi_ads::{Bus, BusInterceptor, Stage};
+use drivefi_sim::{SimConfig, Simulation};
 use drivefi_world::scenario::ScenarioConfig;
 
 struct CountingAlloc;
@@ -52,54 +55,54 @@ fn alloc_ops() -> u64 {
     ALLOC_OPS.load(Ordering::Relaxed)
 }
 
+/// The measured window: from the start of base tick 600 (20 s in, every
+/// pool warm) to the start of tick 1500.
+const WINDOW: [u64; 2] = [600, 1500];
+
+/// Reads the allocator counter when the Sensors stage publishes on each
+/// window edge.
+#[derive(Default)]
+struct AllocProbe {
+    reads: [Option<u64>; 2],
+}
+
+impl BusInterceptor for AllocProbe {
+    fn intercept(&mut self, stage: Stage, frame: u64, _bus: &mut Bus) {
+        if stage == Stage::Sensors {
+            if let Some(edge) = WINDOW.iter().position(|&f| f == frame) {
+                self.reads[edge] = Some(alloc_ops());
+            }
+        }
+    }
+}
+
 #[test]
 fn steady_state_tick_never_allocates() {
-    // ---- Scalar arena path: warm build + run, then a reset + full
-    // rerun must not touch the heap. This is exactly the campaign
-    // worker's per-job loop.
     let config = SimConfig::default();
-    let scenario = ScenarioConfig::lead_vehicle_cruise(3);
-    let mut sim = Simulation::new(config, &scenario);
-    let warm = sim.run();
-    sim.reset(&scenario);
-    let warm2 = sim.run(); // second pass: every pool is at its high-water mark
-
-    // The counter is process-global, and the libtest harness's main
-    // thread occasionally allocates (its completion plumbing) while a
-    // measured run is in flight — so take the minimum over a few
-    // rounds: harness noise is transient, while a real hot-path
-    // allocation would show up in every single round.
-    let mut scalar_ops = u64::MAX;
-    for _ in 0..5 {
-        sim.reset(&scenario);
-        let before = alloc_ops();
-        let report = sim.run();
-        scalar_ops = scalar_ops.min(alloc_ops() - before);
-        assert_eq!(report.outcome, warm.outcome);
-        assert_eq!(report.outcome, warm2.outcome);
+    for mut scenario in [
+        ScenarioConfig::lead_vehicle_cruise(3),
+        ScenarioConfig::cut_in(7),
+        ScenarioConfig::platoon(2),
+    ] {
+        scenario.duration = 60.0;
+        // The counter is process-global, and the libtest harness's main
+        // thread occasionally allocates (its completion plumbing) while
+        // a measured run is in flight — so take the minimum over a few
+        // runs: harness noise is transient, while a real hot-path
+        // allocation would show up in every single run.
+        let mut window_ops = u64::MAX;
+        for _ in 0..3 {
+            let mut probe = AllocProbe::default();
+            Simulation::new(config, &scenario).run_with(&mut probe);
+            let [Some(start), Some(end)] = probe.reads else {
+                panic!("{}: the run stopped before tick {}", scenario.name, WINDOW[1]);
+            };
+            window_ops = window_ops.min(end - start);
+        }
+        assert_eq!(
+            window_ops, 0,
+            "{}: ticks {}..{} performed {window_ops} heap operations",
+            scenario.name, WINDOW[0], WINDOW[1]
+        );
     }
-    assert_eq!(scalar_ops, 0, "scalar reset+run performed {scalar_ops} heap operations");
-
-    // ---- Batched SoA path: long-duration lanes, a few warm scenes to
-    // size the lane pools and build the SoA mirror, then one measured
-    // `step_scene` over all live lanes must not touch the heap.
-    let mut batch = BatchSimulation::new(true);
-    for i in 0..8u64 {
-        let mut s = ScenarioConfig::lead_vehicle_cruise(i);
-        s.duration = 60.0; // plenty of scenes left after warm-up
-        batch.push_job(config, &s, vec![], i);
-    }
-    for _ in 0..10 {
-        batch.step_scene();
-    }
-    assert!(!batch.is_empty(), "all lanes retired during warm-up");
-
-    let mut batched_ops = u64::MAX;
-    for _ in 0..5 {
-        assert!(!batch.is_empty(), "all lanes retired mid-measurement");
-        let before = alloc_ops();
-        batch.step_scene();
-        batched_ops = batched_ops.min(alloc_ops() - before);
-    }
-    assert_eq!(batched_ops, 0, "batched step_scene performed {batched_ops} heap operations");
 }

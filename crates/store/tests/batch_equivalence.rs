@@ -1,10 +1,10 @@
-//! Batched-vs-scalar equivalence at the persistence boundary: for every
+//! Campaign-vs-scalar equivalence at the persistence boundary: for every
 //! builtin scenario family, faulted and golden jobs executed by the
-//! batched campaign engine must produce **byte-identical**
-//! [`CampaignRecord`] payloads and identical per-scene trace frames to a
-//! scalar [`Simulation::run_with`] of the same job — at every batch
-//! width. The batch knob is scheduling only; the record a campaign
-//! persists cannot depend on it.
+//! campaign engine — forked from a shared golden prefix — must produce
+//! **byte-identical** [`CampaignRecord`] payloads and identical
+//! per-scene trace frames to a scalar [`Simulation::run_with`] of the
+//! same job. Prefix sharing is an optimization only; the record a
+//! campaign persists cannot depend on it.
 
 use drivefi_ads::Signal;
 use drivefi_fault::{Fault, FaultKind, FaultWindow, Injector, ScalarFaultModel};
@@ -13,10 +13,6 @@ use drivefi_store::{CampaignRecord, RecordMeta};
 use drivefi_world::{FamilyRegistry, ScenarioConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Batch widths under test: degenerate (scalar-shaped), ragged (jobs do
-/// not fill a chunk), and the default-sized lane count.
-const WIDTHS: [usize; 3] = [1, 7, 32];
 
 /// A short scenario from a builtin family (6 s = 45 scenes keeps the
 /// full cross product fast without losing the families' dynamics).
@@ -55,36 +51,31 @@ fn scalar_record(config: SimConfig, job: &CampaignJob) -> (Vec<u8>, Option<drive
     (bytes, report.trace)
 }
 
-/// Runs `jobs` through the batched engine at every width and asserts
-/// byte-identical records and identical traces against the scalar path.
+/// Runs `jobs` through the campaign engine and asserts byte-identical
+/// records and identical traces against the scalar path.
 fn assert_equivalent(config: SimConfig, jobs: &[CampaignJob]) -> Result<(), TestCaseError> {
-    let reference: Vec<_> = jobs.iter().map(|job| scalar_record(config, job)).collect();
-    for width in WIDTHS {
-        let engine = CampaignEngine::new(config).with_workers(2).with_batch(width);
-        let results = engine.collect(jobs.to_vec());
-        prop_assert_eq!(results.len(), jobs.len());
-        for ((job, (ref_bytes, ref_trace)), result) in jobs.iter().zip(&reference).zip(results) {
-            prop_assert_eq!(result.id, job.id);
-            let mut bytes = Vec::new();
-            CampaignRecord::from_report(result.id, &meta(&job.scenario), &result.report)
-                .encode(&mut bytes);
-            prop_assert_eq!(
-                &bytes,
-                ref_bytes,
-                "record bytes diverged: family {} job {} width {}",
-                job.scenario.name,
-                job.id,
-                width
-            );
-            prop_assert_eq!(
-                &result.report.trace,
-                ref_trace,
-                "trace diverged: family {} job {} width {}",
-                job.scenario.name,
-                job.id,
-                width
-            );
-        }
+    let results = CampaignEngine::new(config).with_workers(2).collect(jobs.to_vec());
+    prop_assert_eq!(results.len(), jobs.len());
+    for (job, result) in jobs.iter().zip(results) {
+        let (ref_bytes, ref_trace) = scalar_record(config, job);
+        prop_assert_eq!(result.id, job.id);
+        let mut bytes = Vec::new();
+        CampaignRecord::from_report(result.id, &meta(&job.scenario), &result.report)
+            .encode(&mut bytes);
+        prop_assert_eq!(
+            &bytes,
+            &ref_bytes,
+            "record bytes diverged: family {} job {}",
+            job.scenario.name,
+            job.id
+        );
+        prop_assert_eq!(
+            &result.report.trace,
+            &ref_trace,
+            "trace diverged: family {} job {}",
+            job.scenario.name,
+            job.id
+        );
     }
     Ok(())
 }
@@ -116,8 +107,8 @@ fn jobs_for(scenario: &Arc<ScenarioConfig>, palette: u64, first_id: u64) -> Vec<
     ]
 }
 
-/// Every builtin family, deterministically: golden + faulted jobs at
-/// widths 1/7/32 match the scalar path byte for byte, with traces on.
+/// Every builtin family, deterministically: golden + faulted jobs match
+/// the scalar path byte for byte, with traces on.
 #[test]
 fn all_families_match_scalar_records_and_traces() {
     let config = SimConfig { record_trace: true, ..SimConfig::default() };
@@ -136,8 +127,7 @@ proptest! {
 
     /// Randomized depth over the same property: random family, seed, and
     /// fault palette; jobs over two scenarios interleaved in one stream
-    /// (mixed-scenario chunks exercise per-chunk grouping and the
-    /// cross-chunk pilot cache).
+    /// (a mixed-scenario chunk exercises per-chunk grouping).
     #[test]
     fn random_campaigns_match_scalar(
         family_a in 0usize..14,

@@ -32,7 +32,6 @@ pub mod behavior;
 pub mod collision;
 pub mod road;
 pub mod scenario;
-pub mod soa;
 pub mod spec;
 mod world_impl;
 
@@ -41,6 +40,5 @@ pub use behavior::{Behavior, IdmParams};
 pub use collision::{obb_overlap, segment_intersects_obb, Obb};
 pub use road::{Lane, LaneId, Road};
 pub use scenario::{ScenarioConfig, ScenarioSuite};
-pub use soa::{BehaviorTag, SoaActors};
 pub use spec::{FamilyRegistry, ScenarioSpec};
 pub use world_impl::{GroundTruth, World};

@@ -71,14 +71,6 @@ impl Road {
         Road::highway(3, Road::DEFAULT_LANE_WIDTH, 4000.0)
     }
 
-    /// Makes `self` equal to `other`, reusing the existing lane storage
-    /// (the arena-reset path: derived `clone_from` would reallocate).
-    pub fn copy_from(&mut self, other: &Road) {
-        self.lanes.clear();
-        self.lanes.extend_from_slice(&other.lanes);
-        self.length = other.length;
-    }
-
     /// All lanes, rightmost first.
     pub fn lanes(&self) -> &[Lane] {
         &self.lanes

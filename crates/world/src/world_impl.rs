@@ -25,16 +25,16 @@ pub const ASSUMED_BRAKE_DECEL: f64 = 8.0;
 #[derive(Debug, Clone)]
 pub struct World {
     road: Road,
-    pub(crate) actors: Vec<Actor>,
-    pub(crate) time: f64,
-    pub(crate) ego: Option<(VehicleState, BodyDims)>,
+    actors: Vec<Actor>,
+    time: f64,
+    ego: Option<(VehicleState, BodyDims)>,
     /// Scratch lane for the synchronous-update acceleration pass, reused
     /// across ticks to keep `step` allocation-free.
     accel_scratch: Vec<f64>,
     /// Actor indices sorted by rear-bumper x (ties by index). Maintained
     /// incrementally across ticks so lead-vehicle queries are an O(1)
     /// amortized prefix scan instead of an all-pairs sweep.
-    pub(crate) lead_order: Vec<u32>,
+    lead_order: Vec<u32>,
 }
 
 /// Rounding slack for the sorted lead scan: candidates whose rear bumper
@@ -78,20 +78,6 @@ impl World {
         w
     }
 
-    /// Re-initializes this world in place from a scenario, reusing the
-    /// actor storage allocation. Equivalent to
-    /// [`World::from_scenario`], for arena-style reuse across campaign
-    /// jobs.
-    pub fn reset_from_scenario(&mut self, config: &ScenarioConfig) {
-        self.road = config.road.clone();
-        self.actors.clear();
-        self.actors.extend(config.actors.iter().cloned());
-        self.time = 0.0;
-        self.ego = None;
-        self.accel_scratch.clear();
-        self.repair_lead_order();
-    }
-
     /// The road.
     pub fn road(&self) -> &Road {
         &self.road
@@ -130,7 +116,7 @@ impl World {
     /// Restores the `(rear_x, index)` sort invariant on `lead_order`.
     /// Actors move smoothly, so the order is nearly sorted after a tick
     /// and the insertion pass is O(n) amortized.
-    pub(crate) fn repair_lead_order(&mut self) {
+    fn repair_lead_order(&mut self) {
         if self.lead_order.len() != self.actors.len() {
             self.lead_order.clear();
             self.lead_order.extend(0..self.actors.len() as u32);
