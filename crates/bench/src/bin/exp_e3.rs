@@ -55,6 +55,7 @@ fn main() {
 
     // --- Validation phase ---
     let validation = validate_candidates(&sim, &suite, &critical, workers);
+    println!("validation: {:.1?} for {} injection runs", validation.wall_clock, critical.len());
     println!();
     println!("| metric                       | ours       | paper      |");
     println!("|------------------------------|------------|------------|");

@@ -186,6 +186,9 @@ fn recorded_value(frame: &drivefi_sim::FrameRecord, signal: Signal) -> Option<f6
 pub struct BayesianMiner {
     model: TbnModel,
     config: MinerConfig,
+    /// The distinct values a [`ResponseForecast`] can hold, ascending:
+    /// the bin representatives of `A_throttle`, `A_brake` and `A_steer`.
+    forecast_values: [Vec<f64>; 3],
     /// Per template variable, its counterfactual query, compiled on the
     /// first forecast that intervenes on it.
     counterfactuals: [OnceLock<Result<Counterfactual, BayesError>>; TbnVar::ALL.len()],
@@ -199,7 +202,16 @@ impl BayesianMiner {
     /// Propagates model-fitting failures.
     pub fn fit(traces: &[Trace], config: MinerConfig) -> Result<Self, BayesError> {
         let model = TbnModel::fit_with(traces, config.bins, config.kinematic_augmentation)?;
-        Ok(BayesianMiner { model, config, counterfactuals: Default::default() })
+        let forecast_values = FORECAST_VARS.map(|v| {
+            // Every category `forecast` can read back, as its `rep1` does.
+            let mut values: Vec<f64> = (0..model.net.cardinality(model.id(1, v)))
+                .map(|c| model.representative(v, c).unwrap_or(0.0))
+                .collect();
+            values.sort_by(f64::total_cmp);
+            values.dedup_by_key(|x| x.to_bits());
+            values
+        });
+        Ok(BayesianMiner { model, config, forecast_values, counterfactuals: Default::default() })
     }
 
     /// Fits the miner from the golden traces persisted in a
@@ -387,6 +399,26 @@ impl BayesianMiner {
         delta_lon.min(delta_lat)
     }
 
+    /// A lower bound on `δ̂` at the scene of `frame` for every fault whose
+    /// signal does not override an actuation channel exactly: the least
+    /// [`BayesianMiner::delta_hat_from_forecast`] over all forecasts the
+    /// BN can give, i.e. every combination of bin representatives of the
+    /// three final-actuation channels. Such a fault's `δ̂` is that
+    /// function of one of these combinations, so it is never lower.
+    pub fn delta_hat_floor(&self, frame: &drivefi_sim::FrameRecord) -> f64 {
+        let [throttles, brakes, steerings] = &self.forecast_values;
+        let mut floor = f64::INFINITY;
+        for &throttle in throttles {
+            for &brake in brakes {
+                for &steering in steerings {
+                    let response = ResponseForecast { throttle, brake, steering };
+                    floor = floor.min(self.delta_hat_from_forecast(frame, &response));
+                }
+            }
+        }
+        floor
+    }
+
     /// True when [`BayesianMiner::apply_exact_value`] replaces a channel
     /// for this signal.
     fn overrides_exact(signal: Signal) -> bool {
@@ -487,15 +519,23 @@ impl BayesianMiner {
     /// first).
     ///
     /// The cost is one [`BayesianMiner::forecast`] per candidate that is
-    /// not a no-op: a compiled MAP query, or none at all for the
-    /// final-actuation interventions. Forecasts are memoized on the
-    /// discretized evidence, which pays only when sampled scenes repeat
-    /// their bins; the paper-scale benchmark at stride 64 sees no repeats.
+    /// neither a no-op nor pruned: a compiled MAP query, or none at all
+    /// for the final-actuation interventions. A candidate whose signal
+    /// is not applied exactly is pruned, at no forecast, when its
+    /// scene's [`BayesianMiner::delta_hat_floor`] (computed once per
+    /// scene) exceeds the threshold: its `δ̂` cannot reach it, so the
+    /// result is the same as without pruning. Forecasts are memoized on
+    /// the discretized evidence, which pays only when sampled scenes
+    /// repeat their bins; the paper-scale benchmark at stride 64 sees no
+    /// repeats.
     pub fn mine(&self, traces: &[Trace]) -> Vec<CandidateFault> {
         let mut cache: HashMap<(SceneObs, SceneObs, usize, usize), ResponseForecast> =
             HashMap::new();
         let mut out = Vec::new();
         for trace in traces {
+            // The last scene that needed a floor, and its floor (scene 0
+            // is never a candidate).
+            let mut floor = (0, f64::NAN);
             for (k, signal, var, model) in self.candidates(trace) {
                 let value = match model {
                     ScalarFaultModel::StuckMin => signal.range().min,
@@ -519,6 +559,14 @@ impl BayesianMiner {
                     }
                 } else if self.model.obs_category(var, &obs1) == category {
                     continue;
+                } else {
+                    // Skip what cannot reach the threshold.
+                    if floor.0 != k {
+                        floor = (k, self.delta_hat_floor(&trace.frames[k]));
+                    }
+                    if floor.1 > self.config.delta_threshold {
+                        continue;
+                    }
                 }
                 let mut response =
                     *cache.entry((obs0, obs1, var.index(), category)).or_insert_with(|| {

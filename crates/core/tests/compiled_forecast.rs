@@ -1,8 +1,9 @@
 //! The miner's compiled counterfactual forecasts against the
-//! factor-by-factor reference MAP, on every distinct query `mine()` asks
-//! of an 8-scenario suite at scene stride 10; and `mine()` itself against
-//! a reference miner built on those reference forecasts, candidate for
-//! candidate and bit for bit.
+//! factor-by-factor reference MAP, on every distinct query an unpruned
+//! `mine()` would ask of an 8-scenario suite at scene stride 10; `mine()`
+//! itself against a reference miner built on those reference forecasts,
+//! candidate for candidate and bit for bit, at several thresholds; and
+//! the δ̂ floor `mine()` prunes with against every reference δ̂.
 
 #[path = "../../bayes/tests/oracle/mod.rs"]
 mod oracle;
@@ -17,6 +18,7 @@ use drivefi_fault::ScalarFaultModel;
 use drivefi_sim::{SimConfig, Trace};
 use drivefi_world::ScenarioSuite;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// The memo key of one forecast: both scenes' bins, the intervened
 /// variable and its category.
@@ -69,11 +71,13 @@ fn exact_channel(frame: &drivefi_sim::FrameRecord, signal: Signal) -> Option<f64
     }
 }
 
-/// Every candidate `mine()` asks a forecast for, with its key.
-fn queried(
-    miner: &BayesianMiner,
-    traces: &[Trace],
-) -> Vec<(u32, usize, Signal, ScalarFaultModel, f64, Key)> {
+/// One candidate that is not a no-op: scenario, scene index, signal,
+/// fault model, injected value and forecast key.
+type Query = (u32, usize, Signal, ScalarFaultModel, f64, Key);
+
+/// Every candidate `mine()` asks a forecast for when nothing is pruned,
+/// with its key.
+fn queried(miner: &BayesianMiner, traces: &[Trace]) -> Vec<Query> {
     let model = miner.model();
     let mut out = Vec::new();
     for trace in traces {
@@ -105,60 +109,76 @@ fn bits(f: &ResponseForecast) -> [u64; 3] {
     [f.throttle.to_bits(), f.brake.to_bits(), f.steering.to_bits()]
 }
 
+/// The suite's traces, a miner fitted at the default threshold, its
+/// queried candidates and the reference forecast of every distinct key:
+/// the reference MAP is slow, so the tests share one copy.
+struct Fixture {
+    traces: Vec<Trace>,
+    miner: BayesianMiner,
+    queries: Vec<Query>,
+    reference: HashMap<Key, ResponseForecast>,
+}
+
+/// The miner configuration the fixture is fitted with.
+fn config() -> MinerConfig {
+    MinerConfig { scene_stride: 10, ..MinerConfig::default() }
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let suite = ScenarioSuite::generate(8, 42);
+        let traces = collect_golden_traces(&SimConfig::default(), &suite, 8);
+        let miner = BayesianMiner::fit(&traces, config()).unwrap();
+        let queries = queried(&miner, &traces);
+        let mut reference = HashMap::new();
+        for (.., key) in &queries {
+            reference.entry(*key).or_insert_with(|| reference_forecast(miner.model(), key));
+        }
+        Fixture { traces, miner, queries, reference }
+    })
+}
+
+/// The frame a query was asked at.
+fn frame<'f>(fixture: &'f Fixture, query: &Query) -> &'f drivefi_sim::FrameRecord {
+    let (scenario_id, k, ..) = *query;
+    &fixture.traces.iter().find(|t| t.scenario_id == scenario_id).unwrap().frames[k]
+}
+
+/// The reference δ̂ of a query: its reference forecast with the injected
+/// value applied to an exactly overridden channel, as `mine()` does.
+fn reference_delta_hat(fixture: &Fixture, miner: &BayesianMiner, query: &Query) -> f64 {
+    let &(_, _, signal, _, value, key) = query;
+    let mut response = fixture.reference[&key];
+    match signal {
+        Signal::FinalThrottle => response.throttle = value,
+        Signal::FinalBrake => response.brake = value,
+        Signal::FinalSteering | Signal::RawSteering => response.steering = value,
+        _ => {}
+    }
+    miner.delta_hat_from_forecast(frame(fixture, query), &response)
+}
+
 #[test]
 fn compiled_forecasts_and_mined_set_match_the_reference() {
-    let suite = ScenarioSuite::generate(8, 42);
-    let traces = collect_golden_traces(&SimConfig::default(), &suite, 8);
-    let config = MinerConfig { scene_stride: 10, ..MinerConfig::default() };
-    let miner = BayesianMiner::fit(&traces, config).unwrap();
-    let model = miner.model();
-    let queries = queried(&miner, &traces);
+    let fixture = fixture();
+    let miner = &fixture.miner;
 
     // Every distinct key, compiled against the reference.
-    let mut reference: HashMap<Key, ResponseForecast> = HashMap::new();
     let mut per_var = [0usize; TbnVar::ALL.len()];
-    for (.., key) in &queries {
-        if reference.contains_key(key) {
-            continue;
-        }
-        let expected = reference_forecast(model, key);
+    for (key, expected) in &fixture.reference {
         let (obs0, obs1, var, category) = key;
         let got = miner.forecast(obs0, obs1, TbnVar::ALL[*var], *category).unwrap();
-        assert_eq!(bits(&got), bits(&expected), "forecast drifted for {key:?}");
-        reference.insert(*key, expected);
+        assert_eq!(bits(&got), bits(expected), "forecast drifted for {key:?}");
         per_var[*var] += 1;
     }
     for (signal, var) in drivefi_core::miner::MINED_SIGNALS {
         assert!(per_var[var.index()] > 0, "no query intervenes on {signal:?}");
     }
 
-    // The mined set from the reference forecasts, as `mine()` builds it.
-    let mut expected: Vec<CandidateFault> = Vec::new();
-    for &(scenario_id, k, signal, model_kind, value, key) in &queries {
-        let trace = traces.iter().find(|t| t.scenario_id == scenario_id).unwrap();
-        let frame = &trace.frames[k];
-        let mut response = reference[&key];
-        match signal {
-            Signal::FinalThrottle => response.throttle = value,
-            Signal::FinalBrake => response.brake = value,
-            Signal::FinalSteering | Signal::RawSteering => response.steering = value,
-            _ => {}
-        }
-        let predicted_delta = miner.delta_hat_from_forecast(frame, &response);
-        if predicted_delta <= config.delta_threshold {
-            expected.push(CandidateFault {
-                scenario_id,
-                scene: frame.scene,
-                signal,
-                model: model_kind,
-                golden_delta: frame.delta_true.longitudinal.min(frame.delta_true.lateral),
-                predicted_delta,
-            });
-        }
-    }
-    expected.sort_by(|a, b| a.predicted_delta.partial_cmp(&b.predicted_delta).unwrap());
-    assert!(!expected.is_empty(), "the reference mined nothing");
-
+    // The mined set from the reference forecasts, as an unpruned `mine()`
+    // builds it, at thresholds on both sides of where the δ̂ floor starts
+    // to prune.
     let key = |c: &CandidateFault| {
         (
             c.scenario_id,
@@ -169,9 +189,63 @@ fn compiled_forecasts_and_mined_set_match_the_reference() {
             c.predicted_delta.to_bits(),
         )
     };
-    let expected: Vec<_> = expected.iter().map(key).collect();
-    let mined: Vec<_> = miner.mine(&traces).iter().map(key).collect();
-    assert_eq!(mined, expected, "mine() drifted from the reference");
-    let parallel: Vec<_> = miner.mine_parallel(&traces, 2).iter().map(key).collect();
-    assert_eq!(parallel, expected, "mine_parallel(2) drifted from the reference");
+    for delta_threshold in [-1.0, 0.0, 0.25, 0.5] {
+        let miner =
+            BayesianMiner::fit(&fixture.traces, MinerConfig { delta_threshold, ..config() })
+                .unwrap();
+        let mut expected: Vec<CandidateFault> = Vec::new();
+        for query in &fixture.queries {
+            let &(scenario_id, _, signal, model_kind, ..) = query;
+            let frame = frame(fixture, query);
+            let predicted_delta = reference_delta_hat(fixture, &miner, query);
+            if predicted_delta <= delta_threshold {
+                expected.push(CandidateFault {
+                    scenario_id,
+                    scene: frame.scene,
+                    signal,
+                    model: model_kind,
+                    golden_delta: frame.delta_true.longitudinal.min(frame.delta_true.lateral),
+                    predicted_delta,
+                });
+            }
+        }
+        expected.sort_by(|a, b| a.predicted_delta.partial_cmp(&b.predicted_delta).unwrap());
+        assert!(!expected.is_empty(), "the reference mined nothing at {delta_threshold}");
+
+        let expected: Vec<_> = expected.iter().map(key).collect();
+        let mined: Vec<_> = miner.mine(&fixture.traces).iter().map(key).collect();
+        assert_eq!(mined, expected, "mine() drifted from the reference at {delta_threshold}");
+        let parallel: Vec<_> = miner.mine_parallel(&fixture.traces, 2).iter().map(key).collect();
+        assert_eq!(
+            parallel, expected,
+            "mine_parallel(2) drifted from the reference at {delta_threshold}"
+        );
+    }
+}
+
+#[test]
+fn delta_hat_floor_bounds_the_reference_and_prunes() {
+    let fixture = fixture();
+    let miner = &fixture.miner;
+    // Per variable, the candidates the floor applies to and those it
+    // prunes at the default threshold.
+    let mut bounded = [0usize; TbnVar::ALL.len()];
+    let mut pruned = [0usize; TbnVar::ALL.len()];
+    for query in &fixture.queries {
+        let &(_, _, signal, _, _, (.., var, _)) = query;
+        let frame = frame(fixture, query);
+        if exact_channel(frame, signal).is_some() {
+            continue;
+        }
+        let floor = miner.delta_hat_floor(frame);
+        let delta_hat = reference_delta_hat(fixture, miner, query);
+        assert!(floor <= delta_hat, "floor {floor} above δ̂ {delta_hat} for {query:?}");
+        bounded[var] += 1;
+        pruned[var] += usize::from(floor > config().delta_threshold);
+    }
+    // A floor that stopped pruning would keep `mine()` exact but slow.
+    for var in [TbnVar::WDist, TbnVar::WSpeed, TbnVar::UThrottle, TbnVar::UBrake] {
+        let i = var.index();
+        assert!(pruned[i] > 0, "no {} candidate pruned (of {})", var.name(), bounded[i]);
+    }
 }
