@@ -124,7 +124,7 @@ impl DbnTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fit_cpts, Evidence};
+    use crate::{fit_cpts, MapScratch};
 
     /// A two-variable chain: X drives Y within a slice; X persists across
     /// slices.
@@ -181,14 +181,19 @@ mod tests {
             rows.push(row);
         }
         fit_cpts(&mut net, &structure, &rows, 1.0).unwrap();
-        // Observing y@0 = 1 should make x@2 = 1 the MAP (persistence).
-        let e = Evidence::from([(ids[0][y], 1)]);
-        let map = net.map_category(ids[2][x], &e, &Evidence::new()).unwrap();
-        assert_eq!(map, 1);
-        // And an intervention do(x@1 = 0) should flip the forecast.
-        let i = Evidence::from([(ids[1][x], 0)]);
-        let map = net.map_category(ids[2][x], &e, &i).unwrap();
-        assert_eq!(map, 0);
+        // Observing y@0 = 1 should put x@2 = 1 in the joint MAP
+        // (persistence), and an intervention do(x@1 = 0) should flip it.
+        let x2 = |do_x1: Option<usize>| {
+            let intervened: Vec<VarId> = do_x1.iter().map(|_| ids[1][x]).collect();
+            let query = net.compile_map(&[ids[0][y]], &intervened).unwrap();
+            let mut assignment = vec![0; net.len()];
+            assignment[ids[0][y].0] = 1;
+            assignment[ids[1][x].0] = do_x1.unwrap_or(0);
+            query.run(&mut assignment, &mut MapScratch::default()).unwrap();
+            assignment[ids[2][x].0]
+        };
+        assert_eq!(x2(None), 1);
+        assert_eq!(x2(Some(0)), 0);
     }
 
     #[test]

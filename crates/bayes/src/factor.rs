@@ -121,55 +121,38 @@ impl Factor {
         Factor { vars, cards, values }
     }
 
-    fn eliminate<F: Fn(f64, f64) -> f64>(
-        &self,
-        var: VarId,
-        init: f64,
-        combine: F,
-    ) -> (Factor, Vec<usize>) {
+    /// Maxes out `var`, returning the reduced factor and, for each
+    /// remaining assignment, the category of `var` that first reached the
+    /// max (the traceback table for MAP queries). No-op, with an empty
+    /// traceback, if the factor does not mention `var`.
+    pub fn max_marginalize(&self, var: VarId) -> (Factor, Vec<usize>) {
         let Some(pos) = self.vars.iter().position(|v| *v == var) else {
             return (self.clone(), Vec::new());
         };
         let mut vars = self.vars.clone();
         let mut cards = self.cards.clone();
-        let var_card = cards.remove(pos);
         vars.remove(pos);
-        let out_size: usize = cards.iter().product::<usize>().max(1);
-        let mut values = vec![init; out_size];
-        let mut arg = vec![0usize; out_size];
-
-        let strides = self.strides();
-        let out_strides = {
-            let mut s = vec![1usize; cards.len()];
-            for i in (0..cards.len().saturating_sub(1)).rev() {
-                s[i] = s[i + 1] * cards[i + 1];
-            }
-            s
-        };
+        cards.remove(pos);
+        let size: usize = cards.iter().product();
+        let mut out = Factor { vars, cards, values: vec![f64::NEG_INFINITY; size] };
+        let out_strides = out.strides();
+        let mut arg = vec![0usize; size];
 
         let mut assignment = vec![0usize; self.vars.len()];
-        for idx in 0..self.values.len() {
+        for &v in &self.values {
             // Output index skips the eliminated position.
-            let mut oi = 0usize;
-            let mut od = 0usize;
-            for (d, &a) in assignment.iter().enumerate() {
-                if d == pos {
-                    continue;
-                }
-                oi += a * out_strides[od];
-                od += 1;
+            let oi: usize = assignment
+                .iter()
+                .enumerate()
+                .filter(|&(d, _)| d != pos)
+                .zip(&out_strides)
+                .map(|((_, a), s)| a * s)
+                .sum();
+            let next = out.values[oi].max(v);
+            if assignment[pos] == 0 || next > out.values[oi] {
+                arg[oi] = assignment[pos];
             }
-            let v = self.values[idx];
-            let cur = values[oi];
-            let next = combine(cur, v);
-            if next != cur || (assignment[pos] == 0 && var_card > 0) {
-                // Track the argmax for max-elimination; harmless for sum.
-                if next > cur || assignment[pos] == 0 {
-                    arg[oi] = assignment[pos];
-                }
-            }
-            values[oi] = next;
-            let _ = strides;
+            out.values[oi] = next;
             for d in (0..self.vars.len()).rev() {
                 assignment[d] += 1;
                 if assignment[d] < self.cards[d] {
@@ -178,19 +161,7 @@ impl Factor {
                 assignment[d] = 0;
             }
         }
-        (Factor { vars, cards, values }, arg)
-    }
-
-    /// Sums out `var`. No-op if the factor does not mention it.
-    pub fn marginalize(&self, var: VarId) -> Factor {
-        self.eliminate(var, 0.0, |a, b| a + b).0
-    }
-
-    /// Maxes out `var`, returning the reduced factor and, for each
-    /// remaining assignment, the category of `var` that achieved the max
-    /// (the traceback table for MAP queries).
-    pub fn max_marginalize(&self, var: VarId) -> (Factor, Vec<usize>) {
-        self.eliminate(var, f64::NEG_INFINITY, f64::max)
+        (out, arg)
     }
 
     /// Fixes `var = value`, dropping it from the scope. No-op if absent.
@@ -229,19 +200,6 @@ impl Factor {
             }
         }
     }
-
-    /// Normalizes the table to sum to 1 (no-op for an all-zero table).
-    pub fn normalized(&self) -> Factor {
-        let total: f64 = self.values.iter().sum();
-        if total <= 0.0 {
-            return self.clone();
-        }
-        Factor {
-            vars: self.vars.clone(),
-            cards: self.cards.clone(),
-            values: self.values.iter().map(|v| v / total).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -275,16 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn marginalize_sums_out() {
-        let f = Factor::new(vec![v(0), v(1)], vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let m = f.marginalize(v(0));
-        assert_eq!(m.vars(), &[v(1)]);
-        assert_eq!(m.values(), &[4.0, 6.0]);
-        let m = f.marginalize(v(1));
-        assert_eq!(m.values(), &[3.0, 7.0]);
-    }
-
-    #[test]
     fn reduce_slices_the_table() {
         let f = Factor::new(vec![v(0), v(1)], vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
         let r = f.reduce(v(0), 1);
@@ -304,12 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_sums_to_one() {
-        let f = Factor::new(vec![v(0)], vec![4], vec![1.0, 1.0, 1.0, 1.0]).normalized();
-        assert!(f.values().iter().all(|&x| (x - 0.25).abs() < 1e-12));
-    }
-
-    #[test]
     fn scalar_factor_product() {
         let f = Factor::new(vec![v(0)], vec![2], vec![0.5, 0.5]);
         let s = Factor::scalar(2.0);
@@ -320,7 +262,7 @@ mod tests {
     #[test]
     fn marginalize_absent_var_is_noop() {
         let f = Factor::new(vec![v(0)], vec![2], vec![0.5, 0.5]);
-        assert_eq!(f.marginalize(v(9)), f);
+        assert_eq!(f.max_marginalize(v(9)), (f.clone(), Vec::new()));
     }
 
     #[test]
@@ -334,7 +276,7 @@ mod tests {
         let a = Factor::new(vec![v(0)], vec![2], vec![0.25, 0.75]);
         let b = Factor::new(vec![v(0), v(1)], vec![2, 2], vec![0.9, 0.1, 0.3, 0.7]);
         let joint = a.product(&b);
-        let total = joint.marginalize(v(0)).marginalize(v(1));
-        assert!((total.values()[0] - 1.0).abs() < 1e-12);
+        let total: f64 = joint.values().iter().sum();
+        assert!((total - 1.0).abs() < 1e-12);
     }
 }

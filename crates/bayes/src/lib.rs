@@ -1,13 +1,13 @@
-//! Discrete Bayesian networks with exact inference and do-calculus.
+//! Discrete Bayesian networks with exact MAP inference and do-calculus.
 //!
 //! This crate is the probabilistic substrate of DriveFI's "ML-based fault
 //! controller" (paper §III-B): it provides
 //!
 //! * discrete **factors** and **conditional probability tables** (CPTs),
 //! * **Bayesian networks** over discrete variables with DAG validation,
-//! * exact inference by **variable elimination** (sum-product posteriors
-//!   and max-product joint MAP with traceback), with MAP queries
-//!   compiled once per evidence pattern into allocation-free kernels,
+//! * exact **joint MAP** inference by max-product variable elimination
+//!   with traceback, compiled once per evidence pattern into an
+//!   allocation-free kernel,
 //! * **interventions** (`do(·)` in Pearl's calculus): graph surgery that
 //!   severs a node from its parents and pins its value, which is exactly
 //!   how the paper models a fault injection inside the network,
@@ -17,15 +17,16 @@
 //!   the discrete networks,
 //! * a **dynamic BN template** that unrolls into the paper's 3-slice
 //!   temporal Bayesian network (3-TBN, Fig. 6),
-//! * **approximate inference** (forward sampling, likelihood weighting,
-//!   Gibbs) with the same intervention semantics, and
+//! * the **counterfactual query** of Eq. 2 on such a network: `do(v@1 =
+//!   c)` with slices 0 and 1 observed except where the fault reaches,
+//!   compiled once per intervened variable, and
 //! * **structure scoring** (log-likelihood, BIC) to compare the
 //!   architecture-derived topology against ablated alternatives.
 //!
 //! # Example
 //!
 //! ```
-//! use drivefi_bayes::{BayesNet, Cpt, Evidence};
+//! use drivefi_bayes::{BayesNet, Cpt, MapScratch};
 //!
 //! // Rain -> WetGrass
 //! let mut net = BayesNet::new();
@@ -34,27 +35,30 @@
 //! net.set_cpt(Cpt::new(rain, vec![], vec![0.8, 0.2])).unwrap();
 //! net.set_cpt(Cpt::new(wet, vec![rain], vec![0.9, 0.1, 0.2, 0.8])).unwrap();
 //!
-//! // P(rain | wet = true)
-//! let posterior = net.posterior(rain, &Evidence::from([(wet, 1)])).unwrap();
-//! assert!((posterior[1] - 0.6666).abs() < 1e-3);
+//! // The most probable explanation of wet grass: rain.
+//! let query = net.compile_map(&[wet], &[]).unwrap();
+//! let mut assignment = vec![0; net.len()];
+//! assignment[wet.0] = 1;
+//! query.run(&mut assignment, &mut MapScratch::default()).unwrap();
+//! assert_eq!(assignment[rain.0], 1);
 //! ```
 
+pub mod counterfactual;
 pub mod dbn;
 pub mod discretize;
 pub mod factor;
 pub mod learn;
 pub mod map;
 pub mod network;
-pub mod sampling;
 pub mod score;
 
+pub use counterfactual::Counterfactual;
 pub use dbn::{DbnTemplate, SliceVar, TemporalEdge, UnrolledDbn};
 pub use discretize::Discretizer;
 pub use factor::Factor;
 pub use learn::fit_cpts;
 pub use map::{MapQuery, MapScratch};
 pub use network::{BayesNet, Cpt, VarId};
-pub use sampling::{forward_sample, gibbs_posterior, likelihood_weighting, SampleOpts};
 pub use score::{dimension, fit_and_score, log_likelihood, StructureScore};
 
 use std::collections::BTreeMap;

@@ -182,8 +182,7 @@ impl BayesNet {
     /// Compiles the joint-MAP query for one evidence pattern: the
     /// `observed` variables carry evidence and the `intervened` ones are
     /// pinned by `do(·)`, each losing its CPT. [`MapQuery::run`] then
-    /// answers [`BayesNet::map_assignment`] for any categories on that
-    /// pattern, with the identical result.
+    /// answers the joint MAP for any categories on that pattern.
     ///
     /// # Errors
     ///
@@ -334,8 +333,7 @@ impl MapQuery {
     /// Runs the query. On entry `assignment` holds one category per
     /// network variable, of which only the observed and intervened ones
     /// are read; on return every other entry holds its category in the
-    /// joint MAP assignment, exactly as [`BayesNet::map_assignment`]
-    /// reports it.
+    /// joint MAP assignment.
     ///
     /// # Errors
     ///

@@ -1,7 +1,6 @@
-//! Bayesian networks: variables, CPTs, DAG validation, and inference.
+//! Bayesian networks: variables, CPTs, DAG validation, and the joint
+//! probability (inference is [`BayesNet::compile_map`]).
 
-use crate::factor::Factor;
-use crate::map::MapScratch;
 use crate::{BayesError, Evidence};
 
 /// Identifier of a variable within a [`BayesNet`] (dense index).
@@ -172,17 +171,6 @@ impl BayesNet {
         (order.len() == n).then_some(order)
     }
 
-    /// Converts the CPT of `var` into a factor over `parents ∪ {var}`.
-    fn cpt_factor(&self, var: VarId) -> Result<Factor, BayesError> {
-        let cpt = self.cpts[var.0].as_ref().ok_or(BayesError::MissingCpt(var))?;
-        // Factor variable order: parents (in CPT order), then child —
-        // matching the CPT layout (child fastest).
-        let mut vars = cpt.parents.clone();
-        vars.push(var);
-        let cards: Vec<usize> = vars.iter().map(|v| self.cardinality(*v)).collect();
-        Ok(Factor::new(vars, cards, cpt.table.clone()))
-    }
-
     fn check_assignment(&self, e: &Evidence) -> Result<(), BayesError> {
         for (&var, &value) in e {
             if var.0 >= self.vars.len() {
@@ -193,181 +181,6 @@ impl BayesNet {
             }
         }
         Ok(())
-    }
-
-    /// Collects all factors after applying interventions (graph surgery:
-    /// intervened variables lose their CPT factor and are pinned) and
-    /// evidence reductions.
-    fn prepared_factors(
-        &self,
-        evidence: &Evidence,
-        interventions: &Evidence,
-    ) -> Result<Vec<Factor>, BayesError> {
-        self.check_assignment(evidence)?;
-        self.check_assignment(interventions)?;
-        let mut factors = Vec::with_capacity(self.vars.len());
-        for var in self.variables() {
-            if interventions.contains_key(&var) {
-                // do(var = v): drop P(var | parents); the pin is applied
-                // by reduction below.
-                continue;
-            }
-            factors.push(self.cpt_factor(var)?);
-        }
-        for (&var, &value) in evidence.iter().chain(interventions.iter()) {
-            for f in &mut factors {
-                if f.contains(var) {
-                    *f = f.reduce(var, value);
-                }
-            }
-        }
-        Ok(factors)
-    }
-
-    fn eliminate_all(factors: Vec<Factor>, keep: &[VarId]) -> Factor {
-        // Gather scope.
-        let mut scope: Vec<VarId> = Vec::new();
-        for f in &factors {
-            for v in f.vars() {
-                if !scope.contains(v) {
-                    scope.push(*v);
-                }
-            }
-        }
-        // Elimination order: min-fill-ish greedy by smallest resulting
-        // factor; adequate for the tree-like 3-TBNs here.
-        let mut remaining = factors;
-        let mut to_eliminate: Vec<VarId> =
-            scope.into_iter().filter(|v| !keep.contains(v)).collect();
-        // Deterministic order: by id (the nets here are small).
-        to_eliminate.sort_unstable();
-        for var in to_eliminate {
-            let (touching, rest): (Vec<Factor>, Vec<Factor>) =
-                remaining.into_iter().partition(|f| f.contains(var));
-            let mut product = Factor::scalar(1.0);
-            for f in &touching {
-                product = product.product(f);
-            }
-            remaining = rest;
-            remaining.push(product.marginalize(var));
-        }
-        let mut result = Factor::scalar(1.0);
-        for f in &remaining {
-            result = result.product(f);
-        }
-        result
-    }
-
-    /// Posterior distribution `P(query | evidence, do(interventions))`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown variables, out-of-range categories, or
-    /// missing CPTs.
-    pub fn posterior_do(
-        &self,
-        query: VarId,
-        evidence: &Evidence,
-        interventions: &Evidence,
-    ) -> Result<Vec<f64>, BayesError> {
-        if query.0 >= self.vars.len() {
-            return Err(BayesError::UnknownVariable(query));
-        }
-        if let Some(&v) = interventions.get(&query) {
-            // Querying an intervened variable: point mass.
-            let mut out = vec![0.0; self.cardinality(query)];
-            out[v] = 1.0;
-            return Ok(out);
-        }
-        if let Some(&v) = evidence.get(&query) {
-            let mut out = vec![0.0; self.cardinality(query)];
-            out[v] = 1.0;
-            return Ok(out);
-        }
-        let factors = self.prepared_factors(evidence, interventions)?;
-        let result = Self::eliminate_all(factors, &[query]);
-        let result = result.normalized();
-        let card = self.cardinality(query);
-        let mut out = vec![0.0; card];
-        if result.vars().is_empty() {
-            // Evidence had zero probability; return uniform.
-            return Ok(vec![1.0 / card as f64; card]);
-        }
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = result.value_at(&[i]);
-        }
-        Ok(out)
-    }
-
-    /// Posterior `P(query | evidence)` without interventions.
-    ///
-    /// # Errors
-    ///
-    /// See [`BayesNet::posterior_do`].
-    pub fn posterior(&self, query: VarId, evidence: &Evidence) -> Result<Vec<f64>, BayesError> {
-        self.posterior_do(query, evidence, &Evidence::new())
-    }
-
-    /// Maximum-likelihood category of `query` under evidence and
-    /// interventions: `argmax P(query | e, do(i))` — the paper's Eq. 2
-    /// when applied to the next-slice kinematic variables.
-    ///
-    /// # Errors
-    ///
-    /// See [`BayesNet::posterior_do`].
-    pub fn map_category(
-        &self,
-        query: VarId,
-        evidence: &Evidence,
-        interventions: &Evidence,
-    ) -> Result<usize, BayesError> {
-        let dist = self.posterior_do(query, evidence, interventions)?;
-        Ok(dist
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are finite"))
-            .map(|(i, _)| i)
-            .unwrap_or(0))
-    }
-
-    /// Exact **joint MAP**: the single most probable assignment to every
-    /// non-evidence, non-intervened variable, by max-product variable
-    /// elimination with traceback.
-    ///
-    /// Where [`BayesNet::map_category`] maximizes each posterior marginal
-    /// independently (which can be jointly inconsistent), this maximizes
-    /// the joint — the stronger query behind the paper's Eq. 2 when
-    /// several kinematic variables are reconstructed together.
-    ///
-    /// This compiles the query for the evidence pattern and runs it once;
-    /// callers asking many queries on one pattern keep the
-    /// [`BayesNet::compile_map`] result instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same errors as [`BayesNet::posterior_do`].
-    pub fn map_assignment(
-        &self,
-        evidence: &Evidence,
-        interventions: &Evidence,
-    ) -> Result<Evidence, BayesError> {
-        self.check_assignment(evidence)?;
-        self.check_assignment(interventions)?;
-        let observed: Vec<VarId> = evidence.keys().copied().collect();
-        let intervened: Vec<VarId> = interventions.keys().copied().collect();
-        let query = self.compile_map(&observed, &intervened)?;
-        // Evidence is reduced before interventions, so a variable both
-        // observed and intervened enters the factors at its observed
-        // category but is reported at its intervened one.
-        let mut assignment = vec![0; self.len()];
-        for (&var, &value) in interventions.iter().chain(evidence) {
-            assignment[var.0] = value;
-        }
-        query.run(&mut assignment, &mut MapScratch::default())?;
-        for (&var, &value) in interventions {
-            assignment[var.0] = value;
-        }
-        Ok(self.variables().zip(assignment).collect())
     }
 
     /// Joint probability of a complete assignment (all variables).
@@ -397,6 +210,7 @@ impl BayesNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MapScratch;
 
     /// The classic sprinkler network (Pearl): Cloudy -> Sprinkler,
     /// Cloudy -> Rain, {Sprinkler, Rain} -> WetGrass.
@@ -414,55 +228,50 @@ mod tests {
         (net, c, s, r, w)
     }
 
-    #[test]
-    fn prior_marginals_match_hand_computation() {
-        let (net, _c, s, r, _w) = sprinkler();
-        // P(S=1) = 0.5·0.5 + 0.5·0.1 = 0.3
-        let ps = net.posterior(s, &Evidence::new()).unwrap();
-        assert!((ps[1] - 0.3).abs() < 1e-9, "{ps:?}");
-        // P(R=1) = 0.5·0.2 + 0.5·0.8 = 0.5
-        let pr = net.posterior(r, &Evidence::new()).unwrap();
-        assert!((pr[1] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn posterior_given_wet_grass() {
-        let (net, _c, s, r, w) = sprinkler();
-        // Known result for this parameterization:
-        // P(S=1 | W=1) ≈ 0.4298, P(R=1 | W=1) ≈ 0.7079
-        let e = Evidence::from([(w, 1)]);
-        let ps = net.posterior(s, &e).unwrap();
-        let pr = net.posterior(r, &e).unwrap();
-        assert!((ps[1] - 0.4298).abs() < 1e-3, "P(S|W) = {ps:?}");
-        assert!((pr[1] - 0.7079).abs() < 1e-3, "P(R|W) = {pr:?}");
+    /// The joint MAP under `evidence` and `do(interventions)`, with every
+    /// variable assigned.
+    fn joint_map(
+        net: &BayesNet,
+        evidence: &[(VarId, usize)],
+        interventions: &[(VarId, usize)],
+    ) -> Evidence {
+        let vars = |pairs: &[(VarId, usize)]| pairs.iter().map(|p| p.0).collect::<Vec<_>>();
+        let query = net.compile_map(&vars(evidence), &vars(interventions)).unwrap();
+        let mut assignment = vec![0; net.len()];
+        for &(var, value) in evidence.iter().chain(interventions) {
+            assignment[var.0] = value;
+        }
+        query.run(&mut assignment, &mut MapScratch::default()).unwrap();
+        net.variables().zip(assignment).collect()
     }
 
     #[test]
     fn explaining_away() {
         let (net, _c, s, r, w) = sprinkler();
-        // Observing rain explains away the sprinkler.
-        let pw = net.posterior(s, &Evidence::from([(w, 1)])).unwrap()[1];
-        let pwr = net.posterior(s, &Evidence::from([(w, 1), (r, 1)])).unwrap()[1];
-        assert!(pwr < pw, "explaining away violated: {pwr} !< {pw}");
+        // Wet grass without rain needs the sprinkler; rain explains the
+        // sprinkler away.
+        assert_eq!(joint_map(&net, &[(w, 1), (r, 0)], &[])[&s], 1);
+        assert_eq!(joint_map(&net, &[(w, 1), (r, 1)], &[])[&s], 0);
     }
 
     #[test]
     fn intervention_differs_from_conditioning() {
         let (net, c, s, _r, _w) = sprinkler();
-        // Conditioning on S=1 changes belief about Cloudy (backdoor);
-        // do(S=1) must NOT (sprinkler has no causal effect on clouds).
-        let cond = net.posterior(c, &Evidence::from([(s, 1)])).unwrap()[1];
-        let int = net.posterior_do(c, &Evidence::new(), &Evidence::from([(s, 1)])).unwrap()[1];
-        assert!((int - 0.5).abs() < 1e-9, "do() leaked into parent: {int}");
-        assert!((cond - 0.5).abs() > 0.05, "conditioning should move cloudy: {cond}");
+        // Observing S = 1 is evidence against clouds (backdoor); do(S = 1)
+        // is not (the sprinkler has no causal effect on clouds), so Cloudy
+        // keeps its unconditioned MAP category.
+        let prior = joint_map(&net, &[], &[])[&c];
+        assert_eq!(joint_map(&net, &[], &[(s, 1)])[&c], prior, "do() leaked into parent");
+        assert_ne!(joint_map(&net, &[(s, 1)], &[])[&c], prior, "conditioning should move cloudy");
     }
 
     #[test]
     fn intervention_still_affects_descendants() {
-        let (net, _c, s, _r, w) = sprinkler();
-        let base = net.posterior(w, &Evidence::new()).unwrap()[1];
-        let forced = net.posterior_do(w, &Evidence::new(), &Evidence::from([(s, 1)])).unwrap()[1];
-        assert!(forced > base, "do(S=1) should raise P(wet): {forced} vs {base}");
+        let (net, _c, s, r, w) = sprinkler();
+        // Without rain, forcing the sprinkler decides whether the grass is
+        // wet.
+        assert_eq!(joint_map(&net, &[(r, 0)], &[(s, 0)])[&w], 0);
+        assert_eq!(joint_map(&net, &[(r, 0)], &[(s, 1)])[&w], 1);
     }
 
     #[test]
@@ -498,26 +307,24 @@ mod tests {
     }
 
     #[test]
-    fn map_category_picks_mode() {
-        let (net, _c, _s, r, w) = sprinkler();
-        let m = net.map_category(r, &Evidence::from([(w, 1)]), &Evidence::new()).unwrap();
-        assert_eq!(m, 1, "rain is the MAP explanation of wet grass");
-    }
-
-    #[test]
     fn evidence_on_query_returns_point_mass() {
-        let (net, c, _s, _r, _w) = sprinkler();
-        let p = net.posterior(c, &Evidence::from([(c, 0)])).unwrap();
-        assert_eq!(p, vec![1.0, 0.0]);
+        let (net, _c, s, _r, w) = sprinkler();
+        // Observed and intervened variables come back at their given
+        // categories, even where those are far from the mode: dry grass
+        // under a running sprinkler.
+        let map = joint_map(&net, &[(w, 0)], &[(s, 1)]);
+        assert_eq!((map[&w], map[&s]), (0, 1));
     }
 
     #[test]
     fn missing_cpt_is_reported() {
         let mut net = BayesNet::new();
         let a = net.add_variable("a", 2);
-        let _b = net.add_variable("b", 2);
+        let b = net.add_variable("b", 2);
         net.set_cpt(Cpt::new(a, vec![], vec![0.5, 0.5])).unwrap();
-        assert!(matches!(net.posterior(a, &Evidence::new()), Err(BayesError::MissingCpt(_))));
+        assert_eq!(net.compile_map(&[a], &[]).unwrap_err(), BayesError::MissingCpt(b));
+        // An intervened variable loses its CPT, so it needs none.
+        assert!(net.compile_map(&[], &[b]).is_ok());
     }
 
     #[test]
@@ -536,14 +343,14 @@ mod tests {
                 }
             }
         }
-        let map = net.map_assignment(&Evidence::from([(w, 1)]), &Evidence::new()).unwrap();
+        let map = joint_map(&net, &[(w, 1)], &[]);
         assert_eq!(map, best.1, "joint MAP disagrees with enumeration");
     }
 
     #[test]
     fn joint_map_respects_interventions() {
         let (net, c, s, _r, w) = sprinkler();
-        let map = net.map_assignment(&Evidence::from([(w, 1)]), &Evidence::from([(s, 1)])).unwrap();
+        let map = joint_map(&net, &[(w, 1)], &[(s, 1)]);
         assert_eq!(map[&s], 1, "intervened value pinned");
         assert!(map.contains_key(&c) && map.contains_key(&w));
         // With the sprinkler forced on, do() severs S from Cloudy; the
@@ -569,7 +376,7 @@ mod tests {
                 }
             }
         }
-        let map = net.map_assignment(&Evidence::new(), &Evidence::new()).unwrap();
+        let map = joint_map(&net, &[], &[]);
         let p_map = net.joint_probability(&map).unwrap();
         assert!((p_map - best.0).abs() < 1e-12, "MAP prob {p_map} vs best {}", best.0);
     }
@@ -579,7 +386,6 @@ mod tests {
         let mut net = BayesNet::new();
         let a = net.add_variable("a", 4);
         net.set_cpt(Cpt::uniform_root(a, 4)).unwrap();
-        let p = net.posterior(a, &Evidence::new()).unwrap();
-        assert!(p.iter().all(|&x| (x - 0.25).abs() < 1e-12));
+        assert!(net.cpt(a).unwrap().table.iter().all(|&x| (x - 0.25).abs() < 1e-12));
     }
 }

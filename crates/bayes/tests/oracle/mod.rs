@@ -10,32 +10,25 @@
 //! appends the result to the list; a traceback in reverse order then
 //! assigns every eliminated variable.
 //!
-//! Shared by the bayes property tests and the miner's forecast tests
-//! (`#[path]`-included there), so both check against one oracle.
+//! Shared by the bayes property tests and both miners' forecast tests
+//! (`#[path]`-included there), so all check against one oracle.
 
 use drivefi_bayes::{BayesError, BayesNet, Evidence, Factor, VarId};
 
-fn check(net: &BayesNet, assignment: &Evidence) -> Result<(), BayesError> {
-    for (&var, &value) in assignment {
-        if var.0 >= net.len() {
-            return Err(BayesError::UnknownVariable(var));
-        }
-        if value >= net.cardinality(var) {
-            return Err(BayesError::BadCategory { var, value });
-        }
-    }
-    Ok(())
-}
-
 /// The joint MAP assignment of every variable under `evidence` and
-/// `do(interventions)`, or the error `map_assignment` must return.
+/// `do(interventions)`, or the error that compiling the pattern
+/// ([`BayesNet::compile_map`]) and then running it on these categories
+/// must return: an unknown id, then a missing CPT, then an out-of-range
+/// category, evidence before interventions.
 pub fn map_assignment(
     net: &BayesNet,
     evidence: &Evidence,
     interventions: &Evidence,
 ) -> Result<Evidence, BayesError> {
-    check(net, evidence)?;
-    check(net, interventions)?;
+    let pattern = || evidence.iter().chain(interventions);
+    if let Some((&var, _)) = pattern().find(|(var, _)| var.0 >= net.len()) {
+        return Err(BayesError::UnknownVariable(var));
+    }
     let mut factors = Vec::new();
     for var in net.variables() {
         if interventions.contains_key(&var) {
@@ -46,6 +39,9 @@ pub fn map_assignment(
         vars.push(var);
         let cards: Vec<usize> = vars.iter().map(|v| net.cardinality(*v)).collect();
         factors.push(Factor::new(vars, cards, cpt.table.clone()));
+    }
+    if let Some((&var, &value)) = pattern().find(|(var, value)| **value >= net.cardinality(**var)) {
+        return Err(BayesError::BadCategory { var, value });
     }
     for (&var, &value) in evidence.iter().chain(interventions.iter()) {
         for f in &mut factors {

@@ -1,10 +1,10 @@
-//! Property tests: variable elimination agrees with brute-force
-//! enumeration on randomly parameterized networks, and compiled MAP
+//! Property tests: the joint MAP agrees with brute-force enumeration and
+//! with do-calculus on randomly parameterized networks, and compiled MAP
 //! queries agree bit for bit with the factor-by-factor reference.
 
 mod oracle;
 
-use drivefi_bayes::{BayesNet, Cpt, Evidence, MapScratch, VarId};
+use drivefi_bayes::{BayesError, BayesNet, Cpt, Evidence, MapScratch, VarId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,84 +34,54 @@ fn diamond(params: &[f64; 9]) -> (BayesNet, [VarId; 4]) {
     (net, [a, b, c, d])
 }
 
-/// Brute-force P(query = q | evidence) by enumerating the joint.
-fn enumerate_posterior(
+/// The joint MAP under `evidence` and `do(interventions)` by compile +
+/// run, with every variable assigned, or the error either step returns. A
+/// variable in both maps must carry one category in both.
+fn joint_map(
     net: &BayesNet,
-    vars: &[VarId; 4],
-    query: VarId,
     evidence: &Evidence,
-) -> Vec<f64> {
-    let mut num = [0.0; 2];
-    for a in 0..2usize {
-        for b in 0..2usize {
-            for c in 0..2usize {
-                for d in 0..2usize {
-                    let assignment =
-                        Evidence::from([(vars[0], a), (vars[1], b), (vars[2], c), (vars[3], d)]);
-                    if evidence.iter().any(|(k, v)| assignment[k] != *v) {
-                        continue;
-                    }
-                    let p = net.joint_probability(&assignment).unwrap();
-                    num[assignment[&query]] += p;
-                }
-            }
-        }
+    interventions: &Evidence,
+) -> Result<Evidence, BayesError> {
+    let vars = |pairs: &Evidence| pairs.keys().copied().collect::<Vec<_>>();
+    let query = net.compile_map(&vars(evidence), &vars(interventions))?;
+    let mut assignment = vec![0; net.len()];
+    for (&var, &value) in evidence.iter().chain(interventions) {
+        assignment[var.0] = value;
     }
-    let z: f64 = num.iter().sum();
-    num.iter().map(|x| x / z).collect()
+    query.run(&mut assignment, &mut MapScratch::default())?;
+    Ok(net.variables().zip(assignment).collect())
 }
 
 proptest! {
-    /// VE posterior == enumeration, for every query/evidence combination.
+    /// do(X = x) on a root variable equals conditioning on it: there is
+    /// no backdoor into a root, and its prior is a constant factor of the
+    /// joint, so the MAP of everything else is the same.
     #[test]
-    fn ve_matches_enumeration(params in prop::array::uniform9(0.0..1000.0f64),
-                              ev_var in 0usize..4, ev_val in 0usize..2,
-                              q_var in 0usize..4) {
-        prop_assume!(ev_var != q_var);
+    fn do_on_root_equals_conditioning(params in prop::array::uniform9(0.0..1000.0f64),
+                                      av in 0usize..2) {
         let (net, vars) = diamond(&params);
-        let evidence = Evidence::from([(vars[ev_var], ev_val)]);
-        let ve = net.posterior(vars[q_var], &evidence).unwrap();
-        let brute = enumerate_posterior(&net, &vars, vars[q_var], &evidence);
-        prop_assert!((ve[0] - brute[0]).abs() < 1e-9, "ve={ve:?} brute={brute:?}");
-        prop_assert!((ve[1] - brute[1]).abs() < 1e-9);
+        let a = Evidence::from([(vars[0], av)]);
+        let cond = joint_map(&net, &a, &Evidence::new()).unwrap();
+        let int = joint_map(&net, &Evidence::new(), &a).unwrap();
+        prop_assert_eq!(cond, int);
     }
 
-    /// Posteriors are proper distributions.
+    /// Intervening on B severs the A→B edge: the MAP under do(B) does not
+    /// depend on B's CPT.
     #[test]
-    fn posteriors_normalize(params in prop::array::uniform9(0.0..1000.0f64)) {
+    fn do_severs_parents(params in prop::array::uniform9(0.0..1000.0f64),
+                         b0 in 0.0..1000.0f64, b1 in 0.0..1000.0f64,
+                         bv in 0usize..2) {
         let (net, vars) = diamond(&params);
-        for q in vars {
-            let p = net.posterior(q, &Evidence::new()).unwrap();
-            let sum: f64 = p.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9);
-            prop_assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-12).contains(&x)));
-        }
-    }
-
-    /// do(X = x) on a root variable equals conditioning on it (no
-    /// backdoor into a root), while do() on a collider parent removes the
-    /// dependence that conditioning would create.
-    #[test]
-    fn do_on_root_equals_conditioning(params in prop::array::uniform9(0.0..1000.0f64)) {
-        let (net, vars) = diamond(&params);
-        let [a, _b, _c, d] = vars;
-        let cond = net.posterior(d, &Evidence::from([(a, 1)])).unwrap();
-        let int = net
-            .posterior_do(d, &Evidence::new(), &Evidence::from([(a, 1)]))
-            .unwrap();
-        prop_assert!((cond[1] - int[1]).abs() < 1e-9);
-    }
-
-    /// Intervening on B severs the A→B edge: P(A | do(B)) == P(A).
-    #[test]
-    fn do_severs_parents(params in prop::array::uniform9(0.0..1000.0f64), bv in 0usize..2) {
-        let (net, vars) = diamond(&params);
-        let [a, b, _c, _d] = vars;
-        let prior = net.posterior(a, &Evidence::new()).unwrap();
-        let int = net
-            .posterior_do(a, &Evidence::new(), &Evidence::from([(b, bv)]))
-            .unwrap();
-        prop_assert!((prior[1] - int[1]).abs() < 1e-9, "do(B) changed P(A)");
+        let mut reparameterized = params;
+        reparameterized[1..3].copy_from_slice(&[b0, b1]);
+        let (other, _) = diamond(&reparameterized);
+        let b = Evidence::from([(vars[1], bv)]);
+        prop_assert_eq!(
+            joint_map(&net, &Evidence::new(), &b).unwrap(),
+            joint_map(&other, &Evidence::new(), &b).unwrap(),
+            "B's CPT leaked into do(B)"
+        );
     }
 
     /// The joint MAP assignment attains the maximum enumerated joint
@@ -121,7 +91,7 @@ proptest! {
                             ev_var in 0usize..4, ev_val in 0usize..2) {
         let (net, vars) = diamond(&params);
         let evidence = Evidence::from([(vars[ev_var], ev_val)]);
-        let map = net.map_assignment(&evidence, &Evidence::new()).unwrap();
+        let map = joint_map(&net, &evidence, &Evidence::new()).unwrap();
         let p_map = net.joint_probability(&map).unwrap();
         // Enumerate all completions of the evidence.
         let mut best = 0.0f64;
@@ -182,9 +152,9 @@ fn random_net(rng: &mut StdRng) -> BayesNet {
 }
 
 /// Random evidence and interventions over `net`: each variable is left
-/// free, observed, intervened, or both. Now and then a category is out of
-/// range or an id is outside the network, which both paths must reject
-/// with the same error.
+/// free, observed, intervened, or both at one category. Now and then a
+/// category is out of range or an id is outside the network, which both
+/// paths must reject with the same error.
 fn random_pattern(net: &BayesNet, rng: &mut StdRng) -> (Evidence, Evidence) {
     let (mut evidence, mut interventions) = (Evidence::new(), Evidence::new());
     let category = |rng: &mut StdRng, var: VarId| {
@@ -205,8 +175,9 @@ fn random_pattern(net: &BayesNet, rng: &mut StdRng) -> (Evidence, Evidence) {
                 interventions.insert(var, category(rng, var));
             }
             _ => {
-                evidence.insert(var, category(rng, var));
-                interventions.insert(var, category(rng, var));
+                let value = category(rng, var);
+                evidence.insert(var, value);
+                interventions.insert(var, value);
             }
         }
     }
@@ -230,7 +201,7 @@ proptest! {
         let net = random_net(&mut rng);
         for _ in 0..4 {
             let (evidence, interventions) = random_pattern(&net, &mut rng);
-            let compiled = net.map_assignment(&evidence, &interventions);
+            let compiled = joint_map(&net, &evidence, &interventions);
             let reference = oracle::map_assignment(&net, &evidence, &interventions);
             prop_assert_eq!(compiled, reference, "evidence {:?} do {:?}", evidence, interventions);
         }
@@ -264,47 +235,5 @@ proptest! {
             let compiled: Evidence = net.variables().zip(assignment).collect();
             prop_assert_eq!(compiled, reference);
         }
-    }
-}
-
-proptest! {
-    // Sampling estimators are statistical; fewer, heavier cases.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Likelihood weighting converges to the exact posterior on random
-    /// diamond networks.
-    #[test]
-    fn likelihood_weighting_converges(params in prop::array::uniform9(0.0..1000.0f64),
-                                      seed in any::<u64>()) {
-        use drivefi_bayes::{likelihood_weighting, SampleOpts};
-        use rand::SeedableRng;
-        let (net, vars) = diamond(&params);
-        let [_a, b, _c, d] = vars;
-        let e = Evidence::from([(d, 1)]);
-        let exact = net.posterior(b, &e).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let est = likelihood_weighting(&net, b, &e, &Evidence::new(),
-                                       &SampleOpts::new(40_000), &mut rng).unwrap();
-        prop_assert!((est[1] - exact[1]).abs() < 0.03,
-                     "LW {est:?} vs exact {exact:?}");
-    }
-
-    /// Gibbs sampling converges to the exact posterior under
-    /// interventions, matching the mutilated-graph semantics of VE.
-    #[test]
-    fn gibbs_converges_under_do(params in prop::array::uniform9(0.0..1000.0f64),
-                                seed in any::<u64>()) {
-        use drivefi_bayes::{gibbs_posterior, SampleOpts};
-        use rand::SeedableRng;
-        let (net, vars) = diamond(&params);
-        let [_a, b, c, d] = vars;
-        let e = Evidence::from([(d, 1)]);
-        let i = Evidence::from([(c, 0)]);
-        let exact = net.posterior_do(b, &e, &i).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let opts = SampleOpts { samples: 40_000, burn_in: 2_000, thin: 1 };
-        let est = gibbs_posterior(&net, b, &e, &i, &opts, &mut rng).unwrap();
-        prop_assert!((est[1] - exact[1]).abs() < 0.04,
-                     "Gibbs {est:?} vs exact {exact:?}");
     }
 }

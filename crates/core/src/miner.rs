@@ -2,12 +2,10 @@
 
 use crate::tbn::{SceneObs, TbnModel, TbnVar};
 use drivefi_ads::Signal;
-use drivefi_bayes::{BayesError, MapQuery, MapScratch, VarId};
+use drivefi_bayes::{BayesError, Counterfactual};
 use drivefi_fault::ScalarFaultModel;
 use drivefi_sim::Trace;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Miner configuration.
 #[derive(Debug, Clone, Copy)]
@@ -122,48 +120,11 @@ pub const MINED_SIGNALS: [(Signal, TbnVar); 8] = [
     (Signal::FinalSteering, TbnVar::ASteer),
 ];
 
-/// Intra-slice descendants of each template variable (hand-derived from
-/// the Fig. 6 topology): when we intervene on a slice-1 variable, its
-/// slice-1 descendants must not be clamped to golden evidence — the fault
-/// changes them.
-fn intra_descendants(var: TbnVar) -> &'static [TbnVar] {
-    use TbnVar::*;
-    match var {
-        WDist | WSpeed => &[UThrottle, UBrake, AThrottle, ABrake],
-        MV => &[UThrottle, UBrake, USteer, AThrottle, ABrake, ASteer],
-        MA => &[],
-        UThrottle => &[AThrottle],
-        UBrake => &[ABrake],
-        USteer => &[ASteer],
-        AThrottle | ABrake | ASteer => &[],
-    }
-}
-
 /// The slice-1 variables a [`ResponseForecast`] reads.
 const FORECAST_VARS: [TbnVar; 3] = [TbnVar::AThrottle, TbnVar::ABrake, TbnVar::ASteer];
 
 /// Variables in the unrolled 3-TBN.
 const NET_VARS: usize = 3 * TbnVar::ALL.len();
-
-thread_local! {
-    /// Working memory of the compiled counterfactual queries, one per
-    /// thread so that parallel mining shares none.
-    static SCRATCH: RefCell<MapScratch> = RefCell::new(MapScratch::default());
-}
-
-/// The counterfactual query for interventions on one template variable:
-/// its evidence pattern, compiled.
-#[derive(Debug, Clone)]
-struct Counterfactual {
-    /// The observed network ids, ascending: all of slice 0, and slice 1
-    /// except the intervened variable and its intra-slice descendants.
-    observed: Vec<VarId>,
-    /// The intervened network id, in slice 1.
-    intervened: VarId,
-    /// The compiled MAP query, or `None` when no forecast variable is
-    /// left unobserved: the forecast is then read off the evidence.
-    query: Option<MapQuery>,
-}
 
 /// The continuous value of `signal` recorded in a trace frame, when the
 /// trace captures that signal.
@@ -189,9 +150,9 @@ pub struct BayesianMiner {
     /// The distinct values a [`ResponseForecast`] can hold, ascending:
     /// the bin representatives of `A_throttle`, `A_brake` and `A_steer`.
     forecast_values: [Vec<f64>; 3],
-    /// Per template variable, its counterfactual query, compiled on the
-    /// first forecast that intervenes on it.
-    counterfactuals: [OnceLock<Result<Counterfactual, BayesError>>; TbnVar::ALL.len()],
+    /// The counterfactual query of every template variable, reading back
+    /// the [`FORECAST_VARS`] of slice 1.
+    counterfactual: Counterfactual,
 }
 
 impl BayesianMiner {
@@ -211,7 +172,9 @@ impl BayesianMiner {
             values.dedup_by_key(|x| x.to_bits());
             values
         });
-        Ok(BayesianMiner { model, config, forecast_values, counterfactuals: Default::default() })
+        let reads = FORECAST_VARS.map(|v| model.id(1, v));
+        let counterfactual = Counterfactual::new(&model.net, &model.ids, &reads)?;
+        Ok(BayesianMiner { model, config, forecast_values, counterfactual })
     }
 
     /// Fits the miner from the golden traces persisted in a
@@ -246,34 +209,6 @@ impl BayesianMiner {
         &self.config
     }
 
-    /// The counterfactual query for interventions on `var`, compiled on
-    /// first use.
-    fn counterfactual(&self, var: TbnVar) -> Result<&Counterfactual, BayesError> {
-        self.counterfactuals[var.index()]
-            .get_or_init(|| {
-                let blocked = intra_descendants(var);
-                let observed: Vec<VarId> = TbnVar::ALL
-                    .iter()
-                    .map(|&v| self.model.id(0, v))
-                    .chain(
-                        TbnVar::ALL
-                            .iter()
-                            .filter(|&&v| v != var && !blocked.contains(&v))
-                            .map(|&v| self.model.id(1, v)),
-                    )
-                    .collect();
-                let intervened = self.model.id(1, var);
-                let query = if FORECAST_VARS.iter().any(|v| blocked.contains(v)) {
-                    Some(self.model.net.compile_map(&observed, &[intervened])?)
-                } else {
-                    None
-                };
-                Ok(Counterfactual { observed, intervened, query })
-            })
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
     /// The BN's forecast of the ADS's *within-period response* to a held
     /// fault: the final-actuation triple of the faulted slice under
     /// `do(var@1 = category)` — how the controller output reacts while
@@ -285,16 +220,15 @@ impl BayesianMiner {
     /// state: a corrupted perception variable changes the ADS's beliefs
     /// and hence its actuation, but not the physical obstacles.
     ///
-    /// Uses the joint MAP over all unobserved variables (one max-product
-    /// elimination pass), compiled once per intervened variable. When
+    /// The query is [`Counterfactual::run`]: the joint MAP over all
+    /// unobserved variables, compiled once per intervened variable. When
     /// the forecast variables are all observed or intervened (the
     /// interventions on a final-actuation channel), the joint MAP keeps
     /// them at their evidence, so the forecast skips inference.
     ///
     /// # Errors
     ///
-    /// Propagates inference failures (which indicate a model bug) and
-    /// out-of-range categories, as [`drivefi_bayes::BayesNet::map_assignment`]
+    /// Propagates out-of-range categories as [`Counterfactual::run`]
     /// reports them.
     pub fn forecast(
         &self,
@@ -303,29 +237,14 @@ impl BayesianMiner {
         var: TbnVar,
         category: usize,
     ) -> Result<ResponseForecast, BayesError> {
-        let counterfactual = self.counterfactual(var)?;
-        let blocked = intra_descendants(var);
+        let categories = |obs: &SceneObs| TbnVar::ALL.map(|v| self.model.obs_category(v, obs));
         let mut assignment = [0usize; NET_VARS];
-        for v in TbnVar::ALL {
-            assignment[self.model.id(0, v).0] = self.model.obs_category(v, obs0);
-            if v != var && !blocked.contains(&v) {
-                assignment[self.model.id(1, v).0] = self.model.obs_category(v, obs1);
-            }
-        }
-        assignment[counterfactual.intervened.0] = category;
-        match &counterfactual.query {
-            Some(query) => {
-                SCRATCH.with_borrow_mut(|scratch| query.run(&mut assignment, scratch))?
-            }
-            // No inference, but the category check `map_assignment` makes.
-            None => {
-                for &id in counterfactual.observed.iter().chain([&counterfactual.intervened]) {
-                    if assignment[id.0] >= self.model.net.cardinality(id) {
-                        return Err(BayesError::BadCategory { var: id, value: assignment[id.0] });
-                    }
-                }
-            }
-        }
+        self.counterfactual.run(
+            var.index(),
+            category,
+            [&categories(obs0), &categories(obs1)],
+            &mut assignment,
+        )?;
         let rep1 = |v: TbnVar| {
             self.model.representative(v, assignment[self.model.id(1, v).0]).unwrap_or(0.0)
         };

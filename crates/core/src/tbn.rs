@@ -462,22 +462,38 @@ mod tests {
             .is_none());
     }
 
+    /// The category of `m_v@2` in the joint MAP with `evidence` observed
+    /// and `do(interventions)`.
+    fn map_speed(
+        model: &TbnModel,
+        evidence: &[(VarId, usize)],
+        interventions: &[(VarId, usize)],
+    ) -> usize {
+        let ids = |pairs: &[(VarId, usize)]| pairs.iter().map(|p| p.0).collect::<Vec<_>>();
+        let query = model.net.compile_map(&ids(evidence), &ids(interventions)).unwrap();
+        let mut assignment = vec![0; model.net.len()];
+        for &(var, value) in evidence.iter().chain(interventions) {
+            assignment[var.0] = value;
+        }
+        query.run(&mut assignment, &mut drivefi_bayes::MapScratch::default()).unwrap();
+        assignment[model.id(2, TbnVar::MV).0]
+    }
+
     #[test]
     fn learned_dynamics_predict_speed_persistence() {
-        use drivefi_bayes::Evidence;
         let (model, traces) = small_model();
         // Evidence: two slices of a steady cruise scene; the MAP of
         // m_v@2 should be the same category (speed persists).
         let f = &traces[1].frames;
         let mid = f.len() / 2;
-        let mut ev = Evidence::new();
+        let mut ev = Vec::new();
         for (slice, frame) in [&f[mid], &f[mid + 1]].iter().enumerate() {
             let obs = model.observe(frame);
             for var in TbnVar::ALL {
-                ev.insert(model.id(slice, var), model.obs_category(var, &obs));
+                ev.push((model.id(slice, var), model.obs_category(var, &obs)));
             }
         }
-        let map = model.net.map_category(model.id(2, TbnVar::MV), &ev, &Evidence::new()).unwrap();
+        let map = map_speed(&model, &ev, &[]);
         let expected = model.obs_category(TbnVar::MV, &model.observe(&f[mid + 2]));
         assert!(
             (map as i64 - expected as i64).abs() <= 1,
@@ -487,41 +503,36 @@ mod tests {
 
     #[test]
     fn throttle_intervention_raises_predicted_speed() {
-        use drivefi_bayes::Evidence;
         let (model, traces) = small_model();
         let f = &traces[1].frames;
-        let mid = f.len() / 2;
-        let mut ev = Evidence::new();
-        // Observe slice 0 fully and slice 1 partially (upstream of A).
-        let obs0 = model.observe(&f[mid]);
-        for var in TbnVar::ALL {
-            ev.insert(model.id(0, var), model.obs_category(var, &obs0));
-        }
-        let obs1 = model.observe(&f[mid + 1]);
-        for var in [TbnVar::WDist, TbnVar::WSpeed, TbnVar::MV, TbnVar::MA] {
-            ev.insert(model.id(1, var), model.obs_category(var, &obs1));
-        }
-        let base = model.net.posterior(model.id(2, TbnVar::MV), &ev).unwrap();
-        // do(A_throttle@1 = max category, A_brake@1 = 0)
-        let max_thr = model.category_of(TbnVar::AThrottle, 1.0);
-        let min_brk = model.category_of(TbnVar::ABrake, 0.0);
-        let interventions = Evidence::from([
-            (model.id(1, TbnVar::AThrottle), max_thr),
-            (model.id(1, TbnVar::ABrake), min_brk),
-        ]);
-        let forced = model.net.posterior_do(model.id(2, TbnVar::MV), &ev, &interventions).unwrap();
-        // Expected speed under full throttle ≥ baseline.
-        let mean = |p: &[f64]| -> f64 {
-            p.iter()
-                .enumerate()
-                .map(|(c, pr)| pr * model.representative(TbnVar::MV, c).unwrap_or(0.0))
-                .sum()
+        let actuate = |throttle: f64, brake: f64| {
+            [
+                (model.id(1, TbnVar::AThrottle), model.category_of(TbnVar::AThrottle, throttle)),
+                (model.id(1, TbnVar::ABrake), model.category_of(TbnVar::ABrake, brake)),
+            ]
         };
-        assert!(
-            mean(&forced) >= mean(&base) - 0.2,
-            "full throttle lowered expected speed: {} vs {}",
-            mean(&forced),
-            mean(&base)
-        );
+        let speed = |c| model.representative(TbnVar::MV, c).unwrap();
+        let mut raised = 0;
+        for k in (1..f.len() - 2).step_by(7) {
+            // Observe slice 0 fully and slice 1 upstream of A.
+            let (obs0, obs1) = (model.observe(&f[k]), model.observe(&f[k + 1]));
+            let mut ev: Vec<_> = TbnVar::ALL
+                .iter()
+                .map(|&v| (model.id(0, v), model.obs_category(v, &obs0)))
+                .collect();
+            for v in [TbnVar::WDist, TbnVar::WSpeed, TbnVar::MV, TbnVar::MA] {
+                ev.push((model.id(1, v), model.obs_category(v, &obs1)));
+            }
+            let base = speed(map_speed(&model, &ev, &[]));
+            let full_throttle = speed(map_speed(&model, &ev, &actuate(1.0, 0.0)));
+            let full_brake = speed(map_speed(&model, &ev, &actuate(0.0, 1.0)));
+            assert!(full_throttle >= base, "full throttle lowered the speed at {k}");
+            assert!(
+                full_throttle >= full_brake,
+                "full throttle predicted slower than braking at {k}"
+            );
+            raised += usize::from(full_throttle > full_brake);
+        }
+        assert!(raised > 0, "do(A) never moved the predicted speed");
     }
 }

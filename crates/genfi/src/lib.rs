@@ -19,7 +19,9 @@
 //!   a `do(·)` intervention on the middle slice, MAP-infers the next
 //!   slice, reconstructs the continuous state, and keeps faults whose
 //!   forecast margin collapses (Eq. 1 of the paper, with the kinematic
-//!   reconstruction swapped for the caller's [`SafetyModel`]).
+//!   reconstruction swapped for the caller's [`SafetyModel`]). The
+//!   inference is [`drivefi_bayes::Counterfactual`], the compiled
+//!   counterfactual query the AV miner in `drivefi-core` asks too.
 //!
 //! The [`surgical`] module instantiates all three for a simulated
 //! needle-insertion robot, making the paper's example concrete.
@@ -38,7 +40,9 @@
 
 pub mod surgical;
 
-use drivefi_bayes::{fit_cpts, BayesError, BayesNet, DbnTemplate, Discretizer, Evidence, VarId};
+use drivefi_bayes::{
+    fit_cpts, BayesError, BayesNet, Counterfactual, DbnTemplate, Discretizer, VarId,
+};
 
 /// One monitored variable of the system under test.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,23 +111,6 @@ impl SystemSpec {
     /// The variables.
     pub fn vars(&self) -> &[VarSpec] {
         &self.vars
-    }
-
-    /// Intra-step descendants of `var` (transitive, excluding `var`):
-    /// when `var` is intervened in a slice, these must not be clamped to
-    /// golden evidence in that slice.
-    pub fn descendants(&self, var: usize) -> Vec<usize> {
-        let mut seen = vec![false; self.vars.len()];
-        let mut stack = vec![var];
-        while let Some(v) = stack.pop() {
-            for &(p, c) in &self.intra {
-                if p == v && !seen[c] {
-                    seen[c] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        (0..self.vars.len()).filter(|&i| seen[i]).collect()
     }
 
     fn template(&self, bins: usize) -> DbnTemplate {
@@ -251,6 +238,9 @@ pub struct GenericMiner {
     net: BayesNet,
     ids: Vec<Vec<VarId>>,
     discretizers: Vec<Discretizer>,
+    /// The counterfactual query of every variable, reading back slices 1
+    /// and 2.
+    counterfactual: Counterfactual,
     options: MinerOptions,
 }
 
@@ -301,7 +291,9 @@ impl GenericMiner {
         }
         assert!(!rows.is_empty(), "need at least one trace with three steps");
         fit_cpts(&mut net, &structure, &rows, options.alpha)?;
-        Ok(GenericMiner { spec: spec.clone(), net, ids, discretizers, options })
+        let reads: Vec<VarId> = ids[1].iter().chain(&ids[2]).copied().collect();
+        let counterfactual = Counterfactual::new(&net, &ids, &reads)?;
+        Ok(GenericMiner { spec: spec.clone(), net, ids, discretizers, counterfactual, options })
     }
 
     /// The fitted network (for inspection and structure scoring).
@@ -350,7 +342,7 @@ impl GenericMiner {
     ///
     /// # Errors
     ///
-    /// Propagates inference failures.
+    /// Propagates an out-of-range `category`.
     ///
     /// # Panics
     ///
@@ -367,24 +359,32 @@ impl GenericMiner {
         let n = self.spec.vars.len();
         assert_eq!(step0.len(), n, "step row length != variable count");
         assert_eq!(step1.len(), n, "step row length != variable count");
-        let mut ev = Evidence::new();
-        for (i, &x) in step0.iter().enumerate().take(n) {
-            ev.insert(self.ids[0][i], self.discretizers[i].transform(x));
-        }
-        let blocked = self.spec.descendants(var);
-        for (i, &x) in step1.iter().enumerate().take(n) {
-            if i == var || blocked.contains(&i) {
-                continue;
-            }
-            ev.insert(self.ids[1][i], self.discretizers[i].transform(x));
-        }
-        let interventions = Evidence::from([(self.ids[1][var], category)]);
-        let map = self.net.map_assignment(&ev, &interventions)?;
-        let faulted =
-            (0..n).map(|i| self.discretizers[i].representative(map[&self.ids[1][i]])).collect();
-        let next =
-            (0..n).map(|i| self.discretizers[i].representative(map[&self.ids[2][i]])).collect();
-        Ok((faulted, next))
+        self.forecast_bins(&self.discretize(step0), &self.discretize(step1), var, category)
+    }
+
+    /// The bins of a step's continuous values.
+    fn discretize(&self, step: &[f64]) -> Vec<usize> {
+        step.iter().zip(&self.discretizers).map(|(&x, d)| d.transform(x)).collect()
+    }
+
+    /// [`GenericMiner::forecast`] on discretized steps.
+    fn forecast_bins(
+        &self,
+        bins0: &[usize],
+        bins1: &[usize],
+        var: usize,
+        category: usize,
+    ) -> Result<(Vec<f64>, Vec<f64>), BayesError> {
+        let mut assignment = vec![0; self.net.len()];
+        self.counterfactual.run(var, category, [bins0, bins1], &mut assignment)?;
+        let slice = |s: usize| -> Vec<f64> {
+            self.discretizers
+                .iter()
+                .zip(&self.ids[s])
+                .map(|(d, id)| d.representative(assignment[id.0]))
+                .collect()
+        };
+        Ok((slice(1), slice(2)))
     }
 
     /// Enumerates and evaluates every candidate fault over the traces,
@@ -405,6 +405,7 @@ impl GenericMiner {
                 if golden_margin <= 0.0 {
                     continue;
                 }
+                let (bins0, bins1) = (self.discretize(&trace[k - 1]), self.discretize(&trace[k]));
                 for (var, model) in grid.iter() {
                     let corruption = Corruption::from_model(model);
                     let vs = &self.spec.vars[var];
@@ -413,23 +414,13 @@ impl GenericMiner {
                         Corruption::Max => vs.max,
                     };
                     let category = self.discretizers[var].transform(value);
-                    if self.discretizers[var].transform(trace[k][var]) == category {
+                    if bins1[var] == category {
                         continue; // no-op fault
                     }
-                    let key0: Vec<usize> = trace[k - 1]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &x)| self.discretizers[i].transform(x))
-                        .collect();
-                    let key1: Vec<usize> = trace[k]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &x)| self.discretizers[i].transform(x))
-                        .collect();
                     let (mut faulted, next) = cache
-                        .entry((key0, key1, var, category))
+                        .entry((bins0.clone(), bins1.clone(), var, category))
                         .or_insert_with(|| {
-                            self.forecast(&trace[k - 1], &trace[k], var, category)
+                            self.forecast_bins(&bins0, &bins1, var, category)
                                 .expect("inference on fitted model")
                         })
                         .clone();
@@ -553,18 +544,6 @@ mod tests {
             let x_hat = observed[1] + faulted[0] * 3.0;
             self.margin(&[faulted[0], x_hat])
         }
-    }
-
-    #[test]
-    fn spec_descendants_are_transitive() {
-        let mut spec = SystemSpec::new();
-        let a = spec.add_var("a", 0.0, 1.0, true);
-        let b = spec.add_var("b", 0.0, 1.0, true);
-        let c = spec.add_var("c", 0.0, 1.0, true);
-        spec.add_dataflow(a, b);
-        spec.add_dataflow(b, c);
-        assert_eq!(spec.descendants(a), vec![b, c]);
-        assert_eq!(spec.descendants(c), Vec::<usize>::new());
     }
 
     #[test]
