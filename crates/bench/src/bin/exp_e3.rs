@@ -6,25 +6,32 @@
 //! * 460 of 561 manifested as safety hazards when actually injected,
 //! * the hazards concentrated in 68 of 7 200 scenes.
 //!
-//! This binary runs the full pipeline at paper scale (24 scenarios,
-//! 7 200 scenes) and prints the same accounting.
+//! This binary runs `plans/paper/e3_mine.toml` — the full pipeline at
+//! paper scale (24 scenarios, 7 200 scenes) — through [`run_plan`], the
+//! code `drivefi mine` and the campaign benchmark run, and prints the
+//! same accounting. Stage times come from the campaign's own event log.
+//!
+//! [`run_plan`]: drivefi_plan::run_plan
 //!
 //! ```text
 //! cargo run --release -p drivefi-bench --bin exp_e3 [scene_stride]
 //! ```
 
-use drivefi_core::{
-    collect_golden_traces, validate_candidates, AccelerationReport, BayesianMiner, MinerConfig,
-};
-use drivefi_sim::SimConfig;
-use drivefi_world::ScenarioSuite;
-use std::time::Instant;
+use drivefi_bench::{paper_plan, StoreRun};
+use drivefi_core::{AccelerationReport, BayesianMiner, MinerConfig};
+use drivefi_fault::FaultKind;
+use drivefi_plan::{CampaignKind, GOLDEN_SUBDIR, VALIDATE_SUBDIR};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn main() {
-    let stride: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let workers = drivefi_sim::default_workers();
-    let suite = ScenarioSuite::paper_suite(2026);
-    let sim = SimConfig::default();
+    let mut plan = paper_plan("e3_mine.toml");
+    if let Some(scene_stride) = std::env::args().nth(1).and_then(|s| s.parse().ok()) {
+        plan.kind = CampaignKind::Mine { scene_stride };
+    }
+    let CampaignKind::Mine { scene_stride: stride } = plan.kind else {
+        unreachable!("e3_mine.toml is a mine plan");
+    };
+    let suite = plan.scenarios.build_suite();
 
     println!(
         "E3/E4: Bayesian FI over {} scenarios / {} scenes (stride {stride})",
@@ -32,52 +39,54 @@ fn main() {
         suite.scene_count()
     );
 
-    // --- Mining phase (golden runs + model fit + counterfactuals) ---
-    let mine_t0 = Instant::now();
-    let golden = collect_golden_traces(&sim, &suite, workers);
-    let golden_time = mine_t0.elapsed();
+    // --- The pipeline: golden runs, model fit + counterfactuals, validation ---
+    drivefi_obs::force_enabled(true);
+    let run = StoreRun::new(&plan);
+    let spans = run.stage_spans();
+    let (golden, validate) = (spans[GOLDEN_SUBDIR], spans[VALIDATE_SUBDIR]);
+    let golden_time = golden.1 - golden.0;
+    let fit_mine_time = validate.0 - golden.1;
+    let validation_time = validate.1 - validate.0;
+    let total_mining = golden_time + fit_mine_time;
     let config = MinerConfig { scene_stride: stride, ..MinerConfig::default() };
-    let fit_t0 = Instant::now();
-    let miner = BayesianMiner::fit(&golden, config).expect("model fit");
-    let fit_time = fit_t0.elapsed();
-    let mine_t1 = Instant::now();
-    let critical = miner.mine_parallel(&golden, workers);
-    let mine_time = mine_t1.elapsed();
-    let total_mining = mine_t0.elapsed();
-    let pool = miner.candidate_count(&golden);
+    let (miner, traces) =
+        BayesianMiner::fit_from_store(run.root.join(GOLDEN_SUBDIR), config).expect("model fit");
+    let pool = miner.candidate_count(&traces);
+    let validated = &run.report.jobs;
 
     println!();
-    println!(
-        "mining: golden {golden_time:.1?} + fit {fit_time:.1?} + counterfactuals {mine_time:.1?}"
-    );
+    println!("mining: golden {golden_time:.1?} + fit and counterfactuals {fit_mine_time:.1?}");
     println!("candidate pool |F| = {pool} (paper: 98 400)");
-    println!("critical set |F_crit| = {} (paper: 561)", critical.len());
+    println!("critical set |F_crit| = {} (paper: 561)", validated.len());
 
     // --- Validation phase ---
-    let validation = validate_candidates(&sim, &suite, &critical, workers);
-    println!("validation: {:.1?} for {} injection runs", validation.wall_clock, critical.len());
+    let manifested = run.report.hazards() + run.report.collisions();
+    let critical_scenes: BTreeSet<(u32, u64)> = validated
+        .iter()
+        .filter(|r| r.outcome.is_hazardous())
+        .map(|r| (r.scenario_id, r.fault.expect("validation jobs inject").window.scene))
+        .collect();
+    let precision =
+        if validated.is_empty() { 0.0 } else { manifested as f64 / validated.len() as f64 };
+    println!("validation: {validation_time:.1?} for {} injection runs", validated.len());
     println!();
     println!("| metric                       | ours       | paper      |");
     println!("|------------------------------|------------|------------|");
-    println!("| mined critical faults        | {:10} | 561        |", critical.len());
-    println!("| manifested as hazards        | {:10} | 460        |", validation.manifested);
-    println!("|   of which collisions        | {:10} | n/r        |", validation.collisions);
-    println!(
-        "| miner precision              | {:9.1}% | 82.0%      |",
-        100.0 * validation.precision()
-    );
-    println!(
-        "| safety-critical scenes       | {:10} | 68 of 7200 |",
-        validation.critical_scenes.len()
-    );
+    println!("| mined critical faults        | {:10} | 561        |", validated.len());
+    println!("| manifested as hazards        | {manifested:10} | 460        |");
+    println!("|   of which collisions        | {:10} | n/r        |", run.report.collisions());
+    println!("| miner precision              | {:9.1}% | 82.0%      |", 100.0 * precision);
+    println!("| safety-critical scenes       | {:10} | 68 of 7200 |", critical_scenes.len());
 
     // Per-signal breakdown of the validated set (E9 feeds on this too).
-    let mut by_signal: std::collections::BTreeMap<String, (usize, usize)> =
-        std::collections::BTreeMap::new();
-    for m in &validation.mined {
-        let slot = by_signal.entry(m.candidate.signal.name().to_owned()).or_default();
+    let mut by_signal: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+    for record in validated {
+        let Some(FaultKind::Scalar { signal, .. }) = record.fault.map(|f| f.kind) else {
+            unreachable!("the miner mines scalar faults");
+        };
+        let slot = by_signal.entry(signal.name()).or_default();
         slot.0 += 1;
-        if m.outcome.is_hazardous() {
+        if record.outcome.is_hazardous() {
             slot.1 += 1;
         }
     }
@@ -89,20 +98,28 @@ fn main() {
     }
 
     // --- Acceleration accounting ---
-    let avg_sim = validation.wall_clock.div_f64(validation.mined.len().max(1) as f64);
+    let avg_sim = validation_time.div_f64(validated.len().max(1) as f64);
     let report = AccelerationReport {
         candidate_pool: pool,
         avg_sim_time: avg_sim,
         mining_time: total_mining,
-        validation_time: validation.wall_clock,
-        mined_faults: critical.len(),
+        validation_time,
+        mined_faults: validated.len(),
     };
     println!();
     println!("E4 acceleration accounting (paper: 615 days vs < 4 h = 3690x):");
     println!("  avg simulated injection run : {avg_sim:.1?}");
     println!("  exhaustive estimate         : {:.1?}", report.exhaustive_time());
     println!("  Bayesian (mine + validate)  : {:.1?}", report.bayesian_time());
-    println!("  acceleration                : {:.0}x", report.acceleration());
+    println!(
+        "  acceleration, end to end    : {:.0}x (exhaustive ÷ golden + fit + mine + validate)",
+        report.acceleration()
+    );
+    println!(
+        "  acceleration, paper-style   : {:.0}x (exhaustive ÷ golden + fit + mine; the paper's \
+         3690x is this ratio)",
+        report.paper_acceleration()
+    );
     // Our simulator runs a 40 s scenario in milliseconds; the paper's
     // testbed ran DriveSim/LGSVL in real time (~540 s per injection run,
     // 98 400 runs = 615 days). The algorithmic speedup at the paper's
@@ -110,7 +127,7 @@ fn main() {
     // validation runs plus the (simulator-independent) BN work:
     let paper_run = std::time::Duration::from_secs(540);
     let exhaustive_paper = paper_run.mul_f64(pool as f64);
-    let bayesian_paper = total_mining + paper_run.mul_f64(critical.len() as f64);
+    let bayesian_paper = total_mining + paper_run.mul_f64(validated.len() as f64);
     println!(
         "  at the paper's 540 s per run: exhaustive {:.1} days vs Bayesian {:.1} h = {:.0}x",
         exhaustive_paper.as_secs_f64() / 86_400.0,

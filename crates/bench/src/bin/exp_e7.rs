@@ -2,27 +2,25 @@
 //! the ADS's masking of random transients to (a) high-frequency
 //! recomputation, (b) Kalman-filter sensor fusion, and (c) PID output
 //! smoothing. Ablating each mechanism should raise the hazard rate of
-//! the *same* random transient campaign.
+//! the *same* random transient campaign — one random plan per `[sim]`
+//! ablation, run through [`run_plan`].
 //!
 //! ```text
 //! cargo run --release -p drivefi-bench --bin exp_e7 [runs]
 //! ```
 
-use drivefi_ads::AdsConfig;
-use drivefi_core::{random_output_campaign, RandomCampaignConfig};
-use drivefi_sim::SimConfig;
-use drivefi_world::ScenarioSuite;
+use drivefi_plan::{
+    run_plan, CampaignKind, CampaignPlan, PlanResult, ScenarioSelection, SimSection,
+};
 
 fn main() {
     let runs: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(600);
-    let workers = drivefi_sim::default_workers();
-    let suite = ScenarioSuite::paper_suite(2026);
-
-    let configs: [(&str, AdsConfig); 4] = [
-        ("full stack (paper baseline)", AdsConfig::default()),
-        ("no Kalman fusion", AdsConfig { kalman_fusion: false, ..AdsConfig::default() }),
-        ("no PID smoothing", AdsConfig { pid_smoothing: false, ..AdsConfig::default() }),
-        ("planner at 1/8 rate", AdsConfig { planner_divisor: 8, ..AdsConfig::default() }),
+    let full = SimSection::default();
+    let configs: [(&str, SimSection); 4] = [
+        ("full stack (paper baseline)", full),
+        ("no Kalman fusion", SimSection { kalman_fusion: false, ..full }),
+        ("no PID smoothing", SimSection { pid_smoothing: false, ..full }),
+        ("planner at 1/8 rate", SimSection { planner_divisor: 8, ..full }),
     ];
 
     println!("E7: hazard rate of {runs} random single-scene corruptions per configuration");
@@ -30,17 +28,27 @@ fn main() {
     println!("| configuration                | hazards | collisions | rate    |");
     println!("|------------------------------|---------|------------|---------|");
     let mut rates = Vec::new();
-    for (name, ads) in configs {
-        let sim = SimConfig { ads, ..SimConfig::default() };
-        let cfg = RandomCampaignConfig { runs, seed: 0xE7, workers };
-        let stats = random_output_campaign(&sim, &suite, &cfg);
+    for (name, sim) in configs {
+        let plan = CampaignPlan {
+            name: "exp-e7".into(),
+            kind: CampaignKind::Random { runs },
+            seed: 0xE7,
+            workers: None,
+            scenarios: ScenarioSelection::Paper { count: 24, seed: 2026 },
+            faults: Default::default(),
+            sim,
+            output: None,
+            submit: Default::default(),
+            control: Default::default(),
+        };
+        let PlanResult::Persisted(report) = run_plan(&plan).unwrap_or_else(|e| panic!("{e}"));
         println!(
             "| {name:28} | {:7} | {:10} | {:6.2}% |",
-            stats.hazards,
-            stats.collisions,
-            100.0 * stats.hazard_rate()
+            report.hazards(),
+            report.collisions(),
+            100.0 * report.hazard_rate()
         );
-        rates.push((name, stats.hazard_rate()));
+        rates.push((name, report.hazard_rate()));
     }
     println!();
     let baseline = rates[0].1;

@@ -1,117 +1,26 @@
-//! Exhaustive ground truth: miner precision *and* recall.
+//! The exhaustive candidate enumeration: every fault the miner
+//! screens, as injectable `(scenario id, FaultSpec)` pairs.
 //!
 //! The paper validates the mined set forward (460 of 561 mined faults
 //! manifest → 82 % precision) but never runs the exhaustive campaign
 //! that would expose the miner's *recall* — that campaign is the 615-day
-//! cost the whole approach exists to avoid. At our simulator's speed the
-//! exhaustive campaign is affordable on a *subset* of the corpus, so
-//! this module closes the loop: inject **every** candidate fault for
-//! real, compare the manifested set against the mined set, and report
-//! precision / recall / F1.
+//! cost the whole approach exists to avoid. At our simulator's speed it
+//! is affordable on a corpus subset: a `kind = "exhaustive"` plan
+//! injects every pair enumerated here for real, and the mined set can be
+//! compared against the manifested one.
 
 use crate::miner::BayesianMiner;
 use drivefi_fault::{FaultKind, FaultSpec};
-use drivefi_sim::{CampaignEngine, CampaignResult, SimConfig, Trace};
+use drivefi_sim::Trace;
 use drivefi_world::ScenarioSuite;
-use std::collections::BTreeSet;
-use std::time::Duration;
-
-/// Identity of a candidate fault for set comparison: scenario plus the
-/// `Copy` [`drivefi_fault::FaultKey`] of its spec. Replaces the old
-/// `(u32, u64, String, String)` key whose two `String`s were allocated
-/// per candidate in the hot comparison path.
-type CandidateKey = (u32, drivefi_fault::FaultKey);
-
-/// Outcome of the exhaustive comparison.
-#[derive(Debug, Clone)]
-pub struct ExhaustiveReport {
-    /// Total candidates injected.
-    pub candidates: usize,
-    /// Candidates that manifested as hazards/collisions (ground truth).
-    pub true_hazards: usize,
-    /// Faults the miner flagged.
-    pub mined: usize,
-    /// Mined ∩ ground truth.
-    pub true_positives: usize,
-    /// Mined but harmless in reality.
-    pub false_positives: usize,
-    /// Hazardous in reality but not mined.
-    pub false_negatives: usize,
-    /// Wall-clock of the exhaustive campaign.
-    pub exhaustive_time: Duration,
-    /// Wall-clock of mining.
-    pub mining_time: Duration,
-    /// Per-(signal, corruption) accounting: `(ground-truth hazards,
-    /// candidates, mined, mined ∩ hazards)`.
-    pub by_fault: std::collections::BTreeMap<(String, String), (usize, usize, usize, usize)>,
-}
-
-impl ExhaustiveReport {
-    /// Precision: TP / (TP + FP). Zero when nothing was mined.
-    pub fn precision(&self) -> f64 {
-        let denom = self.true_positives + self.false_positives;
-        if denom == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
-    }
-
-    /// Recall: TP / (TP + FN). One when nothing is hazardous.
-    pub fn recall(&self) -> f64 {
-        let denom = self.true_positives + self.false_negatives;
-        if denom == 0 {
-            1.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
-    }
-
-    /// F1 score.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
-    /// One-line summary row.
-    pub fn summary(&self) -> String {
-        format!(
-            "candidates={} hazards={} mined={} TP={} FP={} FN={} P={:.2} R={:.2} F1={:.2}",
-            self.candidates,
-            self.true_hazards,
-            self.mined,
-            self.true_positives,
-            self.false_positives,
-            self.false_negatives,
-            self.precision(),
-            self.recall(),
-            self.f1()
-        )
-    }
-}
-
-/// The `(signal, corruption)` display names of a scalar fault spec, for
-/// the per-fault report rows (only built for the ~tens of distinct
-/// rows, never per candidate).
-fn display_names(spec: FaultSpec) -> (String, String) {
-    match spec.kind {
-        FaultKind::Scalar { signal, model } => (signal.name().to_owned(), model.name()),
-        other => (other.name(), String::new()),
-    }
-}
 
 /// The exhaustive candidate enumeration as light-weight
 /// `(scenario id, FaultSpec)` pairs, in the miner's deterministic
 /// candidate order: every candidate the miner would consider (same
 /// eligibility and stride), each with the
 /// [`crate::report::VALIDATION_WINDOW_SCENES`]-scene injection window.
-/// This is the **stable job indexing** store-backed exhaustive sweeps
-/// persist under — the pair at index `i` is job `i`, interrupted or
+/// This is the **stable job indexing** an exhaustive sweep's store
+/// persists under — the pair at index `i` is job `i`, interrupted or
 /// not, because the enumeration is a pure function of the traces.
 pub fn candidate_specs(miner: &BayesianMiner, traces: &[Trace]) -> Vec<(u32, FaultSpec)> {
     traces
@@ -149,156 +58,4 @@ pub fn candidate_record_metas(
             fault: Some(spec),
         })
         .collect()
-}
-
-/// Runs the exhaustive campaign over every candidate the miner would
-/// consider (same eligibility and stride), computes the ground-truth
-/// hazard set, mines, and compares. Both campaigns use the same
-/// [`crate::report::VALIDATION_WINDOW_SCENES`]-scene injection window,
-/// so mined and ground-truth outcomes are directly comparable.
-pub fn exhaustive_comparison(
-    sim: &SimConfig,
-    suite: &ScenarioSuite,
-    miner: &BayesianMiner,
-    traces: &[Trace],
-    workers: usize,
-) -> ExhaustiveReport {
-    // Materialize only the light-weight `(scenario, FaultSpec)` pairs;
-    // keys and the job stream both derive from this single enumeration
-    // (so submission index i always corresponds to candidates[i]), and
-    // the jobs themselves stream lazily through the engine: the
-    // scenario × fault cross-product is never materialized as a job
-    // vector, every job shares its scenario's single `Arc` allocation,
-    // and candidate identities are `Copy` keys — no per-candidate
-    // `String` allocation anywhere in the sweep.
-    let candidates = candidate_specs(miner, traces);
-    let key_of = |i: u64| -> CandidateKey {
-        let (sid, spec) = candidates[i as usize];
-        (sid, spec.key())
-    };
-
-    let shared = suite.shared();
-    let jobs = candidates.iter().map(|&(sid, spec)| drivefi_sim::CampaignJob {
-        id: u64::from(sid),
-        scenario: std::sync::Arc::clone(&shared[sid as usize]),
-        faults: vec![spec.compile()],
-    });
-
-    let engine = CampaignEngine::new(*sim).with_workers(workers);
-    let start = std::time::Instant::now();
-    let mut hazardous: BTreeSet<u64> = BTreeSet::new();
-    engine.run(jobs, &mut |index: u64, result: CampaignResult| {
-        if result.report.outcome.is_hazardous() {
-            hazardous.insert(index);
-        }
-    });
-    let exhaustive_time = start.elapsed();
-
-    let ground_truth: BTreeSet<CandidateKey> = hazardous.iter().map(|&i| key_of(i)).collect();
-
-    let mine_start = std::time::Instant::now();
-    let mined = miner.mine(traces);
-    let mining_time = mine_start.elapsed();
-    let mined_keys: BTreeSet<CandidateKey> =
-        mined.iter().map(|c| (c.scenario_id, c.fault_spec().key())).collect();
-
-    let true_positives = mined_keys.intersection(&ground_truth).count();
-
-    let mut by_fault: std::collections::BTreeMap<(String, String), (usize, usize, usize, usize)> =
-        std::collections::BTreeMap::new();
-    for (i, &(_, spec)) in candidates.iter().enumerate() {
-        let slot = by_fault.entry(display_names(spec)).or_default();
-        slot.1 += 1;
-        if ground_truth.contains(&key_of(i as u64)) {
-            slot.0 += 1;
-        }
-    }
-    for c in &mined {
-        let slot = by_fault.entry(display_names(c.fault_spec())).or_default();
-        slot.2 += 1;
-        if ground_truth.contains(&(c.scenario_id, c.fault_spec().key())) {
-            slot.3 += 1;
-        }
-    }
-
-    ExhaustiveReport {
-        candidates: candidates.len(),
-        true_hazards: ground_truth.len(),
-        mined: mined_keys.len(),
-        true_positives,
-        false_positives: mined_keys.len() - true_positives,
-        false_negatives: ground_truth.len() - true_positives,
-        exhaustive_time,
-        mining_time,
-        by_fault,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::collect_golden_traces;
-    use crate::miner::MinerConfig;
-
-    #[test]
-    fn report_arithmetic() {
-        let r = ExhaustiveReport {
-            candidates: 100,
-            true_hazards: 10,
-            mined: 12,
-            true_positives: 8,
-            false_positives: 4,
-            false_negatives: 2,
-            exhaustive_time: Duration::from_secs(60),
-            mining_time: Duration::from_secs(1),
-            by_fault: Default::default(),
-        };
-        assert!((r.precision() - 8.0 / 12.0).abs() < 1e-12);
-        assert!((r.recall() - 0.8).abs() < 1e-12);
-        assert!(r.f1() > 0.7 && r.f1() < 0.8);
-        assert!(r.summary().contains("F1"));
-    }
-
-    #[test]
-    fn degenerate_reports() {
-        let r = ExhaustiveReport {
-            candidates: 10,
-            true_hazards: 0,
-            mined: 0,
-            true_positives: 0,
-            false_positives: 0,
-            false_negatives: 0,
-            exhaustive_time: Duration::ZERO,
-            mining_time: Duration::ZERO,
-            by_fault: Default::default(),
-        };
-        assert_eq!(r.precision(), 0.0);
-        assert_eq!(r.recall(), 1.0);
-        assert_eq!(r.f1(), 0.0);
-    }
-
-    #[test]
-    fn small_exhaustive_comparison_is_coherent() {
-        // A deliberately tiny corpus (2 scenarios, aggressive stride) so
-        // the exhaustive campaign stays test-sized.
-        let suite = ScenarioSuite::generate(2, 42);
-        let sim = SimConfig::default();
-        let traces = collect_golden_traces(&sim, &suite, 4);
-        let config = MinerConfig { scene_stride: 40, ..MinerConfig::default() };
-        let miner = BayesianMiner::fit(&traces, config).unwrap();
-        let report = exhaustive_comparison(&sim, &suite, &miner, &traces, 8);
-        assert!(report.candidates > 0);
-        assert_eq!(
-            report.mined,
-            report.true_positives + report.false_positives,
-            "mined set accounting broken"
-        );
-        assert_eq!(
-            report.true_hazards,
-            report.true_positives + report.false_negatives,
-            "ground-truth accounting broken"
-        );
-        assert!(report.precision() >= 0.0 && report.precision() <= 1.0);
-        assert!(report.recall() >= 0.0 && report.recall() <= 1.0);
-    }
 }

@@ -20,9 +20,12 @@
 //!    faults with `δ > 0 ∧ δ̂_do(f) ≤ 0` — the critical set `F_crit`
 //!    (Eq. 1).
 //! 4. **Validation** ([`validate_candidates`]) re-simulates each mined
-//!    fault with the real injector and classifies outcomes, and
-//!    [`random_output_campaign`] provides the random-FI baseline the
-//!    paper compares against.
+//!    fault with the real injector and classifies outcomes.
+//!
+//! Campaigns run from plans: `drivefi-plan` drives the random-FI
+//! baseline the paper compares against ([`random_fault_picks`]), the
+//! exhaustive ground truth ([`candidate_specs`]) and this pipeline
+//! through one store-backed engine.
 //!
 //! # Example
 //!
@@ -48,15 +51,10 @@ pub mod situations;
 pub mod tbn;
 
 pub use acquisition::{AcquisitionConfig, CandidateScorer};
-pub use exhaustive::{
-    candidate_record_metas, candidate_specs, exhaustive_comparison, ExhaustiveReport,
-};
+pub use exhaustive::{candidate_record_metas, candidate_specs};
 pub use golden::{collect_golden_traces, golden_record_metas};
 pub use miner::{BayesianMiner, CandidateFault, MinedFault, MinerConfig};
-pub use random::{
-    pick_record_metas, random_fault_picks, random_output_campaign, random_space_campaign,
-    RandomCampaignConfig, RandomCampaignStats,
-};
+pub use random::{pick_record_metas, random_fault_picks, RandomCampaignConfig};
 pub use report::{validate_candidates, AccelerationReport, ValidationStats};
 pub use situations::{Situation, SituationLibrary, TestRule};
 pub use tbn::{SceneObs, TbnModel, TbnVar, NO_LEAD};

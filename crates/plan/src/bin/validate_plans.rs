@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Exits non-zero on the first invalid file. Files directly under the
-//! root are campaign plans; files under `scenarios/` are scenario specs.
+//! root and under `paper/` are campaign plans; files under `scenarios/`
+//! are scenario specs.
 
 use drivefi_plan::{emit_scenario_spec, load_scenario_spec, CampaignPlan};
 use drivefi_world::FamilyRegistry;
@@ -31,7 +32,9 @@ fn main() {
     let dir = Path::new(&dir);
     let mut checked = 0;
 
-    for path in toml_files(dir) {
+    let paper_dir = dir.join("paper");
+    let paper = if paper_dir.is_dir() { toml_files(&paper_dir) } else { Vec::new() };
+    for path in toml_files(dir).into_iter().chain(paper) {
         let plan = match CampaignPlan::load(&path) {
             Ok(plan) => plan,
             Err(e) => {

@@ -21,7 +21,7 @@
 //! tiebreak). An invocation that dies mid-round therefore re-selects
 //! exactly the batch whose partial store it finds on disk, runs only
 //! the missing jobs, and continues — byte-identical reports, same as
-//! the other store-backed kinds.
+//! every other kind.
 
 use super::pipeline::{run_golden_stage, sweep_stage, Pipeline};
 use super::{CampaignKind, CampaignPlan, OutputSpec, PlanResult, GOLDEN_SUBDIR};

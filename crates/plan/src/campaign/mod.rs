@@ -2,16 +2,15 @@
 //!
 //! A [`CampaignPlan`] is the whole experiment as data — which campaign
 //! to run, over which scenarios, sweeping which [`FaultSpace`], with
-//! which budget/seed/workers and which sink:
+//! which budget/seed/workers and where its store lives:
 //!
 //! ```toml
 //! name = "random-baseline"
 //!
 //! [campaign]
-//! kind = "random"     # or "exhaustive"
+//! kind = "random"     # or "exhaustive", "golden", "mine", "adaptive"
 //! runs = 60
 //! seed = 1
-//! sink = "stats"      # or "outcomes" (per-run outcome list)
 //!
 //! [scenarios]
 //! source = "paper"    # "paper" | "extended" | "families" | "inline" | "files"
@@ -27,23 +26,23 @@
 //! window_scenes = 1
 //! ```
 //!
-//! [`run_plan`] executes a plan through the exact same driver code the
-//! typed API uses ([`drivefi_core::random_space_campaign`],
-//! [`drivefi_core::exhaustive_comparison`]), so a plan file reproduces
-//! the typed calls number-for-number — the `campaign_plan` example
-//! asserts this equality end to end.
+//! [`run_plan`] runs every plan kind one way: through the store-backed
+//! pipeline, into the plan's `[output]` directory, returning the report
+//! it saved there. A plan without `[output]` runs on a throwaway store
+//! under the system temp dir, removed once its report is read.
 //!
 //! # Module layout
 //!
 //! * [`mod@self`] — the plan types, the fingerprint identity (and its
-//!   documented exclusion table), and the [`run_plan`] dispatch;
+//!   documented exclusion table), and the [`run_plan`] entry point with
+//!   its throwaway store for plans without `[output]`;
 //! * `schema` — the TOML surface: emit/parse with strict unknown-key
 //!   rejection ([`emit_campaign_plan`], [`parse_campaign_plan`]);
 //! * `pipeline` — the staged-campaign engine: the `Stage` description
 //!   and the `Pipeline` driver that owns sub-store resolution,
 //!   cross-stage budget accounting, checkpointed resume, and the
-//!   `drivefi-obs` stage events, plus the `mine`/store-backed
-//!   `exhaustive` drivers expressed on it;
+//!   `drivefi-obs` stage events, plus every kind's driver expressed
+//!   on it;
 //! * `adaptive` — the posterior-guided acquisition loop
 //!   (`kind = "adaptive"`): fit on results so far, score unexplored
 //!   candidates, run the top-K batch into a per-round sub-store, refit.
@@ -64,18 +63,13 @@ use crate::report::PlanReport;
 use crate::scenario::{as_bool, as_str, as_uint, get};
 use crate::toml::{emit_document, parse_document, Map, Toml};
 use crate::PlanError;
-use drivefi_core::{
-    collect_golden_traces, exhaustive_comparison, random_fault_picks, random_space_campaign,
-    BayesianMiner, ExhaustiveReport, MinerConfig, RandomCampaignConfig, RandomCampaignStats,
-};
 use drivefi_fault::FaultSpace;
 use drivefi_obs::Field;
-use drivefi_sim::{
-    CampaignEngine, CampaignJob, Outcome, RunningStats, SimConfig, Simulation, Trace,
-};
+use drivefi_sim::{SimConfig, Simulation};
 use drivefi_world::spec::ScenarioSpec;
 use drivefi_world::ScenarioSuite;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which campaign a plan runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,23 +80,24 @@ pub enum CampaignKind {
         /// Number of injection runs.
         runs: usize,
     },
-    /// The exhaustive ground-truth comparison (golden traces → miner fit
-    /// → inject every candidate → precision/recall).
+    /// The exhaustive ground truth (golden traces → miner fit → inject
+    /// every candidate the miner screens into `dir/sweep/`), against
+    /// which a mined set's precision and recall are measured.
     Exhaustive {
         /// Evaluate every `scene_stride`-th eligible scene.
         scene_stride: usize,
     },
-    /// Golden-trace collection: every suite scenario driven fault-free
-    /// through a [`TraceSink`](drivefi_sim::TraceSink) — the plan-driven
-    /// form of [`collect_golden_traces`], so baseline runs ship as plan
-    /// files too.
+    /// Golden-trace collection: every suite scenario driven fault-free,
+    /// its trace persisted beside the outcome — the plan-driven form of
+    /// [`drivefi_core::collect_golden_traces`], so baseline runs ship as
+    /// plan files too.
     Golden,
     /// The paper's full Bayesian pipeline (§III-B), store-backed and
     /// resumable at every stage: golden runs persist their traces to
     /// `dir/golden/`, the 3-TBN fits **from the persisted traces**
-    /// ([`BayesianMiner::fit_from_store`]), the mined `F_crit` validates
-    /// by real injection into `dir/validate/`, and the final report
-    /// aggregates the validation records. Requires an `[output]` store.
+    /// ([`drivefi_core::BayesianMiner::fit_from_store`]), the mined
+    /// `F_crit` validates by real injection into `dir/validate/`, and
+    /// the final report aggregates the validation records.
     Mine {
         /// Evaluate every `scene_stride`-th eligible scene when mining.
         scene_stride: usize,
@@ -113,7 +108,7 @@ pub enum CampaignKind {
     /// into a per-round sub-store (`round-000/`, `round-001/`, …) whose
     /// outcomes update the posterior before the next round — the
     /// paper's "the fitted network tells you where to inject next",
-    /// closed into a loop. Requires an `[output]` store.
+    /// closed into a loop.
     Adaptive {
         /// Evaluate every `scene_stride`-th eligible scene when
         /// enumerating the candidate space.
@@ -152,7 +147,7 @@ impl CampaignKind {
 
     /// True for the staged pipeline kinds that collect golden traces
     /// into `dir/golden/` before fitting and injecting (mine,
-    /// store-backed exhaustive, adaptive).
+    /// exhaustive, adaptive).
     pub fn is_staged(&self) -> bool {
         matches!(
             self,
@@ -167,17 +162,8 @@ impl CampaignKind {
 pub const GOLDEN_SUBDIR: &str = "golden";
 /// Validation-stage sub-store of a `kind = "mine"` output directory.
 pub const VALIDATE_SUBDIR: &str = "validate";
-/// Sweep-stage sub-store of a store-backed exhaustive output directory.
+/// Sweep-stage sub-store of a `kind = "exhaustive"` output directory.
 pub const SWEEP_SUBDIR: &str = "sweep";
-
-/// Which sink consumes a random campaign's results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SinkChoice {
-    /// Constant-memory streaming statistics ([`RandomCampaignStats`]).
-    Stats,
-    /// Statistics plus the per-run outcome list, in submission order.
-    Outcomes,
-}
 
 /// The scenario workload of a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -299,9 +285,8 @@ impl SimSection {
 
 /// The `[output]` plan section: where the campaign persists its per-job
 /// records (a `drivefi-store` directory) and emits its round-trip
-/// [`PlanReport`]. Present ⇒ [`run_plan`] streams results to disk,
-/// resumes automatically when the store already exists, and returns
-/// [`PlanResult::Persisted`].
+/// [`PlanReport`]. [`run_plan`] resumes automatically when the store
+/// already exists; without the section it runs on a throwaway store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutputSpec {
     /// Store directory. Relative paths resolve against the process
@@ -422,7 +407,7 @@ impl ControlVerdict {
     /// # Errors
     ///
     /// Returns a [`PlanError`] when the file exists but is malformed.
-    pub fn load(dir: &std::path::Path) -> Result<Option<ControlVerdict>, PlanError> {
+    pub fn load(dir: &Path) -> Result<Option<ControlVerdict>, PlanError> {
         let path = dir.join(CONTROL_FILE);
         match std::fs::read_to_string(&path) {
             Ok(src) => Self::parse(&src)
@@ -433,7 +418,7 @@ impl ControlVerdict {
         }
     }
 
-    fn save(&self, dir: &std::path::Path) -> Result<(), PlanError> {
+    fn save(&self, dir: &Path) -> Result<(), PlanError> {
         let path = dir.join(CONTROL_FILE);
         let tmp = dir.join(format!(".{CONTROL_FILE}.tmp.{}", std::process::id()));
         std::fs::write(&tmp, self.to_toml())
@@ -446,9 +431,9 @@ impl ControlVerdict {
 /// Runs (or recalls) the campaign's control point: one unfaulted
 /// simulation of the suite's first scenario under the plan's `[sim]`
 /// ablations. The verdict persists to [`CONTROL_FILE`] in the output
-/// dir (when there is one), so resumed and daemon-sliced campaigns
-/// never re-pay the control job; it is also emitted as a
-/// `control_verdict` event when observability is on.
+/// dir, so resumed and daemon-sliced campaigns never re-pay the control
+/// job; it is also emitted as a `control_verdict` event when
+/// observability is on.
 ///
 /// Returns an error when the control job is not survivable and the plan
 /// asserts it (`[control] assert`, default true).
@@ -456,9 +441,9 @@ fn run_control_point(
     plan: &CampaignPlan,
     sim: &SimConfig,
     suite: &ScenarioSuite,
+    dir: &Path,
 ) -> Result<Option<ControlVerdict>, PlanError> {
-    let dir = plan.output.as_ref().map(|o| std::path::PathBuf::from(&o.dir));
-    let verdict = match dir.as_deref().map(ControlVerdict::load).transpose()?.flatten() {
+    let verdict = match ControlVerdict::load(dir)? {
         Some(verdict) => verdict,
         None => {
             let Some(scenario) = suite.scenarios.first() else {
@@ -473,21 +458,19 @@ fn run_control_point(
                 outcome: report.outcome.to_string(),
                 survivable: report.outcome.is_safe(),
             };
-            if let Some(dir) = dir.as_deref() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| PlanError::new(format!("creating {}: {e}", dir.display())))?;
-                verdict.save(dir)?;
-                drivefi_obs::emit_event(
-                    dir,
-                    "control_verdict",
-                    &[
-                        ("scenario", Field::Int(i64::from(verdict.scenario_id))),
-                        ("family", Field::Str(verdict.scenario_name.clone())),
-                        ("outcome", Field::Str(verdict.outcome.clone())),
-                        ("survivable", Field::Bool(verdict.survivable)),
-                    ],
-                );
-            }
+            std::fs::create_dir_all(dir)
+                .map_err(|e| PlanError::new(format!("creating {}: {e}", dir.display())))?;
+            verdict.save(dir)?;
+            drivefi_obs::emit_event(
+                dir,
+                "control_verdict",
+                &[
+                    ("scenario", Field::Int(i64::from(verdict.scenario_id))),
+                    ("family", Field::Str(verdict.scenario_name.clone())),
+                    ("outcome", Field::Str(verdict.outcome.clone())),
+                    ("survivable", Field::Bool(verdict.survivable)),
+                ],
+            );
             verdict
         }
     };
@@ -514,10 +497,6 @@ pub struct CampaignPlan {
     pub seed: u64,
     /// Worker threads (`None` = [`drivefi_sim::default_workers`]).
     pub workers: Option<usize>,
-    /// Result sink (random campaigns only; the exhaustive report shape
-    /// is fixed, so exhaustive plans must leave this at
-    /// [`SinkChoice::Stats`] and their files must omit `sink`).
-    pub sink: SinkChoice,
     /// The scenario workload.
     pub scenarios: ScenarioSelection,
     /// The fault space sampled by random campaigns. Exhaustive
@@ -530,7 +509,7 @@ pub struct CampaignPlan {
     /// ADS ablation switches (`[sim]` section; defaults = no ablation).
     pub sim: SimSection,
     /// Persistent store + report destination (`[output]` section).
-    /// `None` = in-memory results only, as before.
+    /// `None` = a throwaway store, removed once its report is read.
     pub output: Option<OutputSpec>,
     /// Daemon scheduling metadata (`[submit]` section; defaults =
     /// weight 1).
@@ -595,32 +574,21 @@ pub fn campaign_fingerprint(plan: &CampaignPlan) -> u64 {
     drivefi_store::fingerprint64(emit_campaign_plan(&identity).as_bytes())
 }
 
-/// What [`run_plan`] produced.
+/// What [`run_plan`] produced: the report over the campaign's final
+/// records, as saved next to its store (`report.toml` + `jobs.csv`).
+///
+/// One variant, kept an enum because the campaign benchmark package
+/// matches on it; it becomes a plain [`PlanReport`] when that package
+/// next changes.
 #[derive(Debug, Clone)]
 pub enum PlanResult {
-    /// A random campaign's streaming statistics.
-    Random(RandomCampaignStats),
-    /// A random campaign with the per-run outcome list retained.
-    RandomOutcomes {
-        /// Streaming outcome counters.
-        running: RunningStats,
-        /// Every run's outcome, in submission order.
-        outcomes: Vec<Outcome>,
-    },
-    /// The exhaustive ground-truth comparison.
-    Exhaustive(ExhaustiveReport),
-    /// A golden campaign's per-scenario traces, in suite order.
-    Golden(Vec<Trace>),
-    /// A campaign with an `[output]` section: results persisted to the
-    /// store, aggregated into the round-trip report (saved next to the
-    /// shards as `report.toml` + `jobs.csv`).
+    /// The round-trip report over the campaign's store.
     Persisted(PlanReport),
 }
 
-/// Executes a plan through the campaign engine and the standard
-/// drivers. Deterministic: the same plan always produces the same
-/// result, regardless of worker count — and, for plans with an
-/// `[output]` section, regardless of how often the campaign was
+/// Executes a plan through the campaign engine and the store-backed
+/// pipeline. Deterministic: the same plan always produces the same
+/// result, regardless of worker count and of how often the campaign was
 /// interrupted and resumed.
 ///
 /// # Errors
@@ -642,91 +610,71 @@ pub fn run_plan(plan: &CampaignPlan) -> Result<PlanResult, PlanError> {
 /// Returns a [`PlanError`] on store I/O failure, fingerprint mismatch,
 /// or a budget on a store-less plan.
 pub fn run_plan_budget(plan: &CampaignPlan, budget: Option<u64>) -> Result<PlanResult, PlanError> {
-    let sim = plan.sim.sim_config();
-    let suite = plan.scenarios.build_suite();
-    let workers = plan.workers.unwrap_or_else(drivefi_sim::default_workers);
-
-    // The parser rejects this combination; catch hand-built plans too
-    // rather than silently dropping the sink choice — and before the
-    // control point, so an invalid plan never writes `control.toml`.
-    if plan.output.is_some() && plan.sink == SinkChoice::Outcomes {
-        return Err(PlanError::new(
-            "`sink = \"outcomes\"` cannot be combined with an [output] store — the per-job \
-             outcomes are the store's jobs.csv"
-                .into(),
-        ));
-    }
-
-    // The control point gates every injecting campaign kind — before
-    // the store opens, so a failed control never creates or touches one.
-    if matches!(
-        plan.kind,
-        CampaignKind::Random { .. } | CampaignKind::Mine { .. } | CampaignKind::Adaptive { .. }
-    ) {
-        run_control_point(plan, &sim, &suite)?;
-    }
-
     if let Some(output) = &plan.output {
-        return pipeline::run_persisted(plan, output, sim, &suite, workers, budget);
+        return run_on_store(plan, output, budget);
     }
     if budget.is_some() {
         return Err(PlanError::new("a job budget needs an [output] store to resume from".into()));
     }
-    Ok(match plan.kind {
-        CampaignKind::Random { runs } => {
-            let config = RandomCampaignConfig { runs, seed: plan.seed, workers };
-            match plan.sink {
-                SinkChoice::Stats => {
-                    PlanResult::Random(random_space_campaign(&sim, &suite, &plan.faults, &config))
-                }
-                SinkChoice::Outcomes => {
-                    let picks = random_fault_picks(&suite, &plan.faults, &config);
-                    let engine = CampaignEngine::new(sim).with_workers(workers);
-                    let shared = suite.shared();
-                    let jobs = picks.iter().enumerate().map(|(id, &(index, spec))| CampaignJob {
-                        id: id as u64,
-                        scenario: Arc::clone(&shared[index]),
-                        faults: vec![spec.compile()],
-                    });
-                    let mut running = RunningStats::new();
-                    let mut outcomes: Vec<Option<Outcome>> = vec![None; picks.len()];
-                    engine.run(jobs, &mut |index: u64, result: drivefi_sim::CampaignResult| {
-                        outcomes[index as usize] = Some(result.report.outcome);
-                        drivefi_sim::CampaignSink::accept(&mut running, index, result);
-                    });
-                    PlanResult::RandomOutcomes {
-                        running,
-                        outcomes: outcomes
-                            .into_iter()
-                            .map(|o| o.expect("every job produces a result"))
-                            .collect(),
-                    }
-                }
+    let scratch = EphemeralStore::create()?;
+    run_on_store(plan, &scratch.output()?, None)
+}
+
+/// Runs a plan into the store at `output`: the control point first
+/// (it gates every injecting kind before the store opens, so a failed
+/// control never creates one), then the store-backed pipeline.
+fn run_on_store(
+    plan: &CampaignPlan,
+    output: &OutputSpec,
+    budget: Option<u64>,
+) -> Result<PlanResult, PlanError> {
+    let sim = plan.sim.sim_config();
+    let suite = plan.scenarios.build_suite();
+    let workers = plan.workers.unwrap_or_else(drivefi_sim::default_workers);
+    if matches!(
+        plan.kind,
+        CampaignKind::Random { .. } | CampaignKind::Mine { .. } | CampaignKind::Adaptive { .. }
+    ) {
+        run_control_point(plan, &sim, &suite, Path::new(&output.dir))?;
+    }
+    pipeline::run_persisted(plan, output, sim, &suite, workers, budget)
+}
+
+/// The throwaway store a plan without `[output]` runs on: a fresh
+/// directory under [`std::env::temp_dir`], named from the pid and a
+/// process-wide counter. It is made with `create_dir`, so it never
+/// adopts an existing store, and dropping it removes it — once the
+/// report is read, on success and on error alike.
+struct EphemeralStore(PathBuf);
+
+impl EphemeralStore {
+    fn create() -> Result<EphemeralStore, PlanError> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("drivefi-plan-{}-{n}", std::process::id()));
+            match std::fs::create_dir(&dir) {
+                Ok(()) => return Ok(EphemeralStore(dir)),
+                // Left behind by an earlier process with this pid: not
+                // ours to adopt or remove, so take the next name.
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(PlanError::new(format!("creating {}: {e}", dir.display()))),
             }
         }
-        CampaignKind::Exhaustive { scene_stride } => {
-            let traces = collect_golden_traces(&sim, &suite, workers);
-            let config = MinerConfig { scene_stride, ..MinerConfig::default() };
-            let miner = BayesianMiner::fit(&traces, config).expect("model fit on golden traces");
-            PlanResult::Exhaustive(exhaustive_comparison(&sim, &suite, &miner, &traces, workers))
-        }
-        CampaignKind::Golden => PlanResult::Golden(collect_golden_traces(&sim, &suite, workers)),
-        // The parser enforces this; catch hand-built plans too.
-        CampaignKind::Mine { .. } => {
-            return Err(PlanError::new(
-                "`kind = \"mine\"` needs an [output] store — the pipeline persists golden \
-                 traces and resumes its fit and validation sweep from them"
-                    .into(),
-            ))
-        }
-        CampaignKind::Adaptive { .. } => {
-            return Err(PlanError::new(
-                "`kind = \"adaptive\"` needs an [output] store — the acquisition loop persists \
-                 golden traces and per-round sub-stores and resumes from them"
-                    .into(),
-            ))
-        }
-    })
+    }
+
+    fn output(&self) -> Result<OutputSpec, PlanError> {
+        let dir = self.0.to_str().ok_or_else(|| {
+            PlanError::new(format!("temp dir {} is not valid UTF-8", self.0.display()))
+        })?;
+        Ok(OutputSpec::new(dir))
+    }
+}
+
+impl Drop for EphemeralStore {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 impl CampaignPlan {
@@ -736,11 +684,11 @@ impl CampaignPlan {
     /// # Errors
     ///
     /// Returns a [`PlanError`] on I/O or parse failure.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<CampaignPlan, PlanError> {
+    pub fn load(path: impl AsRef<Path>) -> Result<CampaignPlan, PlanError> {
         let path = path.as_ref();
         let src = std::fs::read_to_string(path)
             .map_err(|e| PlanError::new(format!("reading {}: {e}", path.display())))?;
-        let base = path.parent().unwrap_or_else(|| std::path::Path::new("."));
+        let base = path.parent().unwrap_or_else(|| Path::new("."));
         schema::campaign_plan_from_toml(&parse_document(&src)?, Some(base))
             .map_err(|e| PlanError::new(format!("{}: {e}", path.display())))
     }
@@ -750,7 +698,7 @@ impl CampaignPlan {
     /// # Errors
     ///
     /// Returns a [`PlanError`] on I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), PlanError> {
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PlanError> {
         let path = path.as_ref();
         std::fs::write(path, emit_campaign_plan(self))
             .map_err(|e| PlanError::new(format!("writing {}: {e}", path.display())))

@@ -6,10 +6,10 @@
 //! `drivefi-obs` campaign/stage events with their transition-only
 //! finish semantics.
 //!
-//! [`run_persisted`] is the store-backed execution path for every plan
-//! kind: single-stage campaigns (random, golden) run one `"main"` stage
-//! whose store *is* the output dir; `kind = "mine"` and store-backed
-//! exhaustive run golden → fit → sweep through [`run_two_stage`]; and
+//! [`run_persisted`] is the execution path for every plan kind:
+//! single-stage campaigns (random, golden) run one `"main"` stage whose
+//! store *is* the output dir; `kind = "mine"` and `kind = "exhaustive"`
+//! run golden → fit → sweep through [`run_two_stage`]; and
 //! `kind = "adaptive"` layers its acquisition loop on the same engine
 //! in [`super::adaptive`].
 
@@ -466,10 +466,9 @@ pub(super) fn run_persisted(
     Ok(PlanResult::Persisted(report))
 }
 
-/// The store-backed two-stage pipelines: `kind = "mine"` (the paper's
-/// golden → fit → mine → validate loop) and store-backed exhaustive
-/// sweeps (golden → fit → inject every candidate). Stage layout under
-/// the `[output]` dir:
+/// The two-stage pipelines: `kind = "mine"` (the paper's golden → fit →
+/// mine → validate loop) and `kind = "exhaustive"` (golden → fit →
+/// inject every candidate). Stage layout under the `[output]` dir:
 ///
 /// ```text
 /// dir/golden/     trace-logging store of the golden runs

@@ -5,7 +5,7 @@
 
 use super::{
     AdaptiveSection, CampaignKind, CampaignPlan, ControlSection, OutputSpec, ScenarioSelection,
-    SimSection, SinkChoice, SubmitSection,
+    SimSection, SubmitSection,
 };
 use crate::scenario::{
     as_array, as_bool, as_float, as_str, as_table, as_uint, expect_keys, get,
@@ -123,51 +123,23 @@ fn fault_space_from_toml(table: &Map) -> Result<FaultSpace, PlanError> {
 /// Converts a plan to its TOML document tree.
 pub fn campaign_plan_to_toml(plan: &CampaignPlan) -> Map {
     let mut campaign = Map::from([
+        ("kind".into(), Toml::Str(plan.kind.name().into())),
         ("seed".into(), Toml::Int(plan.seed as i64)),
-        (
-            "sink".into(),
-            Toml::Str(match plan.sink {
-                SinkChoice::Stats => "stats".into(),
-                SinkChoice::Outcomes => "outcomes".into(),
-            }),
-        ),
     ]);
     match plan.kind {
         CampaignKind::Random { runs } => {
-            campaign.insert("kind".into(), Toml::Str("random".into()));
             campaign.insert("runs".into(), Toml::Int(runs as i64));
+            // Selects nothing (every plan reports through its store), but
+            // the emitted text is what the store fingerprint hashes, and
+            // existing random stores are locked to a text that has it.
+            campaign.insert("sink".into(), Toml::Str("stats".into()));
         }
-        CampaignKind::Exhaustive { scene_stride } => {
-            campaign.insert("kind".into(), Toml::Str("exhaustive".into()));
+        CampaignKind::Exhaustive { scene_stride }
+        | CampaignKind::Mine { scene_stride }
+        | CampaignKind::Adaptive { scene_stride, .. } => {
             campaign.insert("scene_stride".into(), Toml::Int(scene_stride as i64));
-            // The exhaustive driver has a fixed report and sweeps the
-            // miner's candidate space — `sink` and `[faults]` are
-            // rejected by the parser, so the emitter must omit them.
-            campaign.remove("sink");
         }
-        CampaignKind::Golden => {
-            campaign.insert("kind".into(), Toml::Str("golden".into()));
-            // Golden runs have no faults to sample and a fixed per-
-            // scenario result shape; `sink` and `[faults]` are rejected
-            // by the parser.
-            campaign.remove("sink");
-        }
-        CampaignKind::Mine { scene_stride } => {
-            campaign.insert("kind".into(), Toml::Str("mine".into()));
-            campaign.insert("scene_stride".into(), Toml::Int(scene_stride as i64));
-            // The mining pipeline sweeps the miner's candidate space and
-            // reports through the store; `sink` and `[faults]` are
-            // rejected by the parser.
-            campaign.remove("sink");
-        }
-        CampaignKind::Adaptive { scene_stride, .. } => {
-            campaign.insert("kind".into(), Toml::Str("adaptive".into()));
-            campaign.insert("scene_stride".into(), Toml::Int(scene_stride as i64));
-            // The acquisition loop scores the miner's candidate space
-            // and reports through the store; `sink` and `[faults]` are
-            // rejected by the parser.
-            campaign.remove("sink");
-        }
+        CampaignKind::Golden => {}
     }
     if let Some(workers) = plan.workers {
         campaign.insert("workers".into(), Toml::Int(workers as i64));
@@ -408,97 +380,62 @@ pub(super) fn campaign_plan_from_toml(
         "random" => {
             if campaign.contains_key("scene_stride") {
                 return Err(PlanError::new(
-                    "`scene_stride` is only valid for exhaustive campaigns".into(),
+                    "`scene_stride` is not valid for random campaigns".into(),
                 ));
             }
             let runs = as_uint(get(campaign, "[campaign]", "runs")?, "`runs`")?;
             if runs == 0 {
                 return Err(PlanError::new("`runs` must be at least 1".into()));
             }
+            match campaign.get("sink").map(|v| as_str(v, "`sink`")).transpose()? {
+                None | Some("stats") => {}
+                Some("outcomes") => {
+                    return Err(PlanError::new(
+                        "`sink = \"outcomes\"` is not supported: every plan runs on a store, \
+                         and its report's jobs.csv lists each run's outcome (use \
+                         `sink = \"stats\"` or drop the key)"
+                            .into(),
+                    ))
+                }
+                Some(other) => {
+                    return Err(PlanError::new(format!("unknown sink `{other}` (stats)")))
+                }
+            }
             CampaignKind::Random { runs: runs as usize }
         }
-        "exhaustive" => {
-            if campaign.contains_key("runs") {
-                return Err(PlanError::new("`runs` is only valid for random campaigns".into()));
-            }
-            if campaign.contains_key("sink") {
-                return Err(PlanError::new(
-                    "`sink` is only valid for random campaigns (the exhaustive report is fixed)"
-                        .into(),
-                ));
-            }
-            if doc.contains_key("faults") {
-                return Err(PlanError::new(
-                    "a `[faults]` section is only valid for random campaigns — exhaustive \
-                     campaigns sweep the miner's candidate space"
-                        .into(),
-                ));
-            }
-            CampaignKind::Exhaustive { scene_stride: stride_or_1()? }
-        }
-        "golden" => {
-            for key in ["runs", "scene_stride", "sink"] {
-                if campaign.contains_key(key) {
-                    return Err(PlanError::new(format!(
-                        "`{key}` is not valid for golden campaigns (fault-free trace \
-                         collection over the whole suite)"
-                    )));
-                }
-            }
-            if doc.contains_key("faults") {
-                return Err(PlanError::new(
-                    "a `[faults]` section is not valid for golden campaigns — golden runs \
-                     inject nothing"
-                        .into(),
-                ));
-            }
-            CampaignKind::Golden
-        }
-        "mine" => {
-            for key in ["runs", "sink"] {
-                if campaign.contains_key(key) {
-                    return Err(PlanError::new(format!(
-                        "`{key}` is not valid for mine campaigns (the pipeline's stages and \
-                         report shape are fixed)"
-                    )));
-                }
-            }
-            if doc.contains_key("faults") {
-                return Err(PlanError::new(
-                    "a `[faults]` section is not valid for mine campaigns — the miner \
-                     sweeps its own candidate space"
-                        .into(),
-                ));
-            }
-            CampaignKind::Mine { scene_stride: stride_or_1()? }
-        }
-        "adaptive" => {
-            for key in ["runs", "sink"] {
-                if campaign.contains_key(key) {
-                    return Err(PlanError::new(format!(
-                        "`{key}` is not valid for adaptive campaigns (the acquisition loop's \
-                         stages and report shape are fixed)"
-                    )));
-                }
-            }
-            if doc.contains_key("faults") {
-                return Err(PlanError::new(
-                    "a `[faults]` section is not valid for adaptive campaigns — the \
-                     acquisition loop scores the miner's candidate space"
-                        .into(),
-                ));
-            }
-            CampaignKind::Adaptive {
-                scene_stride: stride_or_1()?,
-                adaptive: AdaptiveSection::default(),
-            }
-        }
+        "exhaustive" => CampaignKind::Exhaustive { scene_stride: stride_or_1()? },
+        "golden" => CampaignKind::Golden,
+        "mine" => CampaignKind::Mine { scene_stride: stride_or_1()? },
+        "adaptive" => CampaignKind::Adaptive {
+            scene_stride: stride_or_1()?,
+            adaptive: AdaptiveSection::default(),
+        },
         other => {
             return Err(PlanError::new(format!(
                 "unknown campaign kind `{other}` (random, exhaustive, golden, mine, adaptive)"
             )))
         }
     };
+    // The other kinds run the suite's golden runs and the miner's
+    // candidates: a budget, a sink or a fault space is rejected rather
+    // than silently ignored.
+    if kind_name != "random" {
+        let not_valid = |what: &str| {
+            PlanError::new(format!(
+                "{what} is not valid for {kind_name} campaigns (only random campaigns draw \
+                 their jobs from a budget and a fault space)"
+            ))
+        };
+        let golden_only: &[&str] = if kind_name == "golden" { &["scene_stride"] } else { &[] };
+        for key in ["runs", "sink"].iter().chain(golden_only) {
+            if campaign.contains_key(*key) {
+                return Err(not_valid(&format!("`{key}`")));
+            }
+        }
+        if doc.contains_key("faults") {
+            return Err(not_valid("a `[faults]` section"));
+        }
+    }
     let seed = match campaign.get("seed") {
         None => 0,
         Some(v) => as_uint(v, "`seed`")?,
@@ -512,16 +449,6 @@ pub(super) fn campaign_plan_from_toml(
             }
             Some(w as usize)
         }
-    };
-    let sink = match campaign.get("sink") {
-        None => SinkChoice::Stats,
-        Some(v) => match as_str(v, "`sink`")? {
-            "stats" => SinkChoice::Stats,
-            "outcomes" => SinkChoice::Outcomes,
-            other => {
-                return Err(PlanError::new(format!("unknown sink `{other}` (stats, outcomes)")))
-            }
-        },
     };
 
     let scenarios = scenarios_from_toml(
@@ -553,31 +480,8 @@ pub(super) fn campaign_plan_from_toml(
 
     let output = match doc.get("output") {
         None => None,
-        Some(value) => {
-            if sink == SinkChoice::Outcomes {
-                return Err(PlanError::new(
-                    "`sink = \"outcomes\"` cannot be combined with an `[output]` store — \
-                     the per-job outcomes are the store's jobs.csv"
-                        .into(),
-                ));
-            }
-            Some(output_spec_from_toml(as_table(value, "[output]")?)?)
-        }
+        Some(value) => Some(output_spec_from_toml(as_table(value, "[output]")?)?),
     };
-    if matches!(kind, CampaignKind::Mine { .. }) && output.is_none() {
-        return Err(PlanError::new(
-            "`kind = \"mine\"` needs an [output] section — the pipeline persists golden \
-             traces and resumes its fit and validation sweep from them"
-                .into(),
-        ));
-    }
-    if matches!(kind, CampaignKind::Adaptive { .. }) && output.is_none() {
-        return Err(PlanError::new(
-            "`kind = \"adaptive\"` needs an [output] section — the acquisition loop persists \
-             golden traces and per-round sub-stores and resumes from them"
-                .into(),
-        ));
-    }
 
     let submit = match doc.get("submit") {
         None => SubmitSection::default(),
@@ -589,19 +493,7 @@ pub(super) fn campaign_plan_from_toml(
         Some(value) => control_section_from_toml(as_table(value, "[control]")?)?,
     };
 
-    Ok(CampaignPlan {
-        name,
-        kind,
-        seed,
-        workers,
-        sink,
-        scenarios,
-        faults,
-        sim,
-        output,
-        submit,
-        control,
-    })
+    Ok(CampaignPlan { name, kind, seed, workers, scenarios, faults, sim, output, submit, control })
 }
 
 fn adaptive_section_from_toml(table: &Map) -> Result<AdaptiveSection, PlanError> {

@@ -1,6 +1,8 @@
 use super::*;
 use drivefi_ads::Signal;
+use drivefi_core::{collect_golden_traces, BayesianMiner, MinerConfig};
 use drivefi_fault::{CorruptionGrid, ScalarFaultModel};
+use std::collections::BTreeSet;
 
 fn tiny_random_plan() -> CampaignPlan {
     CampaignPlan {
@@ -8,7 +10,6 @@ fn tiny_random_plan() -> CampaignPlan {
         kind: CampaignKind::Random { runs: 6 },
         seed: 3,
         workers: Some(4),
-        sink: SinkChoice::Stats,
         scenarios: ScenarioSelection::Paper { count: 2, seed: 42 },
         faults: FaultSpace::default(),
         sim: SimSection::default(),
@@ -27,7 +28,6 @@ fn tiny_adaptive_plan() -> CampaignPlan {
         },
         seed: 0,
         workers: Some(2),
-        sink: SinkChoice::Stats,
         scenarios: ScenarioSelection::Paper { count: 2, seed: 42 },
         faults: FaultSpace::default(),
         sim: SimSection::default(),
@@ -46,7 +46,6 @@ fn plans_round_trip_through_toml() {
             kind: CampaignKind::Exhaustive { scene_stride: 40 },
             seed: 0,
             workers: Some(8),
-            sink: SinkChoice::Stats,
             scenarios: ScenarioSelection::Families {
                 names: vec!["cut_in".into(), "tailgater".into()],
                 count: 3,
@@ -63,7 +62,6 @@ fn plans_round_trip_through_toml() {
             kind: CampaignKind::Random { runs: 40 },
             seed: 0,
             workers: None,
-            sink: SinkChoice::Outcomes,
             scenarios: ScenarioSelection::Families {
                 names: vec!["cut_in".into(), "tailgater".into()],
                 count: 3,
@@ -93,7 +91,6 @@ fn plans_round_trip_through_toml() {
             kind: CampaignKind::Random { runs: 4 },
             seed: 9,
             workers: None,
-            sink: SinkChoice::Stats,
             scenarios: ScenarioSelection::Inline {
                 specs: vec![drivefi_world::FamilyRegistry::builtin()
                     .get("debris_field")
@@ -141,16 +138,18 @@ fn malformed_plans_are_rejected() {
         (base.replace("window_scenes = 1", "window_scenes = 0"), "window_scenes"),
         (base.replace("seed = 3", "velocity = 3"), "unknown key"),
         (base.replace("count = 2", "count = 0"), "count"),
+        (base.replace("sink = \"stats\"", "sink = \"outcomes\""), "jobs.csv"),
+        (base.replace("sink = \"stats\"", "sink = \"tally\""), "unknown sink"),
         // An exhaustive campaign cannot carry a [faults] section or
         // a sink — rejected rather than silently ignored.
         (
             base.replace("kind = \"random\"\nruns = 6", "kind = \"exhaustive\"")
                 .replace("sink = \"stats\"\n", ""),
-            "`[faults]` section is only valid for random",
+            "`[faults]` section is not valid for exhaustive",
         ),
         (
             without_faults.replace("kind = \"random\"\nruns = 6", "kind = \"exhaustive\""),
-            "`sink` is only valid for random",
+            "`sink` is not valid for exhaustive",
         ),
     ] {
         let err =
@@ -177,19 +176,6 @@ fn adaptive_plans_round_trip_and_enforce_their_schema() {
     let default_text = emit_campaign_plan(&defaulted);
     assert!(!default_text.contains("[adaptive]"), "{default_text}");
     assert_eq!(parse_campaign_plan(&default_text).unwrap(), defaulted);
-
-    // An adaptive plan without an [output] store is rejected at parse
-    // time...
-    let start = text.find("\n[output]").expect("adaptive plan has an [output] section");
-    let end = text.find("\n[scenarios]").expect("sections emit alphabetically");
-    let without_output = format!("{}{}", &text[..start], &text[end..]);
-    let err = parse_campaign_plan(&without_output).expect_err("adaptive without [output]");
-    assert!(err.to_string().contains("[output]"), "got: {err}");
-    // ...and at run time for hand-built plans.
-    let mut no_output = plan.clone();
-    no_output.output = None;
-    let err = run_plan(&no_output).expect_err("adaptive without output store");
-    assert!(err.to_string().contains("[output]"), "got: {err}");
 
     // Invalid knobs and misplaced sections are rejected, not ignored.
     for (mutation, needle) in [
@@ -407,7 +393,6 @@ fn mine_plans_round_trip_and_enforce_their_schema() {
         kind: CampaignKind::Mine { scene_stride: 25 },
         seed: 0,
         workers: Some(4),
-        sink: SinkChoice::Stats,
         scenarios: ScenarioSelection::Paper { count: 2, seed: 42 },
         faults: FaultSpace::default(),
         sim: SimSection::default(),
@@ -419,19 +404,6 @@ fn mine_plans_round_trip_and_enforce_their_schema() {
     assert!(!text.contains("sink"), "mine plans carry no sink:\n{text}");
     assert_eq!(parse_campaign_plan(&text).unwrap(), plan);
     assert_eq!(plan.kind.store_subdir(), Some(VALIDATE_SUBDIR));
-
-    // A mine plan without an [output] store is rejected at parse time
-    // (the pipeline is resumable-from-disk by definition)...
-    let start = text.find("\n[output]").expect("mine plan has an [output] section");
-    let end = text.find("\n[scenarios]").expect("sections emit alphabetically");
-    let without_output = format!("{}{}", &text[..start], &text[end..]);
-    let err = parse_campaign_plan(&without_output).expect_err("mine without [output]");
-    assert!(err.to_string().contains("[output]"), "got: {err}");
-    // ...and at run time for hand-built plans.
-    let mut no_output = plan.clone();
-    no_output.output = None;
-    let err = run_plan(&no_output).expect_err("mine without output store");
-    assert!(err.to_string().contains("[output]"), "got: {err}");
 
     // runs / sink / [faults] are rejected rather than ignored.
     for (mutation, needle) in [
@@ -470,7 +442,6 @@ fn mine_plans_are_byte_identical_at_any_worker_count() {
             kind: CampaignKind::Mine { scene_stride: 25 },
             seed: 0,
             workers: Some(workers),
-            sink: SinkChoice::Stats,
             scenarios: ScenarioSelection::Paper { count: 4, seed: 42 },
             faults: FaultSpace::default(),
             sim: SimSection::default(),
@@ -478,7 +449,7 @@ fn mine_plans_are_byte_identical_at_any_worker_count() {
             control: Default::default(),
             output: Some(OutputSpec::new(out.to_string_lossy().into_owned())),
         };
-        let PlanResult::Persisted(report) = run_plan(&plan).unwrap() else { panic!() };
+        let PlanResult::Persisted(report) = run_plan(&plan).unwrap();
         assert!(report.complete() && !report.jobs.is_empty(), "nothing mined");
         out
     };
@@ -642,37 +613,18 @@ fn submit_section_parses_validates_and_round_trips() {
 
 #[test]
 fn outcome_sink_cannot_combine_with_an_output_store() {
-    let mut plan = tiny_random_plan();
-    plan.sink = SinkChoice::Outcomes;
-    plan.output = Some(OutputSpec::new("out/x"));
-    // Hand-built plans error at run time, before anything — the
-    // control point included — touches the output directory...
-    let err = run_plan(&plan).expect_err("outcomes + output");
+    // Every plan runs on a store, whose jobs.csv lists each run's
+    // outcome: `sink = "outcomes"` is a parse error pointing there.
+    let plan = CampaignPlan { output: Some(OutputSpec::new("out/x")), ..tiny_random_plan() };
+    let text = emit_campaign_plan(&plan).replace("sink = \"stats\"", "sink = \"outcomes\"");
+    let err = parse_campaign_plan(&text).expect_err("outcomes + output parses");
     assert!(err.to_string().contains("jobs.csv"), "got: {err}");
-    assert!(!std::path::Path::new("out/x").exists(), "invalid plan must not create its store");
-    // ...and plan files at parse time.
-    let text = "name = \"x\"\n\n[campaign]\nkind = \"random\"\nruns = 2\n\
-                sink = \"outcomes\"\n\n[scenarios]\nsource = \"paper\"\ncount = 1\n\
-                seed = 0\n\n[output]\ndir = \"out/x\"\n";
-    let err = parse_campaign_plan(text).expect_err("outcomes + output parses");
-    assert!(err.to_string().contains("outcomes"), "got: {err}");
 }
 
 #[test]
 fn golden_plans_round_trip_and_reject_fault_config() {
-    let plan = CampaignPlan {
-        name: "golden".into(),
-        kind: CampaignKind::Golden,
-        seed: 0,
-        workers: Some(2),
-        sink: SinkChoice::Stats,
-        scenarios: ScenarioSelection::Paper { count: 2, seed: 42 },
-        faults: FaultSpace::default(),
-        sim: SimSection::default(),
-        submit: Default::default(),
-        control: Default::default(),
-        output: None,
-    };
+    let plan =
+        CampaignPlan { name: "golden".into(), kind: CampaignKind::Golden, ..tiny_random_plan() };
     let text = emit_campaign_plan(&plan);
     assert!(!text.contains("sink"), "golden plans carry no sink:\n{text}");
     assert_eq!(parse_campaign_plan(&text).unwrap(), plan);
@@ -690,54 +642,144 @@ fn golden_plans_round_trip_and_reject_fault_config() {
 
 #[test]
 fn golden_plans_collect_the_suite_traces() {
+    let dir = std::env::temp_dir().join(format!("drivefi-plan-golden-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     let plan = CampaignPlan {
         name: "golden".into(),
         kind: CampaignKind::Golden,
-        seed: 0,
-        workers: Some(2),
-        sink: SinkChoice::Stats,
-        scenarios: ScenarioSelection::Paper { count: 2, seed: 42 },
-        faults: FaultSpace::default(),
-        sim: SimSection::default(),
-        submit: Default::default(),
-        control: Default::default(),
-        output: None,
+        output: Some(OutputSpec::new(dir.to_string_lossy().into_owned())),
+        ..tiny_random_plan()
     };
-    let PlanResult::Golden(traces) = run_plan(&plan).unwrap() else {
-        panic!("golden plan must produce traces");
-    };
+    let PlanResult::Persisted(report) = run_plan(&plan).unwrap();
+    assert!(report.complete());
+    let (_, traces) = drivefi_store::read_traces(&dir).unwrap();
     let typed = collect_golden_traces(&SimConfig::default(), &ScenarioSuite::generate(2, 42), 2);
     assert_eq!(traces.len(), 2);
-    for (plan_trace, typed_trace) in traces.iter().zip(&typed) {
+    for ((record, plan_trace), typed_trace) in report.jobs.iter().zip(&traces).zip(&typed) {
+        assert_eq!(record.fault, None, "golden runs inject nothing");
         assert_eq!(plan_trace.scenario_id, typed_trace.scenario_id);
         assert_eq!(plan_trace.frames.len(), typed_trace.frames.len());
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Serializes the tests that run plans without `[output]`, so the
+/// leftover checks see no other test's live throwaway store.
+static NO_OUTPUT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn no_output_lock() -> std::sync::MutexGuard<'static, ()> {
+    NO_OUTPUT.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// This process's throwaway stores currently under the temp dir.
+fn throwaway_stores() -> Vec<PathBuf> {
+    let prefix = format!("drivefi-plan-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|entry| entry.ok())
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with(&prefix))
+        .map(|entry| entry.path())
+        .collect()
 }
 
 #[test]
-fn persisted_random_plan_matches_in_memory_stats() {
-    let dir = std::env::temp_dir().join(format!("drivefi-plan-store-{}", std::process::id()));
+fn plans_without_output_return_the_report_their_store_saves() {
+    let _lock = no_output_lock();
+    let dir = std::env::temp_dir().join(format!("drivefi-plan-saved-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let mut plan = tiny_random_plan();
-    plan.output = Some(OutputSpec::new(dir.to_string_lossy().into_owned()));
-    let PlanResult::Persisted(report) = run_plan(&plan).unwrap() else {
-        panic!("output plans persist");
-    };
-    assert!(report.complete());
-    assert_eq!(report.kind, "random");
+    let tiny = |name: &str, kind| CampaignPlan { name: name.into(), kind, ..tiny_random_plan() };
+    let plans = [
+        tiny_random_plan(),
+        tiny("golden", CampaignKind::Golden),
+        tiny("exhaustive", CampaignKind::Exhaustive { scene_stride: 40 }),
+        tiny("mine", CampaignKind::Mine { scene_stride: 25 }),
+        tiny("adaptive", tiny_adaptive_plan().kind),
+    ];
+    for plan in plans {
+        // Every kind parses without [output] and runs on a throwaway store.
+        assert_eq!(parse_campaign_plan(&emit_campaign_plan(&plan)).unwrap(), plan);
+        let PlanResult::Persisted(throwaway) = run_plan(&plan).unwrap();
+        assert!(throwaway.complete() && !throwaway.jobs.is_empty(), "{}", plan.name);
+        let out = dir.join(&plan.name);
+        let stored = CampaignPlan {
+            output: Some(OutputSpec::new(out.to_string_lossy().into_owned())),
+            ..plan.clone()
+        };
+        let PlanResult::Persisted(returned) = run_plan(&stored).unwrap();
+        let saved = crate::report::PlanReport::load(&out).unwrap();
+        assert_eq!(returned, saved, "{}: returned report differs from the saved one", plan.name);
+        assert_eq!(throwaway, saved, "{}: the throwaway run differs from the store", plan.name);
+    }
+    assert!(throwaway_stores().is_empty(), "left behind: {:?}", throwaway_stores());
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    plan.output = None;
-    let PlanResult::Random(stats) = run_plan(&plan).unwrap() else {
-        panic!("expected random stats");
-    };
-    assert_eq!(report.jobs.len(), stats.runs);
-    assert_eq!(report.safe(), stats.safe as u64);
-    assert_eq!(report.hazards(), stats.hazards as u64);
-    assert_eq!(report.collisions(), stats.collisions as u64);
-    assert_eq!(report.effective_injections(), stats.effective_injections as u64);
-    // The saved artifact loads back equal.
-    assert_eq!(crate::report::PlanReport::load(&dir).unwrap(), report);
-    std::fs::remove_dir_all(&dir).ok();
+#[test]
+fn throwaway_stores_leave_nothing_behind() {
+    let _lock = no_output_lock();
+    assert!(throwaway_stores().is_empty(), "left behind: {:?}", throwaway_stores());
+    let PlanResult::Persisted(report) = run_plan(&tiny_random_plan()).unwrap();
+    assert!(report.complete());
+    assert!(throwaway_stores().is_empty(), "left behind: {:?}", throwaway_stores());
+
+    // A failed control point errors out of the run, and still removes
+    // the throwaway store it ran in. A planner that never replans drives
+    // straight into the stalled vehicle.
+    let mut doomed = tiny_random_plan();
+    doomed.scenarios =
+        ScenarioSelection::Families { names: vec!["stalled_vehicle".into()], count: 1, seed: 1 };
+    doomed.sim.planner_divisor = u32::MAX;
+    let err = run_plan(&doomed).expect_err("the control job is not survivable");
+    assert!(err.to_string().contains("control job failed"), "got: {err}");
+    assert!(throwaway_stores().is_empty(), "left behind: {:?}", throwaway_stores());
+
+    // A budget without [output] is an error, and creates nothing.
+    let err = run_plan_budget(&tiny_random_plan(), Some(1)).expect_err("budget without a store");
+    assert!(err.to_string().contains("[output]"), "got: {err}");
+    assert!(throwaway_stores().is_empty(), "left behind: {:?}", throwaway_stores());
+}
+
+#[test]
+fn parallel_runs_without_output_do_not_collide() {
+    let _lock = no_output_lock();
+    // Different seeds: two runs sharing one store would refuse each
+    // other's fingerprint or mix their records.
+    let plans = [tiny_random_plan(), CampaignPlan { seed: 4, ..tiny_random_plan() }];
+    let start = std::sync::Barrier::new(plans.len());
+    let parallel: Vec<PlanResult> = std::thread::scope(|scope| {
+        let run = |plan| {
+            start.wait();
+            run_plan(plan)
+        };
+        let handles: Vec<_> = plans.iter().map(|plan| scope.spawn(move || run(plan))).collect();
+        handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect()
+    });
+    for (plan, PlanResult::Persisted(report)) in plans.iter().zip(parallel) {
+        let PlanResult::Persisted(serial) = run_plan(plan).unwrap();
+        assert_eq!(report, serial);
+    }
+    assert!(throwaway_stores().is_empty(), "left behind: {:?}", throwaway_stores());
+}
+
+#[test]
+fn run_plan_matches_typed_random_campaign() {
+    // Job i of a random plan injects pick i of the typed sampling stream:
+    // the plan adds scheduling and persistence, never a different draw.
+    let _lock = no_output_lock();
+    let plan = tiny_random_plan();
+    let PlanResult::Persisted(report) = run_plan(&plan).unwrap();
+    let suite = ScenarioSuite::generate(2, 42);
+    let config = drivefi_core::RandomCampaignConfig { runs: 6, seed: 3, workers: 4 };
+    let picks = drivefi_core::random_fault_picks(&suite, &FaultSpace::default(), &config);
+    let typed = drivefi_core::pick_record_metas(&suite, &picks);
+    assert_eq!(report.jobs.len(), typed.len());
+    for (job, (record, meta)) in report.jobs.iter().zip(&typed).enumerate() {
+        assert_eq!(record.job, job as u64);
+        assert_eq!(
+            (record.scenario_id, record.scenario_seed, record.fault),
+            (meta.scenario_id, meta.scenario_seed, meta.fault)
+        );
+    }
 }
 
 #[test]
@@ -749,13 +791,13 @@ fn budget_capped_run_resumes_to_the_same_report() {
 
     let mut plan = tiny_random_plan();
     plan.output = Some(OutputSpec::new(full_dir.to_string_lossy().into_owned()));
-    let PlanResult::Persisted(full) = run_plan(&plan).unwrap() else { panic!() };
+    let PlanResult::Persisted(full) = run_plan(&plan).unwrap();
 
     plan.output = Some(OutputSpec::new(part_dir.to_string_lossy().into_owned()));
-    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(2)).unwrap() else { panic!() };
+    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(2)).unwrap();
     assert_eq!(partial.jobs.len(), 2);
     assert!(!partial.complete());
-    let PlanResult::Persisted(resumed) = run_plan(&plan).unwrap() else { panic!() };
+    let PlanResult::Persisted(resumed) = run_plan(&plan).unwrap();
     assert!(resumed.complete());
     assert_eq!(resumed.jobs, full.jobs);
     for file in [crate::report::REPORT_FILE, crate::report::JOBS_FILE] {
@@ -775,39 +817,140 @@ fn budget_capped_run_resumes_to_the_same_report() {
 }
 
 #[test]
-fn run_plan_matches_typed_random_campaign() {
-    let plan = tiny_random_plan();
-    let PlanResult::Random(from_plan) = run_plan(&plan).unwrap() else {
-        panic!("expected random stats");
+fn small_random_campaign_mostly_safe() {
+    let _lock = no_output_lock();
+    let plan = CampaignPlan {
+        kind: CampaignKind::Random { runs: 60 },
+        seed: 1,
+        workers: Some(8),
+        scenarios: ScenarioSelection::Paper { count: 8, seed: 42 },
+        ..tiny_random_plan()
     };
-    let suite = ScenarioSuite::generate(2, 42);
-    let typed = random_space_campaign(
-        &SimConfig::default(),
-        &suite,
-        &FaultSpace::default(),
-        &RandomCampaignConfig { runs: 6, seed: 3, workers: 4 },
-    );
-    assert_eq!(from_plan.runs, typed.runs);
-    assert_eq!(from_plan.safe, typed.safe);
-    assert_eq!(from_plan.hazards, typed.hazards);
-    assert_eq!(from_plan.collisions, typed.collisions);
-    assert_eq!(from_plan.effective_injections, typed.effective_injections);
-    assert_eq!(from_plan.hazard_details, typed.hazard_details);
+    let PlanResult::Persisted(report) = run_plan(&plan).unwrap();
+    assert_eq!(report.jobs.len(), 60);
+    assert_eq!(report.safe() + report.hazards() + report.collisions(), 60);
+    // The paper's headline: random injections essentially never
+    // produce hazards.
+    assert!(report.hazard_rate() < 0.1, "hazard rate {}", report.hazard_rate());
+    assert!(report.effective_injections() > 30);
 }
 
 #[test]
-fn outcome_sink_agrees_with_stats_sink() {
-    let mut plan = tiny_random_plan();
-    plan.sink = SinkChoice::Outcomes;
-    let PlanResult::RandomOutcomes { running, outcomes } = run_plan(&plan).unwrap() else {
-        panic!("expected outcome list");
+fn campaign_is_reproducible() {
+    let _lock = no_output_lock();
+    let plan = CampaignPlan {
+        kind: CampaignKind::Random { runs: 20 },
+        seed: 9,
+        scenarios: ScenarioSelection::Paper { count: 4, seed: 42 },
+        ..tiny_random_plan()
     };
-    assert_eq!(outcomes.len(), 6);
-    let hazardous = outcomes.iter().filter(|o| o.is_hazardous()).count();
-    assert_eq!(hazardous, running.hazards + running.collisions);
-    plan.sink = SinkChoice::Stats;
-    let PlanResult::Random(stats) = run_plan(&plan).unwrap() else {
-        panic!("expected random stats");
+    let PlanResult::Persisted(a) = run_plan(&plan).unwrap();
+    let PlanResult::Persisted(b) = run_plan(&plan).unwrap();
+    assert_eq!(a.jobs, b.jobs);
+}
+
+#[test]
+fn module_fault_spaces_sample_and_run() {
+    let _lock = no_output_lock();
+    // A space of only module-level faults (hang / freeze / clear)
+    // exercises the non-scalar half of the FaultSpace API end to end.
+    let plan = CampaignPlan {
+        kind: CampaignKind::Random { runs: 12 },
+        seed: 5,
+        scenarios: ScenarioSelection::Paper { count: 4, seed: 42 },
+        faults: FaultSpace {
+            scalars: CorruptionGrid::new(Vec::new(), Vec::new()),
+            modules: vec![
+                drivefi_fault::FaultKind::ClearWorldModel,
+                drivefi_fault::FaultKind::FreezeWorldModel,
+                drivefi_fault::FaultKind::ModuleHang { stage: drivefi_ads::Stage::Planning },
+            ],
+            first_scene: 20,
+            tail_margin: 40,
+            window_scenes: 4,
+        },
+        ..tiny_random_plan()
     };
-    assert_eq!(stats.hazards + stats.collisions, hazardous);
+    let PlanResult::Persisted(report) = run_plan(&plan).unwrap();
+    assert_eq!(report.jobs.len(), 12);
+    assert!(report.effective_injections() > 0, "module faults never landed");
+    for record in &report.jobs {
+        let fault = record.fault.expect("every random job injects");
+        assert!(fault.window.scene >= 20);
+        assert!(fault.kind.target_name().contains('.'));
+    }
+}
+
+#[test]
+fn small_exhaustive_sweep_is_coherent() {
+    // A deliberately tiny corpus (2 scenarios, aggressive stride) so the
+    // exhaustive sweep stays test-sized.
+    let dir = std::env::temp_dir().join(format!("drivefi-plan-exhaustive-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let plan = CampaignPlan {
+        kind: CampaignKind::Exhaustive { scene_stride: 40 },
+        workers: Some(8),
+        output: Some(OutputSpec::new(dir.to_string_lossy().into_owned())),
+        ..tiny_random_plan()
+    };
+    let PlanResult::Persisted(report) = run_plan(&plan).unwrap();
+    assert!(report.complete() && !report.jobs.is_empty());
+    let keys = |hazardous_only: bool| -> BTreeSet<_> {
+        let jobs = report.jobs.iter().filter(|r| !hazardous_only || r.outcome.is_hazardous());
+        jobs.map(|r| (r.scenario_id, r.fault.unwrap().key())).collect()
+    };
+    let (swept, truth) = (keys(false), keys(true));
+    assert_eq!(swept.len(), report.jobs.len(), "every candidate is swept once");
+    assert_eq!(truth.len() as u64, report.hazards() + report.collisions());
+
+    // The miner, refitted from the golden sub-store, flags only faults
+    // the sweep injected — so precision and recall are well defined.
+    let config = MinerConfig { scene_stride: 40, ..MinerConfig::default() };
+    let (miner, traces) = BayesianMiner::fit_from_store(dir.join(GOLDEN_SUBDIR), config).unwrap();
+    let mined: BTreeSet<_> =
+        miner.mine(&traces).iter().map(|c| (c.scenario_id, c.fault_spec().key())).collect();
+    assert!(mined.is_subset(&swept), "the miner flagged a fault the sweep never injected");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shipped_plan_fingerprints_are_pinned() {
+    // Every existing store of a shipped plan is locked to its
+    // fingerprint, so a schema edit that moves one strands those stores.
+    let pinned: &[(&str, u64)] = &[
+        ("adaptive_random_baseline.toml", 0x68a6bc00ee28b9eb),
+        ("adaptive_small.toml", 0xd2012095ca6dbe6c),
+        ("dsl_from_file.toml", 0x9ba583efe06efa65),
+        ("exhaustive_small.toml", 0x87acc7904523ada0),
+        ("golden_baseline.toml", 0x9c73f18d5ae0751f),
+        ("mine_small.toml", 0xf20b98469dd3b8e9),
+        ("module_faults.toml", 0x521bd4d6637805e0),
+        ("paper/e11_exhaustive.toml", 0xe77b54c617fe3e81),
+        ("paper/e2_random.toml", 0xa8e4de3c48c48133),
+        ("paper/e3_mine.toml", 0x02ff8dd0db4481be),
+        ("persistent_random.toml", 0x18f63591c0c31fa1),
+        ("random_baseline.toml", 0x26a0495c0c3c0e29),
+        ("served_sweep.toml", 0x973c4f0d8ed82bfd),
+    ];
+    let plans = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../plans");
+    let mut shipped: Vec<String> = ["", "paper/"]
+        .iter()
+        .flat_map(|sub| {
+            std::fs::read_dir(plans.join(sub)).unwrap().filter_map(move |entry| {
+                let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+                name.ends_with(".toml").then(|| format!("{sub}{name}"))
+            })
+        })
+        .collect();
+    shipped.sort();
+    let names: Vec<&str> = pinned.iter().map(|(name, _)| *name).collect();
+    assert_eq!(shipped, names, "every shipped plan needs a pinned fingerprint");
+    for (name, fingerprint) in pinned {
+        let plan = CampaignPlan::load(plans.join(name)).unwrap();
+        assert_eq!(
+            format!("{:016x}", campaign_fingerprint(&plan)),
+            format!("{fingerprint:016x}"),
+            "{name}: fingerprint moved"
+        );
+    }
 }

@@ -12,9 +12,9 @@
 //!   scenario families ship as files without recompiling;
 //! * [`campaign`] — [`CampaignPlan`]: campaign kind + scenario
 //!   selection + [`drivefi_fault::FaultSpace`] + budget/seed/workers +
-//!   sink choice + ablation switches + persistent `[output]` store,
-//!   with [`run_plan`] executing through the same
-//!   `CampaignEngine`-backed drivers as the typed API;
+//!   ablation switches + persistent `[output]` store, with [`run_plan`]
+//!   running every kind through one store-backed pipeline (a plan
+//!   without `[output]` gets a throwaway store);
 //! * [`report`] — [`PlanReport`]: the round-trip result artifact
 //!   (summary TOML + per-job CSV) aggregated from a `drivefi-store`
 //!   directory, so whole experiments round-trip (plan in → report out)
@@ -26,10 +26,8 @@
 //! use drivefi_plan::{run_plan, CampaignPlan, PlanResult};
 //!
 //! let plan = CampaignPlan::load("plans/random_baseline.toml").unwrap();
-//! match run_plan(&plan).unwrap() {
-//!     PlanResult::Random(stats) => println!("hazard rate {:.3}", stats.hazard_rate()),
-//!     other => println!("{other:?}"),
-//! }
+//! let PlanResult::Persisted(report) = run_plan(&plan).unwrap();
+//! println!("hazard rate {:.3}", report.hazard_rate());
 //! ```
 
 pub mod campaign;
@@ -44,8 +42,8 @@ pub use campaign::{
     campaign_fingerprint, campaign_plan_to_toml, emit_campaign_plan, parse_campaign_plan,
     round_dirs, round_subdir, run_plan, run_plan_budget, AdaptiveProgress, AdaptiveSection,
     CampaignKind, CampaignPlan, ControlSection, ControlVerdict, OutputSpec, PlanResult,
-    RoundSummary, ScenarioSelection, SimSection, SinkChoice, SubmitSection, CONTROL_FILE,
-    FINGERPRINT_EXCLUDED, GOLDEN_SUBDIR, ROUNDS_FILE, ROUND_PREFIX, SWEEP_SUBDIR, VALIDATE_SUBDIR,
+    RoundSummary, ScenarioSelection, SimSection, SubmitSection, CONTROL_FILE, FINGERPRINT_EXCLUDED,
+    GOLDEN_SUBDIR, ROUNDS_FILE, ROUND_PREFIX, SWEEP_SUBDIR, VALIDATE_SUBDIR,
 };
 pub use diff::{diff_records, diff_stores, CellDelta, StoreDiff};
 pub use expr::{emit_expr, parse_expr};

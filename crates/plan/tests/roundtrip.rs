@@ -7,7 +7,7 @@ use drivefi_fault::{CorruptionGrid, FaultKind, FaultSpace, ScalarFaultModel};
 use drivefi_plan::{
     emit_campaign_plan, emit_expr, emit_scenario_spec, parse_campaign_plan, parse_expr,
     parse_scenario_spec, AdaptiveSection, CampaignKind, CampaignPlan, ControlSection, OutputSpec,
-    ScenarioSelection, SimSection, SinkChoice, SubmitSection,
+    ScenarioSelection, SimSection, SubmitSection,
 };
 use drivefi_world::spec::{
     ActorTemplate, EgoSpec, Expr, KeyframeProgram, LaneChangeTemplate, ManeuverTemplate, RoadSpec,
@@ -238,16 +238,13 @@ fn arb_plan(rng: &mut StdRng) -> CampaignPlan {
         },
         _ => CampaignKind::Golden,
     };
-    // Only random campaigns carry a custom fault space or sink choice:
-    // the exhaustive report shape is fixed and golden runs inject
+    // Only random campaigns carry a custom fault space: the pipeline
+    // kinds sweep the miner's candidate space and golden runs inject
     // nothing.
-    let (sink, faults) = if matches!(kind, CampaignKind::Random { .. }) {
-        (
-            if rng.random::<bool>() { SinkChoice::Stats } else { SinkChoice::Outcomes },
-            arb_fault_space(rng),
-        )
+    let faults = if matches!(kind, CampaignKind::Random { .. }) {
+        arb_fault_space(rng)
     } else {
-        (SinkChoice::Stats, FaultSpace::default())
+        FaultSpace::default()
     };
     let sim = if rng.random::<bool>() {
         SimSection::default()
@@ -259,14 +256,8 @@ fn arb_plan(rng: &mut StdRng) -> CampaignPlan {
             watchdog: rng.random(),
         }
     };
-    // Exhaustive campaigns reject [output], adaptive ones require it,
-    // and an outcome sink cannot combine with one (the store's jobs.csv
-    // subsumes it); the rest fuzz it.
-    let output = (matches!(kind, CampaignKind::Adaptive { .. })
-        || (!matches!(kind, CampaignKind::Exhaustive { .. })
-            && sink != SinkChoice::Outcomes
-            && rng.random::<bool>()))
-    .then(|| OutputSpec {
+    // Every kind may carry an [output] store or run on a throwaway one.
+    let output = rng.random::<bool>().then(|| OutputSpec {
         dir: format!("out/fuzz-{}", rng.random_range(0..100u32)),
         shards: rng.random_range(1..32u32),
         checkpoint_every: rng.random_range(1..10_000u64),
@@ -280,7 +271,6 @@ fn arb_plan(rng: &mut StdRng) -> CampaignPlan {
         kind,
         seed: rng.random::<u64>() >> 1,
         workers: rng.random::<bool>().then(|| rng.random_range(1..64usize)),
-        sink,
         scenarios,
         faults,
         sim,

@@ -264,12 +264,6 @@ fn run_slice(campaign: &mut Campaign, slice: u64) {
                 }
             }
         }
-        Ok(_) => {
-            // Unreachable with a forced [output] store, but a hand-built
-            // plan deserves a verdict rather than a panic.
-            campaign.status.state = CampaignState::Failed;
-            campaign.status.error = Some("plan produced a non-persisted result".into());
-        }
         Err(e) => {
             campaign.status.state = CampaignState::Failed;
             campaign.status.error = Some(e.to_string());

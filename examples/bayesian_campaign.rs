@@ -1,18 +1,19 @@
 //! End-to-end Bayesian fault-injection campaign on a small suite.
 //!
-//! Walks the full DriveFI pipeline — golden runs, 3-TBN fit,
-//! counterfactual mining, validation by real injection, random baseline —
-//! and prints the paper-style accounting (mined faults, manifestation
-//! rate, critical scenes, acceleration factor).
+//! Walks the full DriveFI pipeline call by call — golden runs, 3-TBN
+//! fit, counterfactual mining, validation by real injection — then runs
+//! the random baseline as a plan, and prints the paper-style accounting
+//! (mined faults, manifestation rate, critical scenes, acceleration
+//! factor).
 //!
 //! ```text
 //! cargo run --release --example bayesian_campaign
 //! ```
 
 use drivefi::core::{
-    collect_golden_traces, random_output_campaign, validate_candidates, AccelerationReport,
-    BayesianMiner, MinerConfig, RandomCampaignConfig,
+    collect_golden_traces, validate_candidates, AccelerationReport, BayesianMiner, MinerConfig,
 };
+use drivefi::plan::{run_plan, CampaignKind, CampaignPlan, PlanResult, ScenarioSelection};
 use drivefi::sim::SimConfig;
 use drivefi::world::ScenarioSuite;
 use std::time::Instant;
@@ -42,14 +43,26 @@ fn main() {
         validation.critical_scenes.len()
     );
 
-    // 3. Random baseline at the same injection budget.
-    let random_cfg = RandomCampaignConfig { runs: critical.len().max(100), seed: 7, workers };
-    let random = random_output_campaign(&sim, &suite, &random_cfg);
+    // 3. Random baseline at the same injection budget, over the same
+    //    suite: a random plan with no [output], so a throwaway store.
+    let random_plan = CampaignPlan {
+        name: "random-baseline".into(),
+        kind: CampaignKind::Random { runs: critical.len().max(100) },
+        seed: 7,
+        workers: Some(workers),
+        scenarios: ScenarioSelection::Paper { count: 16, seed: 2026 },
+        faults: Default::default(),
+        sim: Default::default(),
+        output: None,
+        submit: Default::default(),
+        control: Default::default(),
+    };
+    let PlanResult::Persisted(random) = run_plan(&random_plan).expect("random plan runs");
     println!(
         "random baseline: {} runs -> {} hazards, {} collisions (rate {:.2}%)",
-        random.runs,
-        random.hazards,
-        random.collisions,
+        random.jobs.len(),
+        random.hazards(),
+        random.collisions(),
         100.0 * random.hazard_rate()
     );
 

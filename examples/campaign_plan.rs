@@ -1,87 +1,53 @@
-//! Campaigns as data: run random and exhaustive campaigns purely from
-//! the shipped `plans/*.toml` files — no recompilation — and prove they
-//! produce exactly the numbers the typed API produces.
+//! Campaigns as data: run random, exhaustive and module-fault campaigns
+//! purely from the shipped `plans/*.toml` files — no recompilation. None
+//! of these plans has an `[output]` section, so each runs on a throwaway
+//! store and hands back the report that store would have saved.
 //!
 //! ```text
 //! cargo run --release --example campaign_plan
 //! ```
 
-use drivefi::core::{
-    collect_golden_traces, exhaustive_comparison, random_space_campaign, BayesianMiner,
-    MinerConfig, RandomCampaignConfig,
-};
-use drivefi::fault::FaultSpace;
-use drivefi::plan::{load_scenario_spec, run_plan, CampaignPlan, PlanResult};
-use drivefi::sim::SimConfig;
-use drivefi::world::{FamilyRegistry, ScenarioSuite};
+use drivefi::plan::{load_scenario_spec, run_plan, CampaignPlan, PlanReport, PlanResult};
+use drivefi::world::FamilyRegistry;
 use std::path::Path;
 
-fn main() {
+fn run(file: &str) -> (CampaignPlan, PlanReport) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let sim = SimConfig::default();
-    let workers = drivefi::sim::default_workers();
+    let plan = CampaignPlan::load(root.join(file)).expect("plan parses");
+    let PlanResult::Persisted(report) = run_plan(&plan).expect("plan runs");
+    assert!(report.complete(), "{file}: every job has a record");
+    (plan, report)
+}
 
-    // ------------------------------------------------------------------
-    // 1. Random campaign from a plan file vs. the typed API.
-    // ------------------------------------------------------------------
-    let plan = CampaignPlan::load(root.join("plans/random_baseline.toml")).expect("plan parses");
+fn main() {
+    // 1. The paper's random baseline: random injections essentially
+    //    never produce hazards.
+    let (plan, report) = run("plans/random_baseline.toml");
     println!("plan `{}`: {:?} over {:?}", plan.name, plan.kind, plan.scenarios);
-    let PlanResult::Random(from_plan) = run_plan(&plan).unwrap() else {
-        panic!("random plan must produce random stats");
-    };
     println!(
-        "  from plan : {} runs, {} hazards, {} collisions, {} effective injections",
-        from_plan.runs, from_plan.hazards, from_plan.collisions, from_plan.effective_injections
+        "  {} runs, {} hazards, {} collisions, {} effective injections",
+        report.jobs.len(),
+        report.hazards(),
+        report.collisions(),
+        report.effective_injections()
     );
+    assert_eq!(report.jobs.len(), 60);
+    assert!(report.hazard_rate() < 0.1, "hazard rate {}", report.hazard_rate());
 
-    let suite = ScenarioSuite::generate(8, 42);
-    let typed = random_space_campaign(
-        &sim,
-        &suite,
-        &FaultSpace::default(),
-        &RandomCampaignConfig { runs: 60, seed: 1, workers },
-    );
-    println!(
-        "  typed API : {} runs, {} hazards, {} collisions, {} effective injections",
-        typed.runs, typed.hazards, typed.collisions, typed.effective_injections
-    );
-    assert_eq!(from_plan.runs, typed.runs);
-    assert_eq!(from_plan.safe, typed.safe);
-    assert_eq!(from_plan.hazards, typed.hazards);
-    assert_eq!(from_plan.collisions, typed.collisions);
-    assert_eq!(from_plan.effective_injections, typed.effective_injections);
-    assert_eq!(from_plan.hazard_details, typed.hazard_details);
-    println!("  ✓ identical RunningStats numbers\n");
-
-    // ------------------------------------------------------------------
-    // 2. Exhaustive ground-truth comparison from a plan file.
-    // ------------------------------------------------------------------
-    let plan = CampaignPlan::load(root.join("plans/exhaustive_small.toml")).expect("plan parses");
+    // 2. The exhaustive ground truth: every candidate the miner screens,
+    //    injected for real.
+    let (plan, report) = run("plans/exhaustive_small.toml");
     println!("plan `{}`: {:?}", plan.name, plan.kind);
-    let PlanResult::Exhaustive(from_plan) = run_plan(&plan).unwrap() else {
-        panic!("exhaustive plan must produce an exhaustive report");
-    };
-    println!("  from plan : {}", from_plan.summary());
+    println!(
+        "  {} candidates injected, {} manifested as hazards or collisions",
+        report.jobs.len(),
+        report.hazards() + report.collisions()
+    );
+    assert!(!report.jobs.is_empty());
+    assert!(report.jobs.iter().all(|r| r.fault.is_some()), "every sweep job injects");
 
-    let suite = ScenarioSuite::generate(2, 42);
-    let traces = collect_golden_traces(&sim, &suite, workers);
-    let miner =
-        BayesianMiner::fit(&traces, MinerConfig { scene_stride: 40, ..MinerConfig::default() })
-            .expect("model fit");
-    let typed = exhaustive_comparison(&sim, &suite, &miner, &traces, workers);
-    println!("  typed API : {}", typed.summary());
-    assert_eq!(from_plan.candidates, typed.candidates);
-    assert_eq!(from_plan.true_hazards, typed.true_hazards);
-    assert_eq!(from_plan.mined, typed.mined);
-    assert_eq!(from_plan.true_positives, typed.true_positives);
-    assert_eq!(from_plan.false_positives, typed.false_positives);
-    assert_eq!(from_plan.false_negatives, typed.false_negatives);
-    assert_eq!(from_plan.by_fault, typed.by_fault);
-    println!("  ✓ identical ExhaustiveReport numbers\n");
-
-    // ------------------------------------------------------------------
     // 3. A DSL-native scenario family loaded from a .toml spec file.
-    // ------------------------------------------------------------------
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let spec = load_scenario_spec(root.join("plans/scenarios/tailgater.toml"))
         .expect("scenario spec parses");
     let registered = FamilyRegistry::builtin().get("tailgater").expect("registered");
@@ -96,32 +62,26 @@ fn main() {
 
     // 4. And a whole campaign whose scenarios come only from spec files
     //    (plans/dsl_from_file.toml cycles two file-loaded families).
-    let plan = CampaignPlan::load(root.join("plans/dsl_from_file.toml")).expect("plan parses");
-    let PlanResult::Random(stats) = run_plan(&plan).unwrap() else {
-        panic!("dsl_from_file is a random campaign");
-    };
+    let (plan, report) = run("plans/dsl_from_file.toml");
     println!(
         "plan `{}` over file-loaded scenarios: {} runs, hazard rate {:.1}%",
         plan.name,
-        stats.runs,
-        100.0 * stats.hazard_rate()
+        report.jobs.len(),
+        100.0 * report.hazard_rate()
     );
-    assert_eq!(stats.runs, 20);
+    assert_eq!(report.jobs.len(), 20);
 
-    // 5. Module-level fault space with the outcome sink.
-    let plan = CampaignPlan::load(root.join("plans/module_faults.toml")).expect("plan parses");
-    let PlanResult::RandomOutcomes { running, outcomes } = run_plan(&plan).unwrap() else {
-        panic!("module_faults retains outcomes");
-    };
+    // 5. A module-level fault space; each run's outcome is a report row.
+    let (plan, report) = run("plans/module_faults.toml");
     println!(
         "plan `{}`: {} module-fault runs, {} effective, {} hazardous outcomes",
         plan.name,
-        outcomes.len(),
-        running.effective_injections,
-        outcomes.iter().filter(|o| o.is_hazardous()).count()
+        report.jobs.len(),
+        report.effective_injections(),
+        report.jobs.iter().filter(|r| r.outcome.is_hazardous()).count()
     );
-    assert_eq!(outcomes.len(), 24);
-    assert!(running.effective_injections > 0, "module faults never landed");
+    assert_eq!(report.jobs.len(), 24);
+    assert!(report.effective_injections() > 0, "module faults never landed");
 
     println!("\nevery campaign above ran from a .toml file — no recompilation.");
 }

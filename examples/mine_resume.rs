@@ -16,8 +16,7 @@
 
 use drivefi::plan::{
     run_plan, run_plan_budget, CampaignKind, CampaignPlan, OutputSpec, PlanResult,
-    ScenarioSelection, SimSection, SinkChoice, GOLDEN_SUBDIR, JOBS_FILE, REPORT_FILE,
-    VALIDATE_SUBDIR,
+    ScenarioSelection, SimSection, GOLDEN_SUBDIR, JOBS_FILE, REPORT_FILE, VALIDATE_SUBDIR,
 };
 use drivefi::store::{compact_store, read_store, read_traces};
 use std::path::Path;
@@ -28,7 +27,6 @@ fn mine_plan(dir: &Path) -> CampaignPlan {
         kind: CampaignKind::Mine { scene_stride: 40 },
         seed: 0,
         workers: None,
-        sink: SinkChoice::Stats,
         scenarios: ScenarioSelection::Paper { count: 2, seed: 42 },
         faults: drivefi::fault::FaultSpace::default(),
         sim: SimSection::default(),
@@ -56,10 +54,7 @@ fn main() {
     std::fs::remove_dir_all(&base).ok();
 
     // Uninterrupted reference pipeline.
-    let PlanResult::Persisted(full) = run_plan(&mine_plan(&full_dir)).expect("pipeline runs")
-    else {
-        panic!("mine plans persist");
-    };
+    let PlanResult::Persisted(full) = run_plan(&mine_plan(&full_dir)).expect("pipeline runs");
     println!(
         "uninterrupted: {} golden traces → |F_crit| = {} → {} hazards + {} collisions validated",
         read_traces(full_dir.join(GOLDEN_SUBDIR)).expect("trace log").1.len(),
@@ -70,26 +65,19 @@ fn main() {
 
     // Interrupt mid-golden, on the fit boundary, then mid-sweep.
     let plan = mine_plan(&part_dir);
-    let PlanResult::Persisted(p) = run_plan_budget(&plan, Some(1)).expect("budget run") else {
-        panic!()
-    };
+    let PlanResult::Persisted(p) = run_plan_budget(&plan, Some(1)).expect("budget run");
     println!("interrupt mid-golden:  {}/{} golden runs persisted", p.jobs.len(), p.total_jobs);
-    let PlanResult::Persisted(p) = run_plan_budget(&plan, Some(1)).expect("budget run") else {
-        panic!()
-    };
+    let PlanResult::Persisted(p) = run_plan_budget(&plan, Some(1)).expect("budget run");
     println!(
         "interrupt at the fit:  golden complete, re-fit from trace shards mined {} candidates",
         p.total_jobs
     );
     let PlanResult::Persisted(p) =
-        run_plan_budget(&plan, Some(full.total_jobs / 2)).expect("budget run")
-    else {
-        panic!()
-    };
+        run_plan_budget(&plan, Some(full.total_jobs / 2)).expect("budget run");
     println!("interrupt mid-sweep:   {}/{} validations persisted", p.jobs.len(), p.total_jobs);
 
     // Resume to completion: byte-identical artifacts.
-    let PlanResult::Persisted(resumed) = run_plan(&plan).expect("resume") else { panic!() };
+    let PlanResult::Persisted(resumed) = run_plan(&plan).expect("resume");
     assert!(resumed.complete());
     assert_eq!(
         report_files(&part_dir),

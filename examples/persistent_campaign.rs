@@ -32,9 +32,7 @@ fn main() {
     let full_dir = scratch.join("full");
     plan.output =
         Some(OutputSpec { dir: full_dir.to_string_lossy().into_owned(), ..output.clone() });
-    let PlanResult::Persisted(full) = run_plan(&plan).expect("run") else {
-        panic!("output plans persist");
-    };
+    let PlanResult::Persisted(full) = run_plan(&plan).expect("run");
     println!(
         "uninterrupted: {}/{} jobs, {} safe, {} hazards, {} collisions, hazard rate {:.4}",
         full.jobs.len(),
@@ -51,10 +49,7 @@ fn main() {
     // ------------------------------------------------------------------
     let part_dir = scratch.join("part");
     plan.output = Some(OutputSpec { dir: part_dir.to_string_lossy().into_owned(), ..output });
-    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(15)).expect("capped run")
-    else {
-        panic!("output plans persist");
-    };
+    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(15)).expect("capped run");
     println!("interrupted  : {}/{} jobs persisted", partial.jobs.len(), partial.total_jobs);
 
     let shard = part_dir.join("shard-000.log");
@@ -72,9 +67,7 @@ fn main() {
     //    exactly the missing jobs, and the report files come out
     //    byte-identical to the uninterrupted run's.
     // ------------------------------------------------------------------
-    let PlanResult::Persisted(resumed) = run_plan(&plan).expect("resume") else {
-        panic!("output plans persist");
-    };
+    let PlanResult::Persisted(resumed) = run_plan(&plan).expect("resume");
     assert!(resumed.complete());
     assert_eq!(resumed, full, "resumed report equals the uninterrupted one");
     for file in [REPORT_FILE, JOBS_FILE] {

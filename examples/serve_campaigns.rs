@@ -72,9 +72,7 @@ fn main() {
     let ref_dir = scratch.join("standalone");
     let spec = reference.output.take().expect("plan has [output]");
     reference.output = Some(OutputSpec { dir: ref_dir.to_string_lossy().into_owned(), ..spec });
-    let PlanResult::Persisted(report) = run_plan(&reference).expect("standalone run") else {
-        panic!("output plans persist");
-    };
+    let PlanResult::Persisted(report) = run_plan(&reference).expect("standalone run");
     assert!(report.complete());
 
     for id in [&first, &second] {

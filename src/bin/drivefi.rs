@@ -16,10 +16,12 @@
 //! drivefi status  <root>
 //! ```
 //!
-//! * `run` executes the plan; with an `[output]` section results stream
-//!   to the store and the run resumes automatically if the store
-//!   already holds records. `--max-jobs` caps how many *pending* jobs
-//!   this invocation executes (the budget-cap interrupt CI exercises).
+//! * `run` executes the plan: results stream to the plan's `[output]`
+//!   store, and the run resumes automatically if the store already
+//!   holds records. A plan without `[output]` (or `--output-dir`) runs
+//!   on a throwaway store and saves nothing. `--max-jobs` caps how many
+//!   *pending* jobs this invocation executes (the budget-cap interrupt
+//!   CI exercises), so it needs a store to resume from.
 //! * `resume` is `run` that insists a store already exists — a typo'd
 //!   directory fails instead of silently starting over.
 //! * `mine` is `run` that insists the plan is a Bayesian-pipeline kind
@@ -60,7 +62,7 @@
 //!
 //! Relative `[output] dir` paths are resolved against the plan file's
 //! directory, so `drivefi run plans/foo.toml` works from anywhere. For
-//! pipeline kinds (`mine`, store-backed `exhaustive`) `report` and
+//! the two-stage pipeline kinds (`mine`, `exhaustive`) `report` and
 //! `query` read the sweep-stage sub-store (`validate/` / `sweep/`).
 
 use drivefi::plan::{
@@ -298,43 +300,21 @@ fn records_dir(plan: &CampaignPlan) -> PathBuf {
     }
 }
 
-fn print_summary(result: &PlanResult) {
-    match result {
-        PlanResult::Random(stats) => println!(
-            "random: {} runs, {} hazards, {} collisions, hazard rate {:.4}",
-            stats.runs,
-            stats.hazards,
-            stats.collisions,
-            stats.hazard_rate()
-        ),
-        PlanResult::RandomOutcomes { running, outcomes } => println!(
-            "random: {} runs ({} outcomes kept), {} hazards, {} collisions",
-            running.runs,
-            outcomes.len(),
-            running.hazards,
-            running.collisions
-        ),
-        PlanResult::Exhaustive(report) => println!(
-            "exhaustive: {} candidates, {} true hazards, precision {:.3}, recall {:.3}",
-            report.candidates,
-            report.true_hazards,
-            report.precision(),
-            report.recall()
-        ),
-        PlanResult::Golden(traces) => {
-            println!("golden: {} traces collected", traces.len())
-        }
-        PlanResult::Persisted(report) => println!(
-            "{}: {}/{} jobs persisted{}, {} safe, {} hazards, {} collisions → report.toml + jobs.csv",
-            report.kind,
-            report.jobs.len(),
-            report.total_jobs,
-            if report.complete() { " (complete)" } else { "" },
-            report.safe(),
-            report.hazards(),
-            report.collisions(),
-        ),
-    }
+/// One line per run: the report's tallies, and where it was saved —
+/// nowhere for a plan without `[output]`, whose store was throwaway.
+fn print_summary(report: &PlanReport, saved: bool) {
+    println!(
+        "{}: {}/{} jobs {}{}, {} safe, {} hazards, {} collisions{}",
+        report.kind,
+        report.jobs.len(),
+        report.total_jobs,
+        if saved { "persisted" } else { "run" },
+        if report.complete() { " (complete)" } else { "" },
+        report.safe(),
+        report.hazards(),
+        report.collisions(),
+        if saved { " → report.toml + jobs.csv" } else { " (no [output]: nothing saved)" },
+    );
 }
 
 fn cmd_run(args: &Args, require_store: bool, require_mine: bool) {
@@ -364,15 +344,14 @@ fn cmd_run(args: &Args, require_store: bool, require_mine: bool) {
             fail(format!("nothing to resume: no store manifest under {}", first_store.display()));
         }
     }
-    let result = run_plan_budget(&plan, args.max_jobs).unwrap_or_else(|e| fail(e));
-    print_summary(&result);
+    let PlanResult::Persisted(report) =
+        run_plan_budget(&plan, args.max_jobs).unwrap_or_else(|e| fail(e));
+    print_summary(&report, plan.output.is_some());
     // `run --format md|html` renders right here, in the process that
     // just simulated — the one place the `DRIVEFI_PROFILE` tick table
     // has samples to show.
-    if let (Some("md" | "html"), PlanResult::Persisted(report), Some(output)) =
-        (args.format.as_deref(), &result, &plan.output)
-    {
-        render_report(args, &plan, report, Path::new(&output.dir));
+    if let (Some("md" | "html"), Some(output)) = (args.format.as_deref(), &plan.output) {
+        render_report(args, &plan, &report, Path::new(&output.dir));
     }
 }
 
@@ -422,7 +401,7 @@ fn cmd_report(args: &Args) {
         Some("md" | "html") => render_report(args, &plan, &report, &report_dir),
         Some(other) => fail(format!("report --format must be toml, md, or html, got `{other}`")),
     }
-    print_summary(&PlanResult::Persisted(report));
+    print_summary(&report, true);
 }
 
 /// Fails unless the store under `dir` was written by this plan.
@@ -503,7 +482,7 @@ fn cmd_report_adaptive(args: &Args, plan: &CampaignPlan) {
         if matches!(args.format.as_deref(), Some("md" | "html")) {
             render_report(args, plan, &report, &golden);
         }
-        return print_summary(&PlanResult::Persisted(report));
+        return print_summary(&report, true);
     }
     let report = PlanReport::new(plan.name.clone(), plan.kind.name(), expected, total, records);
     if !report.complete() && !args.partial {
@@ -522,7 +501,7 @@ fn cmd_report_adaptive(args: &Args, plan: &CampaignPlan) {
         Some("md" | "html") => render_report(args, plan, &report, &root),
         Some(other) => fail(format!("report --format must be toml, md, or html, got `{other}`")),
     }
-    print_summary(&PlanResult::Persisted(report));
+    print_summary(&report, true);
 }
 
 /// Renders `report.md` / `report.html` next to the store artifacts.

@@ -6,8 +6,8 @@
 use drivefi::fault::FaultSpace;
 use drivefi::plan::{
     round_dirs, run_plan, run_plan_budget, AdaptiveSection, CampaignKind, CampaignPlan, OutputSpec,
-    PlanResult, ScenarioSelection, SimSection, SinkChoice, GOLDEN_SUBDIR, JOBS_FILE, REPORT_FILE,
-    ROUNDS_FILE, VALIDATE_SUBDIR,
+    PlanResult, ScenarioSelection, SimSection, GOLDEN_SUBDIR, JOBS_FILE, REPORT_FILE, ROUNDS_FILE,
+    VALIDATE_SUBDIR,
 };
 use drivefi::store::{compact_store, read_store, read_traces, MANIFEST_FILE};
 use proptest::prelude::*;
@@ -21,7 +21,6 @@ fn plan_into(dir: &Path) -> CampaignPlan {
         kind: CampaignKind::Random { runs: RUNS },
         seed: 11,
         workers: Some(4),
-        sink: SinkChoice::Stats,
         scenarios: ScenarioSelection::Paper { count: 2, seed: 42 },
         faults: FaultSpace::default(),
         sim: SimSection::default(),
@@ -69,9 +68,7 @@ fn baseline() -> &'static (Vec<u8>, Vec<u8>) {
         let dir =
             std::env::temp_dir().join(format!("drivefi-crash-baseline-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let PlanResult::Persisted(report) = run_to_files(&dir, None) else {
-            panic!("output plan persists");
-        };
+        let PlanResult::Persisted(report) = run_to_files(&dir, None);
         assert!(report.complete());
         let bytes = report_bytes(&dir);
         std::fs::remove_dir_all(&dir).ok();
@@ -98,9 +95,7 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
 
         // Interrupt via budget cap.
-        let PlanResult::Persisted(partial) = run_to_files(&dir, Some(interrupt_after)) else {
-            panic!("output plan persists");
-        };
+        let PlanResult::Persisted(partial) = run_to_files(&dir, Some(interrupt_after));
         prop_assert_eq!(partial.jobs.len() as u64, interrupt_after);
 
         // Tear a non-empty shard at a fuzzed offset past its header:
@@ -124,9 +119,7 @@ proptest! {
             .unwrap();
 
         // Resume: re-runs the torn-away jobs plus the never-run ones.
-        let PlanResult::Persisted(resumed) = run_to_files(&dir, None) else {
-            panic!("output plan persists");
-        };
+        let PlanResult::Persisted(resumed) = run_to_files(&dir, None);
         prop_assert!(resumed.complete());
         let (report, jobs) = report_bytes(&dir);
         prop_assert_eq!(&report, full_report, "report.toml drifted after torn-tail resume");
@@ -162,7 +155,7 @@ fn resume_trusts_shards_not_the_checkpoint_counter() {
             .join("\n");
     std::fs::write(&manifest, rewound + "\n").unwrap();
 
-    let PlanResult::Persisted(resumed) = run_to_files(&dir, None) else { panic!() };
+    let PlanResult::Persisted(resumed) = run_to_files(&dir, None);
     assert!(resumed.complete());
     let (report, jobs) = report_bytes(&dir);
     assert_eq!(&report, full_report);
@@ -176,7 +169,6 @@ fn mine_plan_into(dir: &Path) -> CampaignPlan {
         kind: CampaignKind::Mine { scene_stride: 50 },
         seed: 0,
         workers: Some(4),
-        sink: SinkChoice::Stats,
         scenarios: ScenarioSelection::Paper { count: 2, seed: 42 },
         faults: FaultSpace::default(),
         sim: SimSection::default(),
@@ -216,9 +208,7 @@ fn mine_plan_resumes_every_stage_to_byte_identical_reports() {
     std::fs::remove_dir_all(&dir).ok();
 
     // Uninterrupted reference run.
-    let PlanResult::Persisted(full) = run_plan(&mine_plan_into(&full_dir)).unwrap() else {
-        panic!()
-    };
+    let PlanResult::Persisted(full) = run_plan(&mine_plan_into(&full_dir)).unwrap();
     assert!(full.complete());
     assert_eq!(full.kind, "mine");
     assert!(
@@ -232,7 +222,7 @@ fn mine_plan_resumes_every_stage_to_byte_identical_reports() {
     // Interrupt 1: mid-golden (one of two golden jobs done). The
     // progress report lands inside the golden sub-store.
     let plan = mine_plan_into(&part_dir);
-    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(1)).unwrap() else { panic!() };
+    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(1)).unwrap();
     assert_eq!((partial.jobs.len(), partial.total_jobs), (1, 2), "mid-golden progress");
     assert!(!partial.complete());
     assert!(part_dir.join(GOLDEN_SUBDIR).join(REPORT_FILE).is_file());
@@ -241,7 +231,7 @@ fn mine_plan_resumes_every_stage_to_byte_identical_reports() {
     // Interrupt 2: the budget lands exactly on the golden boundary — the
     // "interrupted mid-fit" shape: golden complete, fit + mine recompute
     // from the persisted traces, zero validation jobs run.
-    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(1)).unwrap() else { panic!() };
+    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(1)).unwrap();
     assert_eq!(partial.total_jobs, full.total_jobs, "fit-from-store mined the same F_crit");
     assert_eq!(partial.jobs.len(), 0, "no validation budget left");
     let golden_after_fit = log_bytes(&part_dir.join(GOLDEN_SUBDIR));
@@ -254,15 +244,13 @@ fn mine_plan_resumes_every_stage_to_byte_identical_reports() {
 
     // Interrupt 3: mid-candidate-sweep.
     let sweep_budget = full.total_jobs / 2;
-    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(sweep_budget)).unwrap() else {
-        panic!()
-    };
+    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(sweep_budget)).unwrap();
     assert_eq!(partial.jobs.len() as u64, sweep_budget);
     assert!(!partial.complete());
 
     // Final resume: byte-identical report, golden logs untouched (the
     // fit re-read them; nothing golden was re-simulated).
-    let PlanResult::Persisted(resumed) = run_plan(&plan).unwrap() else { panic!() };
+    let PlanResult::Persisted(resumed) = run_plan(&plan).unwrap();
     assert!(resumed.complete());
     assert_eq!(resumed.jobs, full.jobs);
     assert_eq!(
@@ -288,7 +276,7 @@ fn mine_plan_resumes_every_stage_to_byte_identical_reports() {
     assert_eq!(read_store(&validate_dir).unwrap(), before_validate);
     // Rerunning the (complete) plan after compaction rebuilds the exact
     // same report from the compacted shards.
-    let PlanResult::Persisted(after) = run_plan(&plan).unwrap() else { panic!() };
+    let PlanResult::Persisted(after) = run_plan(&plan).unwrap();
     assert_eq!(after, resumed);
     assert_eq!(report_bytes(&part_dir), full_bytes);
     std::fs::remove_dir_all(&dir).ok();
@@ -303,7 +291,6 @@ fn adaptive_plan_into(dir: &Path) -> CampaignPlan {
         },
         seed: 0,
         workers: Some(4),
-        sink: SinkChoice::Stats,
         scenarios: ScenarioSelection::Paper { count: 2, seed: 42 },
         faults: FaultSpace::default(),
         sim: SimSection::default(),
@@ -331,9 +318,7 @@ fn adaptive_plan_resumes_mid_round_to_byte_identical_reports() {
     std::fs::remove_dir_all(&dir).ok();
 
     // Uninterrupted reference run.
-    let PlanResult::Persisted(full) = run_plan(&adaptive_plan_into(&full_dir)).unwrap() else {
-        panic!()
-    };
+    let PlanResult::Persisted(full) = run_plan(&adaptive_plan_into(&full_dir)).unwrap();
     assert!(full.complete());
     assert_eq!(full.kind, "adaptive");
     let full_rounds = round_dirs(&full_dir);
@@ -344,16 +329,14 @@ fn adaptive_plan_resumes_mid_round_to_byte_identical_reports() {
     // Interrupt 1: mid-golden — no round swept yet, the progress report
     // lands inside the golden sub-store.
     let plan = adaptive_plan_into(&part_dir);
-    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(1)).unwrap() else { panic!() };
+    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(1)).unwrap();
     assert!(!partial.complete());
     assert!(part_dir.join(GOLDEN_SUBDIR).join(REPORT_FILE).is_file());
     assert!(round_dirs(&part_dir).is_empty(), "no acquisition round may start mid-golden");
 
     // Interrupt 2: mid-round-001 (golden done at 2, round-000 done at
     // 8, three jobs into the second round's six).
-    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(10)).unwrap() else {
-        panic!()
-    };
+    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(10)).unwrap();
     assert!(!partial.complete());
     assert_eq!(round_dirs(&part_dir).len(), 2, "round-001 is on disk, half-finished");
     let golden_after = log_bytes(&part_dir.join(GOLDEN_SUBDIR));
@@ -361,13 +344,13 @@ fn adaptive_plan_resumes_mid_round_to_byte_identical_reports() {
 
     // Interrupt 3: still mid-round-001 — the resumed posterior replay
     // must re-select the same batch and extend the same round store.
-    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(2)).unwrap() else { panic!() };
+    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(2)).unwrap();
     assert!(!partial.complete());
     assert_eq!(round_dirs(&part_dir).len(), 2, "a resumed round must not fork a new one");
 
     // Final resume: byte-identical report and trajectory; neither the
     // golden logs nor round-000's were touched (nothing re-simulated).
-    let PlanResult::Persisted(resumed) = run_plan(&plan).unwrap() else { panic!() };
+    let PlanResult::Persisted(resumed) = run_plan(&plan).unwrap();
     assert!(resumed.complete());
     assert_eq!(resumed.jobs, full.jobs);
     assert_eq!(log_bytes(&part_dir.join(GOLDEN_SUBDIR)), golden_after, "golden re-simulated");
@@ -391,10 +374,7 @@ fn zero_budget_runs_nothing_and_stays_resumable() {
 
     // Random store-backed plan.
     let random_dir = dir.join("random");
-    let PlanResult::Persisted(report) = run_plan_budget(&plan_into(&random_dir), Some(0)).unwrap()
-    else {
-        panic!()
-    };
+    let PlanResult::Persisted(report) = run_plan_budget(&plan_into(&random_dir), Some(0)).unwrap();
     assert_eq!(report.jobs.len(), 0);
     assert!(!report.complete());
     assert!(random_dir.join(MANIFEST_FILE).is_file(), "store created even with a zero budget");
@@ -403,19 +383,14 @@ fn zero_budget_runs_nothing_and_stays_resumable() {
         String::from_utf8(report_toml).unwrap().contains("complete = false"),
         "report.toml records incompleteness"
     );
-    let PlanResult::Persisted(resumed) = run_plan(&plan_into(&random_dir)).unwrap() else {
-        panic!()
-    };
+    let PlanResult::Persisted(resumed) = run_plan(&plan_into(&random_dir)).unwrap();
     assert!(resumed.complete());
     assert_eq!(report_bytes(&random_dir), *baseline());
 
     // Mine pipeline: a zero budget stops mid-golden with zero records.
     let mine_dir = dir.join("mine");
     let PlanResult::Persisted(report) =
-        run_plan_budget(&mine_plan_into(&mine_dir), Some(0)).unwrap()
-    else {
-        panic!()
-    };
+        run_plan_budget(&mine_plan_into(&mine_dir), Some(0)).unwrap();
     assert_eq!((report.jobs.len(), report.total_jobs), (0, 2));
     assert!(mine_dir.join(GOLDEN_SUBDIR).join(MANIFEST_FILE).is_file());
     std::fs::remove_dir_all(&dir).ok();
@@ -433,7 +408,6 @@ fn golden_plan_persists_and_resumes() {
         kind: CampaignKind::Golden,
         seed: 0,
         workers: Some(4),
-        sink: SinkChoice::Stats,
         scenarios: ScenarioSelection::Paper { count: 3, seed: 42 },
         faults: FaultSpace::default(),
         sim: SimSection::default(),
@@ -442,7 +416,7 @@ fn golden_plan_persists_and_resumes() {
         output: Some(OutputSpec::new(out.to_string_lossy().into_owned())),
     };
 
-    let PlanResult::Persisted(full) = run_plan(&golden_plan(&full_dir)).unwrap() else { panic!() };
+    let PlanResult::Persisted(full) = run_plan(&golden_plan(&full_dir)).unwrap();
     assert!(full.complete());
     assert_eq!(full.kind, "golden");
     assert!(full.jobs.iter().all(|r| r.fault.is_none()));
@@ -456,11 +430,9 @@ fn golden_plan_persists_and_resumes() {
     }
 
     let partial = run_plan_budget(&golden_plan(&part_dir), Some(1)).unwrap();
-    let PlanResult::Persisted(partial) = partial else { panic!() };
+    let PlanResult::Persisted(partial) = partial;
     assert_eq!(partial.jobs.len(), 1);
-    let PlanResult::Persisted(resumed) = run_plan(&golden_plan(&part_dir)).unwrap() else {
-        panic!()
-    };
+    let PlanResult::Persisted(resumed) = run_plan(&golden_plan(&part_dir)).unwrap();
     // Reports embed no paths, so cross-directory equality holds outright.
     assert_eq!(resumed, full);
     std::fs::remove_dir_all(&dir).ok();

@@ -2,9 +2,9 @@
 //! reduced scale).
 
 use drivefi::core::{
-    collect_golden_traces, random_output_campaign, validate_candidates, BayesianMiner, MinerConfig,
-    RandomCampaignConfig, SituationLibrary,
+    collect_golden_traces, validate_candidates, BayesianMiner, MinerConfig, SituationLibrary,
 };
+use drivefi::plan::{run_plan, CampaignKind, CampaignPlan, PlanResult, ScenarioSelection};
 use drivefi::sim::SimConfig;
 use drivefi::world::ScenarioSuite;
 
@@ -50,9 +50,21 @@ fn bayesian_mining_beats_random_at_equal_budget() {
     let sim = SimConfig::default();
     let stats = validate_candidates(&sim, &suite, &critical, 8);
 
-    // Random baseline with the same number of injection runs.
-    let random_cfg = RandomCampaignConfig { runs: critical.len().max(50), seed: 7, workers: 8 };
-    let random = random_output_campaign(&sim, &suite, &random_cfg);
+    // Random baseline with the same number of injection runs, over the
+    // same suite, run as a plan.
+    let random_plan = CampaignPlan {
+        name: "random-baseline".into(),
+        kind: CampaignKind::Random { runs: critical.len().max(50) },
+        seed: 7,
+        workers: Some(8),
+        scenarios: ScenarioSelection::Paper { count: 12, seed: 2026 },
+        faults: Default::default(),
+        sim: Default::default(),
+        output: None,
+        submit: Default::default(),
+        control: Default::default(),
+    };
+    let PlanResult::Persisted(random) = run_plan(&random_plan).unwrap();
 
     assert!(
         stats.precision() > random.hazard_rate(),

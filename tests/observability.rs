@@ -12,7 +12,7 @@ use drivefi::fault::FaultSpace;
 use drivefi::obs::{clear_force, force_enabled, read_events, EventLog, Field};
 use drivefi::plan::{
     run_plan, run_plan_budget, CampaignKind, CampaignPlan, OutputSpec, PlanResult,
-    ScenarioSelection, SimSection, SinkChoice, CONTROL_FILE, JOBS_FILE, REPORT_FILE,
+    ScenarioSelection, SimSection, CONTROL_FILE, JOBS_FILE, REPORT_FILE,
 };
 use drivefi::store::compact_store;
 use proptest::prelude::*;
@@ -32,7 +32,6 @@ fn plan_into(dir: &Path) -> CampaignPlan {
         kind: CampaignKind::Random { runs: RUNS },
         seed: 23,
         workers: Some(4),
-        sink: SinkChoice::Stats,
         scenarios: ScenarioSelection::Paper { count: 2, seed: 5 },
         faults: FaultSpace::default(),
         sim: SimSection::default(),
@@ -83,9 +82,9 @@ fn events_replay_coherent_lifecycle_across_interrupts() {
 
     let plan = plan_into(&dir);
     // Interrupt mid-campaign, then resume to completion.
-    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(2)).unwrap() else { panic!() };
+    let PlanResult::Persisted(partial) = run_plan_budget(&plan, Some(2)).unwrap();
     assert!(!partial.complete());
-    let PlanResult::Persisted(done) = run_plan(&plan).unwrap() else { panic!() };
+    let PlanResult::Persisted(done) = run_plan(&plan).unwrap();
     assert!(done.complete());
 
     let events = read_events(&dir).unwrap();
@@ -112,7 +111,7 @@ fn events_replay_coherent_lifecycle_across_interrupts() {
     assert_eq!(finish.int_field("records"), Some(RUNS as i64));
 
     // Re-running the already-complete campaign must not re-finish it.
-    let PlanResult::Persisted(again) = run_plan(&plan).unwrap() else { panic!() };
+    let PlanResult::Persisted(again) = run_plan(&plan).unwrap();
     assert!(again.complete());
     let events = read_events(&dir).unwrap();
     assert_eq!(events.iter().filter(|e| e.kind == "stage_finish").count(), 1);
@@ -142,7 +141,7 @@ proptest! {
         let on_dir = root.join("on");
 
         force_enabled(false);
-        let PlanResult::Persisted(off) = run_plan(&plan_into(&off_dir)).unwrap() else { panic!() };
+        let PlanResult::Persisted(off) = run_plan(&plan_into(&off_dir)).unwrap();
         prop_assert!(off.complete());
         prop_assert!(
             !off_dir.join("events.jsonl").exists(),
@@ -151,11 +150,8 @@ proptest! {
 
         force_enabled(true);
         let PlanResult::Persisted(_) =
-            run_plan_budget(&plan_into(&on_dir), Some(interrupt_after)).unwrap()
-        else {
-            panic!()
-        };
-        let PlanResult::Persisted(on) = run_plan(&plan_into(&on_dir)).unwrap() else { panic!() };
+            run_plan_budget(&plan_into(&on_dir), Some(interrupt_after)).unwrap();
+        let PlanResult::Persisted(on) = run_plan(&plan_into(&on_dir)).unwrap();
         prop_assert!(on.complete());
         prop_assert!(on_dir.join("events.jsonl").exists());
         clear_force();
