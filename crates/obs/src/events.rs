@@ -200,7 +200,7 @@ impl EventLog {
 /// Opens `dir`'s log, appends one event, and closes it.
 ///
 /// The right shape for low-frequency lifecycle emission sites (lease
-/// takeover, seal, compaction) that don't hold a long-lived handle.
+/// takeover, compaction) that don't hold a long-lived handle.
 pub fn emit_event(dir: &Path, kind: &str, fields: &[(&str, Field)]) {
     if crate::enabled() {
         EventLog::open(dir).emit(kind, fields);
@@ -497,7 +497,7 @@ mod tests {
         let mut log = EventLog::open(&dir);
         assert!(!log.is_active());
         log.emit("campaign_start", &[]);
-        emit_event(&dir, "seal", &[]);
+        emit_event(&dir, "compact", &[]);
         assert!(!dir.join(EVENTS_FILE).exists());
         assert!(read_events(&dir).unwrap().is_empty());
         crate::clear_force();

@@ -1,6 +1,5 @@
-//! Campaign observability: a process-wide metrics registry and an
-//! append-only `events.jsonl` lifecycle log written beside each
-//! campaign store's manifest.
+//! Campaign observability: an append-only `events.jsonl` lifecycle log
+//! written beside each campaign store's manifest.
 //!
 //! Everything in this crate is strictly *derived* telemetry: enabling
 //! or disabling observability never changes what a campaign computes,
@@ -15,10 +14,8 @@
 //! where environment mutation races across threads).
 
 pub mod events;
-pub mod metrics;
 
 pub use events::{emit_event, read_events, Event, EventLog, Field, EVENTS_FILE};
-pub use metrics::{Counter, Gauge, Hist, MetricsSnapshot};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -63,7 +60,7 @@ pub fn clear_force() {
 }
 
 /// Serializes unit tests that flip the process-global [`force_enabled`]
-/// override or reset the metrics registry.
+/// override.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

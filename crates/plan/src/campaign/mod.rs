@@ -451,7 +451,6 @@ fn run_control_point(
             };
             let control_sim = SimConfig { record_trace: false, ..*sim };
             let report = Simulation::new(control_sim, scenario).run();
-            drivefi_obs::metrics::counter_add(drivefi_obs::metrics::Counter::ControlJobs, 1);
             let verdict = ControlVerdict {
                 scenario_id: scenario.id,
                 scenario_name: scenario.name.clone(),

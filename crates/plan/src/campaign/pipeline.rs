@@ -27,8 +27,7 @@ use drivefi_fault::FaultSpec;
 use drivefi_obs::{EventLog, Field};
 use drivefi_sim::{CampaignEngine, CampaignJob, RunningStats, SimConfig, Tee};
 use drivefi_store::{
-    open_store, open_store_with_traces, read_manifest, read_store, CampaignRecord, RecordMeta,
-    StoreSink,
+    open_store, open_store_with_traces, read_store, CampaignRecord, RecordMeta, StoreSink,
 };
 use drivefi_world::{ScenarioConfig, ScenarioSuite};
 use std::path::{Path, PathBuf};
@@ -58,29 +57,12 @@ pub(super) struct Stage {
     pub jobs: Vec<CampaignJob>,
     /// Identity the stage's store is locked to (the plan fingerprint).
     pub fingerprint: u64,
-    /// Publish the `StageJobsRemaining` gauge on stage start
-    /// (single-stage campaigns, which *are* their one stage).
-    pub gauge_on_start: bool,
 }
 
 impl Stage {
     /// Total job count of the stage.
     pub fn total(&self) -> u64 {
         self.metas.len() as u64
-    }
-
-    /// Whether the stage's store already holds every job under the
-    /// right identity — true ⇒ running the stage is a pure replay
-    /// (reads records, simulates nothing, spends no budget).
-    #[allow(dead_code)] // Exercised by the adaptive loop's tests.
-    pub fn is_complete(&self) -> bool {
-        matches!(
-            read_manifest(&self.dir),
-            Ok(meta)
-                if meta.complete
-                    && meta.fingerprint == self.fingerprint
-                    && meta.total_jobs == self.total()
-        )
     }
 }
 
@@ -186,12 +168,6 @@ impl<'a> Pipeline<'a> {
                     ("pending", Field::Int((total - done_before) as i64)),
                 ],
             );
-            if stage.gauge_on_start {
-                drivefi_obs::metrics::gauge_set(
-                    drivefi_obs::metrics::Gauge::StageJobsRemaining,
-                    (total - done_before) as i64,
-                );
-            }
         }
         let engine = CampaignEngine::new(stage.sim).with_workers(self.workers);
         let mut sink = StoreSink::new(&mut writer, &stage.metas);
@@ -221,10 +197,6 @@ impl<'a> Pipeline<'a> {
     /// complete on exit) — so interrupt/resume cycles never duplicate a
     /// stage's finish event.
     pub fn finish_stage(&mut self, name: &str, run: &StageRun) {
-        drivefi_obs::metrics::gauge_set(
-            drivefi_obs::metrics::Gauge::StageJobsRemaining,
-            if run.complete { 0 } else { (run.total - run.done_before) as i64 },
-        );
         if run.complete && run.done_before < run.total {
             self.events.emit(
                 "stage_finish",
@@ -291,7 +263,6 @@ pub(super) fn golden_stage(
             })
             .collect(),
         fingerprint,
-        gauge_on_start: false,
     }
 }
 
@@ -324,7 +295,6 @@ pub(super) fn sweep_stage(
             })
             .collect(),
         fingerprint,
-        gauge_on_start: false,
     }
 }
 
@@ -428,7 +398,6 @@ pub(super) fn run_persisted(
         metas,
         jobs,
         fingerprint: pipeline.fingerprint,
-        gauge_on_start: true,
     };
     // Tee the stream: records go to disk, tallies stay in memory for the
     // end-to-end cross-check below.

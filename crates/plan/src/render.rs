@@ -285,7 +285,6 @@ fn lifecycle_section(events: &[Event]) -> Option<Section> {
     let mut checkpoints = 0u64;
     let mut takeovers = 0u64;
     let mut compactions = 0u64;
-    let mut sealed = false;
     let close_open =
         |open: &mut Option<(String, u64)>, stages: &mut BTreeMap<String, StageClock>, ts: u64| {
             if let Some((stage, began)) = open.take() {
@@ -315,7 +314,6 @@ fn lifecycle_section(events: &[Event]) -> Option<Section> {
             "checkpoint" => checkpoints += 1,
             "lease_takeover" => takeovers += 1,
             "compact" => compactions += 1,
-            "seal" => sealed = true,
             _ => {}
         }
     }
@@ -331,9 +329,6 @@ fn lifecycle_section(events: &[Event]) -> Option<Section> {
     }
     if compactions > 0 {
         counts.push(format!("{compactions} compaction(s)"));
-    }
-    if sealed {
-        counts.push("sealed".into());
     }
     Some(Section {
         title: "Lifecycle".into(),

@@ -27,7 +27,6 @@
 use crate::spool::{claim_submissions, CAMPAIGNS_DIR, PLAN_FILE, SPOOL_DIR};
 use crate::status::{CampaignState, CampaignStatus};
 use crate::ServeError;
-use drivefi_obs::metrics::{counter_add, gauge_set, Counter, Gauge};
 use drivefi_plan::{
     round_dirs, run_plan_budget, CampaignPlan, OutputSpec, PlanReport, PlanResult, GOLDEN_SUBDIR,
 };
@@ -231,7 +230,6 @@ fn run_slice(campaign: &mut Campaign, slice: u64) {
     let Some(plan) = &campaign.plan else { return };
     let budget = slice.saturating_mul(u64::from(plan.submit.weight)).max(1);
     campaign.status.slices += 1;
-    counter_add(Counter::ServeSlices, 1);
     match run_plan_budget(plan, Some(budget)) {
         Ok(PlanResult::Persisted(report)) => {
             apply_report(&mut campaign.status, plan, &report);
@@ -357,7 +355,6 @@ pub fn serve(root: &Path, config: &ServeConfig) -> Result<ServeSummary, ServeErr
             campaigns.push(admit(dir));
         }
         rounds += 1;
-        gauge_set(Gauge::ServeQueueDepth, campaigns.iter().filter(|c| c.active()).count() as i64);
 
         let mut sliced = false;
         for campaign in &mut campaigns {

@@ -25,11 +25,11 @@
 //!   one that created it.
 //! * [`StoreSink`] — the [`CampaignSink`](drivefi_sim::CampaignSink)
 //!   adapter: streams engine results straight to disk.
-//! * [`lease`] — per-writer shard leases (lock files with a heartbeat
-//!   mtime and stale-lease takeover), so N processes append to disjoint
-//!   shard ranges of one store concurrently and the merged read equals
-//!   the single-writer result. [`compact_store`] and [`seal_store`]
-//!   claim every lease first, so neither races a live writer.
+//! * [`lease`] — shard leases (lock files with a heartbeat mtime and
+//!   stale-lease takeover) that keep a store to one writer: a second
+//!   live writer is refused, and a restarted one takes over the leases
+//!   of a writer that died. [`compact_store`] claims every lease first,
+//!   so it never races a live writer.
 //!
 //! Reads merge the shards deterministically by job index, so a resumed
 //! campaign reconstructs exactly the record sequence an uninterrupted
@@ -43,15 +43,12 @@ pub mod sink;
 pub mod store;
 pub mod trace;
 
-pub use lease::{
-    default_owner, lease_path, probe_lease, LeaseInfo, LeaseSet, LeaseState, DEFAULT_LEASE_TIMEOUT,
-};
+pub use lease::{lease_path, probe_lease, LeaseInfo, LeaseSet, LeaseState, DEFAULT_LEASE_TIMEOUT};
 pub use record::{CampaignRecord, PAYLOAD_LEN};
 pub use sink::{RecordMeta, StoreSink};
 pub use store::{
-    compact_store, fingerprint64, open_store, open_store_opts, open_store_with_traces,
-    read_manifest, read_store, read_traces, seal_store, shard_progress, ShardProgress, StoreMeta,
-    StoreOptions, StoreState, StoreWriter, MANIFEST_FILE,
+    compact_store, fingerprint64, open_store, open_store_with_traces, read_manifest, read_store,
+    read_traces, shard_progress, ShardProgress, StoreMeta, StoreState, StoreWriter, MANIFEST_FILE,
 };
 pub use trace::{rebuild_traces, scan_trace_shard, TraceRecord, TRACE_BASE_LEN};
 

@@ -139,9 +139,8 @@ pub fn scan_shard_with<T>(
 ) -> Result<(Vec<T>, u64, bool), StoreError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
-        // A shard file that was never created: a store written by
-        // scoped writers whose ranges didn't cover this shard (yet), or
-        // a crash between manifest and shard creation. Same contract as
+        // A shard file that was never created: a crash between writing
+        // the manifest and creating the shards. Same contract as
         // whole-shard loss — those jobs just aren't persisted.
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok((Vec::new(), 0, false));

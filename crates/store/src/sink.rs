@@ -91,20 +91,6 @@ impl CampaignSink for StoreSink<'_> {
             }
         }
         let record = CampaignRecord::from_report(job, meta, &result.report);
-        // Per-job metrics at the persistence boundary: every store-backed
-        // campaign reports throughput without instrumenting the engine.
-        // Pure telemetry — gated on `DRIVEFI_OBS`, never part of results.
-        use drivefi_obs::metrics::{counter_add, Counter};
-        counter_add(Counter::JobsCompleted, 1);
-        counter_add(Counter::FramesSimulated, record.scenes);
-        counter_add(
-            match record.outcome {
-                drivefi_sim::Outcome::Safe => Counter::OutcomeSafe,
-                drivefi_sim::Outcome::Hazard { .. } => Counter::OutcomeHazard,
-                drivefi_sim::Outcome::Collision { .. } => Counter::OutcomeCollision,
-            },
-            1,
-        );
         if let Err(e) = self.writer.append(&record) {
             self.error = Some(e);
         }

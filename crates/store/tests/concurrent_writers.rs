@@ -1,23 +1,29 @@
-//! Multi-process writers against one store: N *real* processes, each
-//! holding a disjoint shard-range lease, must merge to exactly the
-//! store a single writer produces — and interleaved scoped writers
-//! with torn tails and stale leases must recover to the same
-//! reference. The shard-lease protocol is pure filesystem (lock files,
-//! atomic renames), so nothing here needs IPC beyond spawn + wait.
+//! One writer per store, across real processes: while a writer in
+//! another process lives, a second open of its store is refused; once
+//! that writer dies without finishing, the next open takes over its
+//! shard leases, keeps every record it checkpointed, and completes the
+//! store to exactly what a serial writer produces. The shard-lease
+//! protocol is pure filesystem (lock files, atomic renames), so the
+//! processes hand off through files alone.
 
 use drivefi_sim::Outcome;
-use drivefi_store::{
-    compact_store, open_store, open_store_opts, read_store, seal_store, CampaignRecord,
-    StoreOptions,
-};
+use drivefi_store::{open_store, read_store, CampaignRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Env var carrying a child writer's work order. The `writer_child`
 /// test is inert unless re-executed with this set.
 const CHILD_ENV: &str = "DRIVEFI_WRITER_CHILD_SPEC";
+
+/// Longest any handshake waits, so a hung process fails the test
+/// instead of hanging it.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Files the child and parent hand off through, beside the store.
+const READY_FILE: &str = "child.ready";
+const ABORT_FILE: &str = "child.abort";
 
 const FINGERPRINT: u64 = 0xFEED_FACE_CAFE_0001;
 
@@ -30,7 +36,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// The deterministic record every writer produces for `job` — a pure
 /// function of the job index, so the serial reference and any
-/// partition of writers must persist identical bytes.
+/// interrupted-then-resumed store must persist identical bytes.
 fn record(job: u64) -> CampaignRecord {
     CampaignRecord {
         job,
@@ -59,166 +65,101 @@ fn write_reference(dir: &Path, total: u64, shards: u32) {
     assert!(meta.complete);
 }
 
-/// Re-executed child: appends every job its shard range owns. Spec is
-/// `dir;total;shards;start;end`.
+/// Polls `done` until it holds, failing after [`HANDSHAKE_TIMEOUT`].
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let began = Instant::now();
+    while !done() {
+        assert!(began.elapsed() < HANDSHAKE_TIMEOUT, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Lease lock files left in `dir`.
+fn lease_files(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("lease-"))
+        .collect()
+}
+
+/// Re-executed child: opens the store under `root/store`, appends jobs
+/// `0..k`, checkpoints, signals `READY_FILE`, waits for `ABORT_FILE`,
+/// and aborts without finishing. Spec is `root;total;shards;k`.
 #[test]
 fn writer_child() {
     let Ok(spec) = std::env::var(CHILD_ENV) else { return };
     let parts: Vec<&str> = spec.split(';').collect();
-    let (dir, rest) = (parts[0], &parts[1..]);
-    let [total, shards, start, end]: [u64; 4] = std::array::from_fn(|i| rest[i].parse().unwrap());
-    let opts = StoreOptions::new(FINGERPRINT, total, shards as u32, 8)
-        .shard_range(start as u32..end as u32)
-        .owner(format!("child-{start}-{end}"));
-    let (mut writer, state) = open_store_opts(dir, &opts).unwrap();
-    for job in 0..total {
-        if state.owns(job) && !state.is_done(job) {
-            writer.append(&record(job)).unwrap();
-        }
+    let root = Path::new(parts[0]);
+    let [total, shards, k]: [u64; 3] = std::array::from_fn(|i| parts[i + 1].parse().unwrap());
+    let (mut writer, _) =
+        open_store(root.join("store"), FINGERPRINT, total, shards as u32, 8).unwrap();
+    for job in 0..k {
+        writer.append(&record(job)).unwrap();
     }
-    writer.finish().unwrap();
-}
-
-/// Spawns one real child process per shard range and waits for all.
-fn run_writer_processes(dir: &Path, total: u64, shards: u32, ranges: &[(u32, u32)]) {
-    let exe = std::env::current_exe().unwrap();
-    let children: Vec<std::process::Child> = ranges
-        .iter()
-        .map(|&(start, end)| {
-            std::process::Command::new(&exe)
-                .args(["writer_child", "--exact", "--nocapture"])
-                .env(CHILD_ENV, format!("{};{total};{shards};{start};{end}", dir.display()))
-                .stdout(std::process::Stdio::null())
-                .spawn()
-                .unwrap()
-        })
-        .collect();
-    for mut child in children {
-        assert!(child.wait().unwrap().success(), "a writer process failed");
-    }
+    writer.checkpoint().unwrap();
+    std::fs::write(root.join(READY_FILE), "").unwrap();
+    wait_until("the parent's abort signal", || root.join(ABORT_FILE).exists());
+    std::process::abort();
 }
 
 #[test]
-fn parallel_writer_processes_merge_to_the_serial_reference() {
+fn a_live_writer_process_refuses_opens_and_a_dead_one_is_taken_over() {
+    let (total, shards, k) = (57u64, 4u32, 23u64);
     let reference = temp_dir("serial-ref");
-    let parallel = temp_dir("parallel");
-    let (total, shards) = (123u64, 6u32);
-
     write_reference(&reference, total, shards);
-    // Three processes over disjoint ranges, racing store creation too.
-    run_writer_processes(&parallel, total, shards, &[(0, 2), (2, 3), (3, 6)]);
 
-    // No writer saw the whole range, so none may have sealed the store;
-    // sealing is the coordinator's move and verifies every job arrived.
-    let sealed = seal_store(&parallel).unwrap();
-    assert!(sealed.complete);
+    let root = temp_dir("takeover");
+    let store = root.join("store");
+    let mut child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["writer_child", "--exact", "--nocapture"])
+        .env(CHILD_ENV, format!("{};{total};{shards};{k}", root.display()))
+        // Any core file the abort leaves lands in the test's temporary directory.
+        .current_dir(&root)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    wait_until("the child's checkpoint", || {
+        if let Some(status) = child.try_wait().unwrap() {
+            panic!("the writer child exited early: {status}");
+        }
+        root.join(READY_FILE).exists()
+    });
 
-    let (ref_meta, ref_records) = read_store(&reference).unwrap();
-    let (par_meta, par_records) = read_store(&parallel).unwrap();
-    assert_eq!(ref_records, par_records);
-    assert_eq!(ref_records.len() as u64, total);
-    assert_eq!((ref_meta.complete, ref_meta.shards), (par_meta.complete, par_meta.shards));
+    // The child lives and holds the store: a second writer is refused,
+    // and the refusal names the child.
+    let err = open_store(&store, FINGERPRINT, total, shards, 8).expect_err("a live writer");
+    assert!(err.to_string().contains(&format!("(pid {})", child.id())), "got: {err}");
 
-    // Stronger than record equality: after compaction both stores hold
-    // byte-identical shard files.
-    compact_store(&reference).unwrap();
-    compact_store(&parallel).unwrap();
-    for index in 0..shards {
-        let name = format!("shard-{index:03}.log");
-        let a = std::fs::read(reference.join(&name)).unwrap();
-        let b = std::fs::read(parallel.join(&name)).unwrap();
-        assert_eq!(a, b, "shard {index} bytes diverge after compaction");
+    // The child dies without finishing; its lease files stay behind.
+    std::fs::write(root.join(ABORT_FILE), "").unwrap();
+    let mut status = None;
+    wait_until("the child to abort", || {
+        status = child.try_wait().unwrap();
+        status.is_some()
+    });
+    assert!(!status.unwrap().success(), "the child aborted");
+    assert_eq!(lease_files(&store).len(), shards as usize);
+
+    // The next open takes the dead child's leases over and keeps every
+    // record it checkpointed.
+    let (mut writer, state) = open_store(&store, FINGERPRINT, total, shards, 8).unwrap();
+    assert_eq!(state.records(), k);
+    assert!((0..total).all(|job| state.is_done(job) == (job < k)));
+    for job in (0..total).filter(|&job| !state.is_done(job)) {
+        writer.append(&record(job)).unwrap();
     }
+    assert!(writer.finish().unwrap().complete);
+    assert!(lease_files(&store).is_empty(), "finishing releases every lease");
+    assert_eq!(read_store(&store).unwrap(), read_store(&reference).unwrap());
 
     std::fs::remove_dir_all(&reference).ok();
-    std::fs::remove_dir_all(&parallel).ok();
-}
-
-/// Randomized (proptest-style) torn-tail recovery under interleaved
-/// scoped writers: each round partitions the shards among writers,
-/// lets every writer persist a random prefix of its jobs, tears random
-/// shard tails the way a crash would, then lets a second generation of
-/// writers recover their own ranges and finish the job set. The merged
-/// read must equal the serial reference every time.
-#[test]
-fn interleaved_scoped_writers_recover_torn_tails_to_the_reference() {
-    let mut rng = StdRng::seed_from_u64(0xD51F);
-    for case in 0..12u32 {
-        let dir = temp_dir(&format!("torn-{case}"));
-        let shards = rng.random_range(2..=5u32);
-        let total = rng.random_range(20..=90u64);
-
-        // Random partition of 0..shards into contiguous writer ranges.
-        let mut cuts: Vec<u32> = (1..shards).filter(|_| rng.random::<bool>()).collect();
-        cuts.insert(0, 0);
-        cuts.push(shards);
-        let ranges: Vec<(u32, u32)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
-
-        // Generation 1: each scoped writer persists a random prefix of
-        // its jobs, interleaved with the others (all writers are open at
-        // once — disjoint leases must coexist).
-        let mut writers: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let opts = StoreOptions::new(FINGERPRINT, total, shards, 4)
-                    .shard_range(start..end)
-                    .owner(format!("gen1-{start}"));
-                open_store_opts(&dir, &opts).unwrap()
-            })
-            .collect();
-        for job in 0..total {
-            for (writer, state) in &mut writers {
-                if state.owns(job) && rng.random::<bool>() {
-                    writer.append(&record(job)).unwrap();
-                }
-            }
-        }
-        // Half the writers finish cleanly; the rest are dropped mid-air
-        // (Drop releases the lease; buffered frames may tear).
-        for (i, (writer, _)) in writers.into_iter().enumerate() {
-            if i % 2 == 0 {
-                writer.finish().unwrap();
-            }
-        }
-
-        // Crash damage: garbage appended to random shard tails.
-        for index in 0..shards {
-            if rng.random::<bool>() {
-                let path = dir.join(format!("shard-{index:03}.log"));
-                if path.is_file() {
-                    let mut bytes = std::fs::read(&path).unwrap();
-                    let junk = rng.random_range(1..=11usize);
-                    bytes.extend(std::iter::repeat_n(0xA5u8, junk));
-                    std::fs::write(&path, bytes).unwrap();
-                }
-            }
-        }
-
-        // Generation 2: recover each range and complete the job set.
-        for &(start, end) in &ranges {
-            let opts = StoreOptions::new(FINGERPRINT, total, shards, 4)
-                .shard_range(start..end)
-                .owner(format!("gen2-{start}"));
-            let (mut writer, state) = open_store_opts(&dir, &opts).unwrap();
-            for job in 0..total {
-                if state.owns(job) && !state.is_done(job) {
-                    writer.append(&record(job)).unwrap();
-                }
-            }
-            writer.finish().unwrap();
-        }
-        assert!(seal_store(&dir).unwrap().complete, "case {case}");
-
-        let (_, records) = read_store(&dir).unwrap();
-        let expected: Vec<CampaignRecord> = (0..total).map(record).collect();
-        assert_eq!(records, expected, "case {case} diverged from the serial reference");
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Randomized lease takeover: stale locks (dead pid, or an expired
-/// heartbeat) never block a new writer generation, while a live lease
-/// always refuses an overlapping open.
+/// heartbeat) never block a new writer, while a live writer always
+/// refuses a second open.
 #[test]
 fn stale_leases_are_taken_over_and_live_ones_refuse() {
     let mut rng = StdRng::seed_from_u64(0x1EA5E);
@@ -244,25 +185,18 @@ fn stale_leases_are_taken_over_and_live_ones_refuse() {
             }
         }
 
-        // Takeover: a full-range writer opens despite every lock, with a
-        // short timeout covering the expired-heartbeat locks.
-        let opts = StoreOptions::new(FINGERPRINT, total, shards, 8)
-            .owner("takeover")
-            .lease_timeout(Duration::from_secs(60));
-        let (writer, state) = open_store_opts(&dir, &opts).unwrap();
+        // Takeover: a writer opens despite every lock.
+        let (writer, state) = open_store(&dir, FINGERPRINT, total, shards, 8).unwrap();
         assert_eq!(state.records(), total);
 
-        // While that writer lives, any overlapping open is refused.
-        let overlap = rng.random_range(0..shards);
-        let contender = StoreOptions::new(FINGERPRINT, total, shards, 8)
-            .shard_range(overlap..overlap + 1)
-            .owner("contender");
-        let err = open_store_opts(&dir, &contender).unwrap_err();
-        assert!(err.to_string().contains("leased by `takeover`"), "case {case}: {err}");
+        // While that writer lives, a second open is refused.
+        let owner = format!("leased by `pid-{}`", std::process::id());
+        let err = open_store(&dir, FINGERPRINT, total, shards, 8).unwrap_err();
+        assert!(err.to_string().contains(&owner), "case {case}: {err}");
         drop(writer);
 
-        // Drop released the leases: the contender now succeeds.
-        assert!(open_store_opts(&dir, &contender).is_ok(), "case {case}");
+        // Drop released the leases: the second open now succeeds.
+        assert!(open_store(&dir, FINGERPRINT, total, shards, 8).is_ok(), "case {case}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -550,8 +550,8 @@ fn render_context(plan: &CampaignPlan, report_dir: &Path) -> RenderContext {
 /// The `report` refusal for an interrupted store: survey the shards so
 /// the message says *which* of them are short and whether a writer
 /// still holds (or abandoned) them — an actively-running campaign, a
-/// crashed one, and a scoped serve writer that finished its range but
-/// never sealed all read differently.
+/// crashed one, and one that stopped just short of finishing all read
+/// differently.
 fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
     use std::fmt::Write;
     let mut message = format!(
@@ -566,11 +566,11 @@ fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
     message.push_str("\n  incomplete shards:");
     if all_shards_full {
         // Every shard has all its records but the manifest never went
-        // complete: a scoped writer (serve slice / --max-jobs range)
-        // finished its range without sealing the store.
+        // complete: the writer stopped after its last checkpoint and
+        // before `finish`.
         message.push_str(
-            "\n    none — every shard is fully persisted, but no writer sealed the store \
-             (a scoped writer finished its range); `drivefi resume` will seal it",
+            "\n    none — every shard is fully persisted, but the writer stopped after its \
+             last checkpoint and before finishing; `drivefi resume` marks the store complete",
         );
         return message;
     }

@@ -28,9 +28,8 @@
 //! * [`serve`] — the campaign daemon: a spool of submitted plans
 //!   scheduled fair-share across a shared worker pool, with live
 //!   `status.toml` progress and crash-equivalent restart.
-//! * [`obs`] — campaign observability: the metrics registry and the
-//!   append-only `events.jsonl` lifecycle log, fingerprint-neutral by
-//!   construction.
+//! * [`obs`] — campaign observability: the append-only `events.jsonl`
+//!   lifecycle log, fingerprint-neutral by construction.
 //! * [`genfi`] — the engine generalized to arbitrary safety-critical
 //!   systems (with a surgical-robot instantiation).
 //!
