@@ -179,36 +179,38 @@ impl Signal {
         }
     }
 
-    /// Writes `value` into the bus. Writes to lead-object signals move the
-    /// tracked object; writes to missing signals are no-ops (a fault in a
-    /// variable that holds no live value cannot propagate).
-    pub fn write(self, bus: &mut Bus, value: f64) {
+    /// Writes `value` into the bus and reports whether any stored bit
+    /// changed. Writes to lead-object signals move the tracked object;
+    /// writes to missing signals are no-ops (a fault in a variable that
+    /// holds no live value cannot propagate).
+    pub fn write(self, bus: &mut Bus, value: f64) -> bool {
+        fn set(slot: &mut f64, value: f64) -> bool {
+            let changed = slot.to_bits() != value.to_bits();
+            *slot = value;
+            changed
+        }
         match self {
-            Signal::PoseX => bus.pose.x = value,
-            Signal::PoseY => bus.pose.y = value,
-            Signal::PoseSpeed => bus.pose.v = value,
-            Signal::PoseHeading => bus.pose.theta = value,
-            Signal::ImuSpeed => bus.imu.speed = value,
-            Signal::ImuAccel => bus.imu.accel = value,
-            Signal::LeadDistance => {
-                if let Some(i) = Self::lead_index(bus) {
-                    let local = bus.pose.to_local(bus.world_model.objects[i].position);
-                    let new_local = Vec2::new(value, local.y);
-                    let world = new_local.rotated(bus.pose.theta) + bus.pose.position();
-                    bus.world_model.objects[i].position = world;
-                }
-            }
-            Signal::LeadSpeed => {
-                if let Some(i) = Self::lead_index(bus) {
-                    bus.world_model.objects[i].velocity.x = value;
-                }
-            }
-            Signal::RawThrottle => bus.raw_cmd.throttle = value,
-            Signal::RawBrake => bus.raw_cmd.brake = value,
-            Signal::RawSteering => bus.raw_cmd.steering = value,
-            Signal::FinalThrottle => bus.final_cmd.throttle = value,
-            Signal::FinalBrake => bus.final_cmd.brake = value,
-            Signal::FinalSteering => bus.final_cmd.steering = value,
+            Signal::PoseX => set(&mut bus.pose.x, value),
+            Signal::PoseY => set(&mut bus.pose.y, value),
+            Signal::PoseSpeed => set(&mut bus.pose.v, value),
+            Signal::PoseHeading => set(&mut bus.pose.theta, value),
+            Signal::ImuSpeed => set(&mut bus.imu.speed, value),
+            Signal::ImuAccel => set(&mut bus.imu.accel, value),
+            Signal::LeadDistance => Self::lead_index(bus).is_some_and(|i| {
+                let local = bus.pose.to_local(bus.world_model.objects[i].position);
+                let new_local = Vec2::new(value, local.y);
+                let world = new_local.rotated(bus.pose.theta) + bus.pose.position();
+                let position = &mut bus.world_model.objects[i].position;
+                set(&mut position.x, world.x) | set(&mut position.y, world.y)
+            }),
+            Signal::LeadSpeed => Self::lead_index(bus)
+                .is_some_and(|i| set(&mut bus.world_model.objects[i].velocity.x, value)),
+            Signal::RawThrottle => set(&mut bus.raw_cmd.throttle, value),
+            Signal::RawBrake => set(&mut bus.raw_cmd.brake, value),
+            Signal::RawSteering => set(&mut bus.raw_cmd.steering, value),
+            Signal::FinalThrottle => set(&mut bus.final_cmd.throttle, value),
+            Signal::FinalBrake => set(&mut bus.final_cmd.brake, value),
+            Signal::FinalSteering => set(&mut bus.final_cmd.steering, value),
         }
     }
 }
@@ -245,9 +247,14 @@ mod tests {
             // Fresh bus per signal: writes to pose fields change the ego
             // frame, which would perturb later lead-relative reads.
             let mut bus = bus_with_lead(50.0);
-            sig.write(&mut bus, 0.25);
+            assert!(sig.write(&mut bus, 0.25), "{sig}: a new value changes bits");
             let v = sig.read(&bus).unwrap();
             assert!((v - 0.25).abs() < 1e-9, "{sig} round-trip failed: {v}");
+            // Rewriting a field's own value changes nothing.
+            let stored = sig.read(&bus).unwrap();
+            if sig != Signal::LeadDistance {
+                assert!(!sig.write(&mut bus, stored), "{sig}: same bits reported as a change");
+            }
         }
     }
 
@@ -264,9 +271,10 @@ mod tests {
         let bus = Bus::default();
         assert_eq!(Signal::LeadDistance.read(&bus), None);
         assert_eq!(Signal::LeadSpeed.read(&bus), None);
-        // Writing is a no-op, not a panic.
+        // Writing is a no-op, not a panic, and changes nothing.
         let mut bus = Bus::default();
-        Signal::LeadDistance.write(&mut bus, 10.0);
+        assert!(!Signal::LeadDistance.write(&mut bus, 10.0));
+        assert!(!Signal::LeadSpeed.write(&mut bus, 10.0));
     }
 
     #[test]

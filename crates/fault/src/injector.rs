@@ -12,12 +12,19 @@ pub struct Injector {
     frozen_model: Option<(WorldModel, u64)>,
     hung_stages: Vec<(Stage, Bus)>,
     injections: u64,
+    changed_bus: bool,
 }
 
 impl Injector {
     /// Creates an injector armed with `faults`.
     pub fn new(faults: Vec<Fault>) -> Self {
-        Injector { faults, frozen_model: None, hung_stages: Vec::new(), injections: 0 }
+        Injector {
+            faults,
+            frozen_model: None,
+            hung_stages: Vec::new(),
+            injections: 0,
+            changed_bus: false,
+        }
     }
 
     /// The armed faults.
@@ -28,6 +35,26 @@ impl Injector {
     /// Number of individual corruptions performed so far.
     pub fn injection_count(&self) -> u64 {
         self.injections
+    }
+
+    /// Whether any corruption so far changed a bit on the bus. While it
+    /// is false the run is bit-identical to the unfaulted one, so from
+    /// [`Injector::quiet_from`] on the rest of the run is the unfaulted
+    /// run's. Scalar writes are compared bit for bit and clearing an
+    /// empty world model changes nothing; a replayed hang or freeze
+    /// counts as a change whenever it is applied.
+    pub fn changed_bus(&self) -> bool {
+        self.changed_bus
+    }
+
+    /// The first frame on which none of the armed faults can act any
+    /// more (`u64::MAX` if one is permanent; 0 with no faults).
+    pub fn quiet_from(&self) -> u64 {
+        self.faults
+            .iter()
+            .map(|f| f.window.start_frame.saturating_add(f.window.frames))
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -58,11 +85,12 @@ impl BusInterceptor for Injector {
                 FaultKind::Scalar { signal, model } => {
                     if let Some(current) = signal.read(bus) {
                         let corrupted = model.apply(current, signal.range());
-                        signal.write(bus, corrupted);
+                        self.changed_bus |= signal.write(bus, corrupted);
                         self.injections += 1;
                     }
                 }
                 FaultKind::ClearWorldModel => {
+                    self.changed_bus |= !bus.world_model.objects.is_empty();
                     bus.world_model.objects.clear();
                     self.injections += 1;
                 }
@@ -89,6 +117,7 @@ impl BusInterceptor for Injector {
                             Stage::Control => bus.final_cmd = snapshot.final_cmd,
                         }
                         bus.heartbeats[stage.index()] = snapshot.heartbeats[stage.index()];
+                        self.changed_bus = true;
                         self.injections += 1;
                     }
                 }
@@ -105,6 +134,7 @@ impl BusInterceptor for Injector {
                             obj.position += obj.velocity * dt;
                         }
                         bus.world_model = coasted;
+                        self.changed_bus = true;
                         self.injections += 1;
                     }
                 }
@@ -244,6 +274,43 @@ mod tests {
         let mut b = Bus::default(); // no objects → no lead signal
         inj.intercept(Stage::Perception, 0, &mut b);
         assert_eq!(inj.injection_count(), 0);
+    }
+
+    #[test]
+    fn writes_that_change_no_bit_leave_the_bus_unchanged() {
+        let fault =
+            |signal, model, window| Fault { kind: FaultKind::Scalar { signal, model }, window };
+        // Brake min while coasting (brake already 0): counted, no change.
+        let mut inj = Injector::new(vec![fault(
+            Signal::FinalBrake,
+            ScalarFaultModel::StuckMin,
+            FaultWindow::burst(3, 2),
+        )]);
+        let mut b = bus();
+        inj.intercept(Stage::Control, 3, &mut b);
+        inj.intercept(Stage::Control, 4, &mut b);
+        assert_eq!((inj.injection_count(), inj.changed_bus()), (2, false));
+        assert_eq!(inj.quiet_from(), 5);
+        // Clearing an empty world model changes nothing either; clearing
+        // a populated one does.
+        let mut inj = Injector::new(vec![Fault {
+            kind: FaultKind::ClearWorldModel,
+            window: FaultWindow::transient(0),
+        }]);
+        inj.intercept(Stage::Perception, 0, &mut Bus::default());
+        assert_eq!((inj.injection_count(), inj.changed_bus()), (1, false));
+        inj.intercept(Stage::Perception, 0, &mut bus());
+        assert!(inj.changed_bus());
+        // A real corruption changes bits; a permanent window never quiets.
+        let mut inj = Injector::new(vec![fault(
+            Signal::RawThrottle,
+            ScalarFaultModel::StuckMax,
+            FaultWindow::permanent(0),
+        )]);
+        inj.intercept(Stage::Planning, 0, &mut bus());
+        assert!(inj.changed_bus());
+        assert_eq!(inj.quiet_from(), u64::MAX);
+        assert_eq!(Injector::new(vec![]).quiet_from(), 0);
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! uses as the discrete time base of the injector (§III-A,
 //! "Discretization").
 //!
+//! A suite draws all its noise from one seeded [`NoiseRng`] stream.
+//! Runs of one scenario draw the same stream, so [`Gaussian::sample`]
+//! memoizes each Box–Muller normal per thread by (seed, stream
+//! position), in a fixed table of [`noise::MEMO_POSITIONS`] positions
+//! at 8 bytes each, which a thread takes when it first re-draws a
+//! stream; see [`noise`].
+//!
 //! # Example
 //!
 //! ```
@@ -28,6 +35,6 @@ pub mod object_sensor;
 pub mod suite;
 
 pub use detection::{Detection, GpsFix, ImuSample, SensorKind};
-pub use noise::Gaussian;
+pub use noise::{Gaussian, NoiseRng};
 pub use object_sensor::ObjectSensor;
 pub use suite::{SensorFrame, SensorSuite};

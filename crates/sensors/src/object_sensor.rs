@@ -1,7 +1,7 @@
 //! A generic object sensor: ground truth degraded by noise, dropout, and
 //! range/field-of-view limits.
 
-use crate::{Detection, Gaussian, SensorKind};
+use crate::{Detection, Gaussian, NoiseRng, SensorKind};
 use drivefi_kinematics::Vec2;
 use drivefi_world::{segment_intersects_obb, World};
 use rand::Rng;
@@ -94,7 +94,7 @@ impl ObjectSensor {
     /// # Panics
     ///
     /// Panics if the world has no registered ego pose.
-    pub fn sense<R: Rng + ?Sized>(&self, world: &World, rng: &mut R) -> Vec<Detection> {
+    pub fn sense(&self, world: &World, rng: &mut NoiseRng) -> Vec<Detection> {
         let mut out = Vec::new();
         self.sense_into(world, rng, &mut out);
         out
@@ -109,12 +109,7 @@ impl ObjectSensor {
     /// # Panics
     ///
     /// Panics if the world has no registered ego pose.
-    pub fn sense_into<R: Rng + ?Sized>(
-        &self,
-        world: &World,
-        rng: &mut R,
-        out: &mut Vec<Detection>,
-    ) {
+    pub fn sense_into(&self, world: &World, rng: &mut NoiseRng, out: &mut Vec<Detection>) {
         let (ego, _) = world.ego().expect("sensors require a registered ego pose");
         let ego_pos = ego.position();
         let ego_vel = ego.velocity();
@@ -176,7 +171,6 @@ mod tests {
     use super::*;
     use drivefi_kinematics::VehicleState;
     use drivefi_world::{Actor, ActorId, ActorKind, Behavior, Road};
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn world_with_car_at(x: f64, y: f64) -> World {
@@ -194,7 +188,7 @@ mod tests {
     #[test]
     fn detects_object_ahead() {
         let w = world_with_car_at(50.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = NoiseRng::seed_from_u64(1);
         let dets = ObjectSensor::lidar().sense(&w, &mut rng);
         assert_eq!(dets.len(), 1);
         let d = dets[0];
@@ -206,7 +200,7 @@ mod tests {
     #[test]
     fn out_of_range_is_invisible() {
         let w = world_with_car_at(500.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = NoiseRng::seed_from_u64(1);
         assert!(ObjectSensor::lidar().sense(&w, &mut rng).is_empty());
         assert!(ObjectSensor::radar().sense(&w, &mut rng).is_empty());
     }
@@ -215,7 +209,7 @@ mod tests {
     fn narrow_fov_misses_side_objects() {
         // Object nearly perpendicular: visible to 360° lidar, not radar.
         let w = world_with_car_at(5.0, 20.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = NoiseRng::seed_from_u64(1);
         assert_eq!(ObjectSensor::lidar().sense(&w, &mut rng).len(), 1);
         assert!(ObjectSensor::radar().sense(&w, &mut rng).is_empty());
     }
@@ -223,7 +217,7 @@ mod tests {
     #[test]
     fn dropout_eventually_misses() {
         let w = world_with_car_at(50.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = NoiseRng::seed_from_u64(1);
         let mut sensor = ObjectSensor::camera();
         sensor.dropout = 0.5;
         let misses = (0..200).filter(|_| sensor.sense(&w, &mut rng).is_empty()).count();
@@ -247,7 +241,7 @@ mod tests {
             Behavior::Static,
         ));
         w.set_ego(VehicleState::new(0.0, 0.0, 20.0, 0.0, 0.0), ActorKind::Car.dims());
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = NoiseRng::seed_from_u64(1);
         let mut sensor = ObjectSensor::lidar();
         sensor.dropout = 0.0;
         let ids: Vec<u32> = sensor.sense(&w, &mut rng).iter().map(|d| d.truth_id).collect();
@@ -276,7 +270,7 @@ mod tests {
     #[test]
     fn noise_statistics_match_spec() {
         let w = world_with_car_at(50.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = NoiseRng::seed_from_u64(3);
         let s = ObjectSensor::camera();
         let n = 5000;
         let mut sum = 0.0;

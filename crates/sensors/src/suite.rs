@@ -1,9 +1,8 @@
 //! The full sensor suite with per-sensor refresh scheduling.
 
-use crate::{Detection, Gaussian, GpsFix, ImuSample, ObjectSensor};
+use crate::{Detection, Gaussian, GpsFix, ImuSample, NoiseRng, ObjectSensor};
 use drivefi_kinematics::Vec2;
 use drivefi_world::World;
-use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The base tick rate of the ADS loop \[Hz\]. All sensor rates divide it.
@@ -45,7 +44,9 @@ pub struct SensorSuite {
     pub gps_noise: f64,
     /// IMU speed noise σ \[m/s\].
     pub imu_noise: f64,
-    rng: StdRng,
+    /// The noise stream; its normals are memoized per thread by
+    /// `(seed, position)` (see [`crate::noise`]).
+    rng: NoiseRng,
     last_speed: Option<f64>,
     /// Spare detection buffers, one per object channel (camera, lidar,
     /// radar). A channel's buffer parks here while its sensor skips
@@ -65,7 +66,7 @@ impl SensorSuite {
             radar: ObjectSensor::radar(),
             gps_noise: 0.0,
             imu_noise: 0.0,
-            rng: StdRng::seed_from_u64(0),
+            rng: NoiseRng::seed_from_u64(0),
             last_speed: None,
             spares: [Vec::new(), Vec::new(), Vec::new()],
         };
@@ -83,7 +84,7 @@ impl SensorSuite {
         self.radar = ObjectSensor::radar();
         self.gps_noise = 0.15;
         self.imu_noise = 0.05;
-        self.rng = StdRng::seed_from_u64(seed ^ 0x5E45_0125);
+        self.rng = NoiseRng::seed_from_u64(seed ^ 0x5E45_0125);
         self.last_speed = None;
         for spare in &mut self.spares {
             spare.clear();
@@ -178,7 +179,7 @@ impl SensorSuite {
         sensor: &ObjectSensor,
         ticked: bool,
         world: &World,
-        rng: &mut StdRng,
+        rng: &mut NoiseRng,
         channel: &mut Option<Vec<Detection>>,
         spare: &mut Vec<Detection>,
     ) {
@@ -262,6 +263,24 @@ mod tests {
         let (ego, _) = w.ego().unwrap();
         assert!((fix.position.x - ego.x).abs() < 3.0);
         assert!((fix.position.y - ego.y).abs() < 3.0);
+    }
+
+    #[test]
+    fn reseeded_and_cloned_suites_replay_the_stream() {
+        // A reseeded suite samples what a fresh one does, and a clone
+        // taken mid-run samples what its source does, frame for frame.
+        let w = world();
+        let frames = |suite: &mut SensorSuite, from: u64| {
+            (from..from + 60).map(|f| format!("{:?}", suite.sample(&w, f))).collect::<Vec<_>>()
+        };
+        let mut fresh = SensorSuite::with_seed(5);
+        let reference = frames(&mut fresh, 0);
+        let mut reused = SensorSuite::with_seed(6);
+        frames(&mut reused, 0);
+        reused.reseed(5);
+        assert_eq!(frames(&mut reused, 0), reference);
+        let mut clone = reused.clone();
+        assert_eq!(frames(&mut clone, 60), frames(&mut reused, 60));
     }
 
     #[test]

@@ -1,19 +1,27 @@
-//! Chunked campaign execution with golden-prefix sharing.
+//! Scenario-major campaign execution with golden-prefix sharing.
 //!
 //! A faulted job is bitwise identical to the golden (fault-free) run of
 //! its scenario until the injector first acts — and the injector is a
 //! strict no-op before `start_frame − 1` (the Freeze/Hang capture
-//! lookahead). `ChunkRunner` exploits this: per scenario it drives one
-//! golden *pilot*, snapshots the simulation at the scene boundaries where
-//! jobs diverge, and forks each job from its snapshot instead of
-//! re-simulating the shared prefix. Each forked job then runs to
-//! completion on its own `Simulation`, through the scene loop
-//! `Simulation::run_with` uses. Golden jobs take the pilot's result
-//! verbatim; if the pilot stops at a collision in scene c, any job whose
-//! faults cannot act before frame 4c is provably identical and also takes
-//! the result verbatim. The pilot is cached across a worker's chunks
-//! (keyed by the scenario `Arc`), so scenario-major job streams pay the
-//! golden prefix once.
+//! lookahead). The engine therefore dispatches one [`ScenarioTask`] per
+//! scenario: its jobs, ascending by first divergent frame, run against
+//! one golden *pilot* that only moves forward. Each faulted job clones
+//! the pilot at its fork scene and runs on its own `Simulation` through
+//! the scene step `Simulation::run_with` uses. Three kinds of job take
+//! the pilot's final result instead, so the pilot runs to the scenario
+//! end only when one of them exists:
+//!
+//! * golden jobs, and jobs whose faults cannot act before the scenario
+//!   ends;
+//! * jobs whose fork scene lies past the pilot's stop point (a collision
+//!   under `stop_on_collision`): their faults never get to act;
+//! * forked jobs whose fault windows closed without changing a bus bit
+//!   (`Injector::changed_bus`): from there on they are the pilot's run,
+//!   so they keep only their own injection count.
+//!
+//! Running one scenario's jobs back to back on one thread is also what
+//! lets the sensor noise memo (`drivefi_sensors::noise`) serve later
+//! jobs the normals earlier ones drew.
 
 use crate::outcome::RunReport;
 use crate::simulation::{RunState, SimConfig, Simulation, BASE_TICKS_PER_SCENE};
@@ -21,92 +29,8 @@ use crate::{CampaignJob, CampaignResult};
 use drivefi_ads::NullInterceptor;
 use drivefi_fault::{Fault, Injector};
 use drivefi_world::ScenarioConfig;
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Accounting snapshot taken alongside a pilot simulation snapshot.
-struct SceneMark {
-    scene: u64,
-    sim: Simulation,
-    state: RunState,
-}
-
-/// A worker's cached golden pilot for one scenario.
-struct PilotCache {
-    scenario: Arc<ScenarioConfig>,
-    /// Live pilot head, extended on demand.
-    sim: Simulation,
-    state: RunState,
-    /// Snapshots at requested fork-scene boundaries, ascending by scene.
-    marks: Vec<SceneMark>,
-    /// Set once the pilot hit its stop point (collision under
-    /// `stop_on_collision`).
-    broke: bool,
-}
-
-impl PilotCache {
-    fn new(config: SimConfig, scenario: &Arc<ScenarioConfig>) -> Self {
-        let sim = Simulation::new(config, scenario);
-        let state = RunState::new(&sim);
-        PilotCache { scenario: Arc::clone(scenario), sim, state, marks: Vec::new(), broke: false }
-    }
-
-    /// The scene index the pilot has completed through.
-    fn progress(&self) -> u64 {
-        self.sim.scene()
-    }
-
-    /// True when the pilot cannot advance further (scenario exhausted or
-    /// stop point reached).
-    fn ended(&self) -> bool {
-        self.broke || self.sim.done()
-    }
-
-    /// Drives the pilot forward until it has passed every scene in
-    /// `needs` (snapshotting each as it is reached) and, if `full`, to
-    /// the end of the scenario. Stops early at the stop point.
-    fn ensure(&mut self, needs: &BTreeSet<u64>, full: bool) {
-        let target = needs.iter().next_back().copied();
-        loop {
-            let here = self.progress();
-            if needs.contains(&here) && !self.marks.iter().any(|m| m.scene == here) {
-                self.marks.push(SceneMark {
-                    scene: here,
-                    sim: self.sim.clone(),
-                    state: self.state.clone(),
-                });
-            }
-            if self.ended() {
-                return;
-            }
-            let past_needs = target.is_none_or(|t| here >= t);
-            if past_needs && !full {
-                return;
-            }
-            for _ in 0..BASE_TICKS_PER_SCENE {
-                self.sim.step_tick(&mut NullInterceptor);
-            }
-            if self.sim.eval_scene(&mut self.state) {
-                self.broke = true;
-            }
-        }
-    }
-
-    /// The pilot's own result — what a run of the golden job (or
-    /// of any job whose faults cannot act before the pilot's stop point)
-    /// returns.
-    fn verbatim(&self) -> RunReport {
-        self.state.clone().into_report(&self.sim)
-    }
-
-    /// Clones the fork snapshot at `scene`, if one was taken. A cached
-    /// pilot reused across chunks may already be past a scene it never
-    /// snapshotted — the caller falls back to a fresh run then.
-    fn fork(&self, scene: u64) -> Option<(Simulation, RunState)> {
-        let mark = self.marks.iter().find(|m| m.scene == scene)?;
-        Some((mark.sim.clone(), mark.state.clone()))
-    }
-}
 
 /// The first frame at which a job's execution can diverge from the
 /// golden run: the injector is a strict no-op before
@@ -116,142 +40,167 @@ fn first_divergent_frame(faults: &[Fault]) -> Option<u64> {
     faults.iter().map(|f| f.window.start_frame.saturating_sub(1)).min()
 }
 
-/// A worker's chunk executor: groups a chunk's jobs by scenario, shares
-/// golden prefixes through a cached pilot, and runs each job to
-/// completion from its fork.
-pub(crate) struct ChunkRunner {
-    config: SimConfig,
-    cache: Option<PilotCache>,
+/// One dispatch unit: jobs over one scenario, each with its submission
+/// index, ascending by first divergent frame (golden jobs last).
+pub(crate) struct ScenarioTask {
+    scenario: Arc<ScenarioConfig>,
+    jobs: Vec<(u64, CampaignJob)>,
 }
 
-impl ChunkRunner {
-    pub(crate) fn new(config: SimConfig) -> Self {
-        ChunkRunner { config, cache: None }
-    }
-
-    /// Executes every job in `chunk`, returning results in chunk order.
-    pub(crate) fn run_chunk(&mut self, chunk: Vec<CampaignJob>) -> Vec<CampaignResult> {
-        // Group chunk positions by scenario identity (jobs over one
-        // scenario share the `Arc`).
-        let mut groups: Vec<(Arc<ScenarioConfig>, Vec<usize>)> = Vec::new();
-        for (pos, job) in chunk.iter().enumerate() {
-            match groups.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &job.scenario)) {
-                Some((_, positions)) => positions.push(pos),
-                None => groups.push((Arc::clone(&job.scenario), vec![pos])),
+impl ScenarioTask {
+    /// Groups `jobs` (submission index = position in the stream) into
+    /// one task per scenario — `Arc` identity, in order of first
+    /// appearance — sorted by first divergent frame, submission order
+    /// among equals. A group larger than ceil(jobs ÷ workers) is split
+    /// into consecutive runs of that size, so a stage over few scenarios
+    /// still spreads over every worker.
+    pub(crate) fn group(jobs: impl Iterator<Item = CampaignJob>, workers: usize) -> Vec<Self> {
+        let mut groups: Vec<ScenarioTask> = Vec::new();
+        let mut slot_of: HashMap<*const ScenarioConfig, usize> = HashMap::new();
+        let mut pending = 0usize;
+        for (index, job) in jobs.enumerate() {
+            pending += 1;
+            let slot = *slot_of.entry(Arc::as_ptr(&job.scenario)).or_insert_with(|| {
+                groups.push(ScenarioTask { scenario: Arc::clone(&job.scenario), jobs: Vec::new() });
+                groups.len() - 1
+            });
+            groups[slot].jobs.push((index as u64, job));
+        }
+        let most = pending.div_ceil(workers.max(1));
+        let mut tasks = Vec::with_capacity(groups.len());
+        for mut group in groups {
+            group
+                .jobs
+                .sort_by_key(|(_, job)| first_divergent_frame(&job.faults).unwrap_or(u64::MAX));
+            let mut jobs = group.jobs.into_iter().peekable();
+            while jobs.peek().is_some() {
+                tasks.push(ScenarioTask {
+                    scenario: Arc::clone(&group.scenario),
+                    jobs: jobs.by_ref().take(most).collect(),
+                });
             }
         }
+        tasks
+    }
 
-        let mut results: Vec<Option<CampaignResult>> = (0..chunk.len()).map(|_| None).collect();
-        for (scenario, positions) in groups {
-            let total_frames = scenario.scene_count() as u64 * BASE_TICKS_PER_SCENE;
-
-            // Reuse the cached pilot when the scenario is the same
-            // allocation (same dynamics by construction: the sensor seed
-            // derives from config ⊕ scenario).
-            let reusable = matches!(&self.cache, Some(c) if Arc::ptr_eq(&c.scenario, &scenario));
-            if !reusable {
-                self.cache = Some(PilotCache::new(self.config, &scenario));
-            }
-            let cache = self.cache.as_mut().expect("pilot cache just populated");
-
-            // Fork scenes needed by this group's faulted jobs, and
-            // whether any job needs the pilot run to full length.
-            let mut needs = BTreeSet::new();
-            let mut full = false;
-            for &pos in &positions {
-                match first_divergent_frame(&chunk[pos].faults) {
-                    Some(f0) if f0 < total_frames => {
-                        needs.insert(f0 / BASE_TICKS_PER_SCENE);
-                    }
-                    // Golden, or faults that can never act in-window:
-                    // the job takes the pilot's full result verbatim.
-                    _ => full = true,
+    /// Runs every job of the task; returns each result with its
+    /// submission index.
+    pub(crate) fn run(self, config: SimConfig) -> Vec<(u64, CampaignResult)> {
+        let total_frames = self.scenario.scene_count() as u64 * BASE_TICKS_PER_SCENE;
+        let mut pilot = Pilot::new(config, &self.scenario);
+        let mut results = Vec::with_capacity(self.jobs.len());
+        // (index, id, injections) of the jobs that take the pilot's
+        // final result.
+        let mut verbatim = Vec::new();
+        for (index, job) in self.jobs {
+            let fork = first_divergent_frame(&job.faults)
+                .filter(|&f0| f0 < total_frames)
+                .and_then(|f0| pilot.fork_at(f0 / BASE_TICKS_PER_SCENE));
+            // No fork: the job cannot diverge before the pilot's end, so
+            // its run is the pilot's run, bit for bit, with no injection
+            // (it stops before any fault window opens).
+            let Some((sim, state)) = fork else {
+                verbatim.push((index, job.id, 0));
+                continue;
+            };
+            let mut injector = Injector::new(job.faults);
+            match run_fork(sim, state, &mut injector) {
+                Some(mut report) => {
+                    report.injections = injector.injection_count();
+                    results.push((index, CampaignResult { id: job.id, report }));
                 }
-            }
-            cache.ensure(&needs, full);
-
-            for &pos in &positions {
-                let job = &chunk[pos];
-                let fork_scene = first_divergent_frame(&job.faults)
-                    .filter(|f0| *f0 < total_frames)
-                    .map(|f0| f0 / BASE_TICKS_PER_SCENE);
-                let report = match fork_scene {
-                    // The job cannot diverge before the pilot's end:
-                    // its run is the pilot's run, bit for bit.
-                    // (`verbatim` reports zero injections, which is right:
-                    // the run stops before any fault window opens.)
-                    None => cache.verbatim(),
-                    // Pilot stopped at a collision in an earlier scene, so
-                    // this job's faults never get to act.
-                    Some(scene) if cache.ended() && scene >= cache.progress() => cache.verbatim(),
-                    Some(scene) => {
-                        // The cached pilot may have passed this scene in an
-                        // earlier chunk without snapshotting it: run the
-                        // whole job fresh then (prefix sharing is only an
-                        // optimization).
-                        let (mut sim, state) = cache.fork(scene).unwrap_or_else(|| {
-                            let sim = Simulation::new(self.config, &job.scenario);
-                            let state = RunState::new(&sim);
-                            (sim, state)
-                        });
-                        let mut injector = Injector::new(job.faults.clone());
-                        let mut report = sim.run_from(state, &mut injector, None);
-                        report.injections = injector.injection_count();
-                        report
-                    }
-                };
-                results[pos] = Some(CampaignResult { id: job.id, report });
+                None => verbatim.push((index, job.id, injector.injection_count())),
             }
         }
-        results.into_iter().map(|r| r.expect("every chunk job produced a result")).collect()
+        if !verbatim.is_empty() {
+            let report = pilot.finish();
+            for (index, id, injections) in verbatim {
+                let report = RunReport { injections, ..report.clone() };
+                results.push((index, CampaignResult { id, report }));
+            }
+        }
+        results
     }
 }
 
-/// Chunks a job stream into `Vec`s of at most `size` jobs, preserving
-/// order (all chunks are full except possibly the last).
-pub(crate) struct Chunks<I> {
-    inner: I,
-    size: usize,
-}
-
-impl<I: Iterator> Chunks<I> {
-    pub(crate) fn new(inner: I, size: usize) -> Self {
-        Chunks { inner, size: size.max(1) }
-    }
-}
-
-impl<I: Iterator> Iterator for Chunks<I> {
-    type Item = Vec<I::Item>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut chunk = Vec::with_capacity(self.size);
-        for item in self.inner.by_ref() {
-            chunk.push(item);
-            if chunk.len() == self.size {
-                break;
-            }
+/// Runs a forked job to its end (or stop point). `None` when its faults
+/// went quiet without changing a bus bit: from there on it is the
+/// pilot's run.
+fn run_fork(
+    mut sim: Simulation,
+    mut state: RunState,
+    injector: &mut Injector,
+) -> Option<RunReport> {
+    let quiet = injector.quiet_from();
+    while !sim.done() {
+        if sim.frame() >= quiet && !injector.changed_bus() {
+            return None;
         }
-        (!chunk.is_empty()).then_some(chunk)
+        if sim.step_scene(&mut state, injector) {
+            break;
+        }
+    }
+    Some(state.into_report(&sim))
+}
+
+/// A task's golden pilot: the unfaulted run of its scenario, advanced
+/// only forward.
+struct Pilot {
+    sim: Simulation,
+    state: RunState,
+    /// Set once the pilot hit its stop point.
+    stopped: bool,
+}
+
+impl Pilot {
+    fn new(config: SimConfig, scenario: &ScenarioConfig) -> Self {
+        let sim = Simulation::new(config, scenario);
+        let state = RunState::new(&sim);
+        Pilot { sim, state, stopped: false }
+    }
+
+    /// Advances the pilot to the start of `scene` (never backwards) and
+    /// clones the run there; `None` when the pilot stopped first.
+    fn fork_at(&mut self, scene: u64) -> Option<(Simulation, RunState)> {
+        while !self.stopped && !self.sim.done() && self.sim.scene() < scene {
+            self.stopped = self.sim.step_scene(&mut self.state, &mut NullInterceptor);
+        }
+        debug_assert!(self.stopped || self.sim.scene() == scene, "forks must ascend");
+        (!self.stopped).then(|| (self.sim.clone(), self.state.clone()))
+    }
+
+    /// The pilot's final result: what a run of the golden job returns.
+    fn finish(self) -> RunReport {
+        let Pilot { mut sim, state, stopped } = self;
+        if stopped {
+            state.into_report(&sim)
+        } else {
+            sim.run_from(state, &mut NullInterceptor, None)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CampaignEngine;
     use drivefi_ads::Signal;
     use drivefi_fault::{FaultKind, FaultWindow, ScalarFaultModel};
 
-    fn throttle_fault(scene: u64) -> Fault {
-        Fault {
-            kind: FaultKind::Scalar {
-                signal: Signal::RawThrottle,
-                model: ScalarFaultModel::StuckMax,
-            },
-            window: FaultWindow::scene(scene),
-        }
+    fn scalar(signal: Signal, model: ScalarFaultModel, window: FaultWindow) -> Fault {
+        Fault { kind: FaultKind::Scalar { signal, model }, window }
     }
 
-    fn scalar_reference(config: SimConfig, job: &CampaignJob) -> CampaignResult {
+    fn throttle_fault(scene: u64) -> Fault {
+        scalar(Signal::RawThrottle, ScalarFaultModel::StuckMax, FaultWindow::scene(scene))
+    }
+
+    fn job(id: u64, scenario: &Arc<ScenarioConfig>, faults: Vec<Fault>) -> CampaignJob {
+        CampaignJob { id, scenario: Arc::clone(scenario), faults }
+    }
+
+    /// A fresh `Simulation::run_with` of the job.
+    fn fresh_run(config: SimConfig, job: &CampaignJob) -> CampaignResult {
         let mut sim = Simulation::new(config, &job.scenario);
         let mut injector = Injector::new(job.faults.clone());
         let mut report = sim.run_with(&mut injector);
@@ -261,59 +210,56 @@ mod tests {
 
     fn assert_results_identical(a: &CampaignResult, b: &CampaignResult) {
         assert_eq!(a.id, b.id);
-        assert_eq!(a.report.outcome, b.report.outcome);
+        assert_eq!(a.report.outcome, b.report.outcome, "job {}", a.id);
         assert_eq!(a.report.min_delta_lon.to_bits(), b.report.min_delta_lon.to_bits());
         assert_eq!(a.report.min_delta_lat.to_bits(), b.report.min_delta_lat.to_bits());
-        assert_eq!(a.report.scenes, b.report.scenes);
-        assert_eq!(a.report.injections, b.report.injections);
+        assert_eq!(a.report.scenes, b.report.scenes, "job {}", a.id);
+        assert_eq!(a.report.injections, b.report.injections, "job {}", a.id);
         assert_eq!(a.report.trace, b.report.trace);
+    }
+
+    /// Runs `jobs` through the engine on each worker count and checks
+    /// every result against a fresh run of its job.
+    fn assert_engine_matches_fresh_runs(
+        config: SimConfig,
+        jobs: &[CampaignJob],
+        workers: &[usize],
+    ) {
+        for &w in workers {
+            let results = CampaignEngine::new(config).with_workers(w).collect(jobs.to_vec());
+            assert_eq!(results.len(), jobs.len());
+            for (job, result) in jobs.iter().zip(&results) {
+                assert_results_identical(&fresh_run(config, job), result);
+            }
+        }
     }
 
     #[test]
     fn chunk_runner_matches_scalar_path() {
-        let config = SimConfig::default();
+        // Golden, early / mid / late transients, a permanent fault, and a
+        // second scenario group, with and without traces.
         let scenario = Arc::new(ScenarioConfig::lead_vehicle_cruise(7));
         let other = Arc::new(ScenarioConfig::cut_in(3));
-        let mut chunk = Vec::new();
-        // Golden, early / mid / late transients, permanent, and a second
-        // scenario group in one chunk.
-        chunk.push(CampaignJob { id: 0, scenario: Arc::clone(&scenario), faults: vec![] });
+        let mut jobs = vec![job(0, &scenario, vec![])];
         for (i, scene) in [0, 1, 7, 20, 28].into_iter().enumerate() {
-            chunk.push(CampaignJob {
-                id: 1 + i as u64,
-                scenario: Arc::clone(&scenario),
-                faults: vec![throttle_fault(scene)],
-            });
+            jobs.push(job(1 + i as u64, &scenario, vec![throttle_fault(scene)]));
         }
-        chunk.push(CampaignJob {
-            id: 10,
-            scenario: Arc::clone(&other),
-            faults: vec![Fault {
-                kind: FaultKind::Scalar {
-                    signal: Signal::FinalBrake,
-                    model: ScalarFaultModel::StuckMin,
-                },
-                window: FaultWindow::permanent(40),
-            }],
-        });
-        chunk.push(CampaignJob { id: 11, scenario: Arc::clone(&other), faults: vec![] });
-
-        let mut runner = ChunkRunner::new(config);
-        let batched = runner.run_chunk(chunk.clone());
-        assert_eq!(batched.len(), chunk.len());
-        for (job, result) in chunk.iter().zip(&batched) {
-            assert_results_identical(&scalar_reference(config, job), result);
+        let brake_off =
+            scalar(Signal::FinalBrake, ScalarFaultModel::StuckMin, FaultWindow::permanent(40));
+        jobs.push(job(10, &other, vec![brake_off]));
+        jobs.push(job(11, &other, vec![]));
+        for record_trace in [false, true] {
+            let config = SimConfig { record_trace, ..SimConfig::default() };
+            assert_engine_matches_fresh_runs(config, &jobs, &[1, 2]);
         }
     }
 
     #[test]
     fn pilot_cache_survives_chunks_and_window_edges() {
-        // Fault windows beyond the scenario end, at frame 0, and straddling
-        // the end; the second chunk reuses the first chunk's pilot.
-        // Then a golden job alone in its chunk drives a fresh pilot to the
-        // end without a snapshot, so the next chunk's faulted jobs find
-        // no fork point and must run fresh.
-        let config = SimConfig::default();
+        // Fault windows at frame 0, straddling the scenario end, at the
+        // end and beyond it: the last two take the pilot's full run.
+        // Then a golden job submitted before faulted ones: the pilot
+        // still forks them on its way to its final result.
         let scenario = Arc::new(ScenarioConfig::lead_brake(5));
         let frames = scenario.scene_count() as u64 * BASE_TICKS_PER_SCENE;
         let windows = [
@@ -322,44 +268,56 @@ mod tests {
             FaultWindow { start_frame: frames, frames: 4 },
             FaultWindow { start_frame: frames + 100, frames: u64::MAX },
         ];
-        let jobs: Vec<_> = windows
+        let edges: Vec<_> = windows
             .iter()
             .enumerate()
-            .map(|(i, w)| CampaignJob {
-                id: i as u64,
-                scenario: Arc::clone(&scenario),
-                faults: vec![Fault {
-                    kind: FaultKind::Scalar {
-                        signal: Signal::RawThrottle,
-                        model: ScalarFaultModel::StuckMax,
-                    },
-                    window: *w,
-                }],
+            .map(|(i, w)| {
+                job(
+                    i as u64,
+                    &scenario,
+                    vec![scalar(Signal::RawThrottle, ScalarFaultModel::StuckMax, *w)],
+                )
             })
             .collect();
-        let edges: Vec<Vec<CampaignJob>> = jobs.chunks(2).map(<[_]>::to_vec).collect();
-
         let cruise = Arc::new(ScenarioConfig::lead_vehicle_cruise(4));
-        let job = |id, faults| CampaignJob { id, scenario: Arc::clone(&cruise), faults };
         let golden_first = vec![
-            vec![job(0, vec![])],
-            vec![job(1, vec![throttle_fault(3)]), job(2, vec![throttle_fault(17)])],
+            job(0, &cruise, vec![]),
+            job(1, &cruise, vec![throttle_fault(17)]),
+            job(2, &cruise, vec![throttle_fault(3)]),
         ];
-
-        for stream in [edges, golden_first] {
-            let mut runner = ChunkRunner::new(config);
-            for chunk in stream {
-                for (job, result) in chunk.iter().zip(runner.run_chunk(chunk.clone())) {
-                    assert_results_identical(&scalar_reference(config, job), &result);
-                }
-            }
+        for jobs in [edges, golden_first] {
+            assert_engine_matches_fresh_runs(SimConfig::default(), &jobs, &[1, 3]);
         }
     }
 
     #[test]
-    fn chunks_preserve_order_and_fill() {
-        let chunks: Vec<_> = Chunks::new(0..7, 3).collect();
-        assert_eq!(chunks, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
-        assert_eq!(Chunks::new(0..0, 3).count(), 0);
+    fn tasks_group_by_scenario_and_split_past_their_share() {
+        // 18 jobs over one scenario on 4 workers: runs of at most
+        // ceil(18 / 4) = 5 jobs, one ascending fork order, every job
+        // once.
+        let scenario = Arc::new(ScenarioConfig::lead_brake(2));
+        let jobs = (0..18u64).map(|i| match i {
+            0 | 9 => job(i, &scenario, vec![]),
+            _ => job(i, &scenario, vec![throttle_fault((i * 7) % 40)]),
+        });
+        let tasks = ScenarioTask::group(jobs, 4);
+        assert_eq!(tasks.iter().map(|t| t.jobs.len()).collect::<Vec<_>>(), [5, 5, 5, 3]);
+        let forks: Vec<_> = tasks
+            .iter()
+            .flat_map(|t| &t.jobs)
+            .map(|(_, j)| first_divergent_frame(&j.faults).unwrap_or(u64::MAX))
+            .collect();
+        assert!(forks.is_sorted(), "runs split one ascending order: {forks:?}");
+        let mut indices: Vec<_> = tasks.iter().flat_map(|t| &t.jobs).map(|(i, _)| *i).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..18).collect::<Vec<_>>());
+        // A group within its share stays whole, and scenarios keep their
+        // order of first appearance.
+        let other = Arc::new(ScenarioConfig::cut_in(1));
+        let mixed = [job(0, &other, vec![]), job(1, &scenario, vec![]), job(2, &other, vec![])];
+        let tasks = ScenarioTask::group(mixed.into_iter(), 2);
+        assert_eq!(tasks.len(), 2);
+        assert!(Arc::ptr_eq(&tasks[0].scenario, &other));
+        assert_eq!(tasks[0].jobs.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [0, 2]);
     }
 }

@@ -1,18 +1,17 @@
-//! Streaming parallel fault-injection campaigns.
+//! Parallel fault-injection campaigns.
 //!
 //! A campaign is a stream of (scenario × fault) jobs executed on a
-//! worker pool. The [`CampaignEngine`] pulls jobs lazily from a
-//! [`JobSource`] (so exhaustive sweeps never materialize their full
-//! cross-product) in fixed-size chunks, runs each job on its own
-//! [`crate::Simulation`] — forked from a golden pilot that a chunk's
-//! jobs over one scenario share, so their fault-free prefix is simulated
-//! once — and streams [`CampaignResult`]s into a [`CampaignSink`] as
-//! chunks complete. Every job is fully deterministic
+//! worker pool. The [`CampaignEngine`] collects the pending jobs from a
+//! [`JobSource`], groups them into one task per scenario, and runs each
+//! task on one worker: every job on its own [`crate::Simulation`],
+//! forked from the task's golden pilot so the scenario's fault-free
+//! prefix is simulated once, and results stream into a
+//! [`CampaignSink`] as tasks complete. Every job is fully deterministic
 //! (scenario seed + sensor seed) and a forked job is bit-identical to
 //! `Simulation::run_with` of the same job, so campaign results are
 //! reproducible regardless of scheduling or worker count.
 
-use crate::batch::{ChunkRunner, Chunks};
+use crate::batch::ScenarioTask;
 use crate::engine::{default_workers, stream_map, IndexedSlots};
 use crate::outcome::RunReport;
 use crate::simulation::SimConfig;
@@ -21,10 +20,6 @@ use drivefi_fault::Fault;
 use drivefi_world::ScenarioConfig;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// Jobs a worker pulls per dispatch: the dispatch granularity, and how
-/// many jobs at most share one golden pilot.
-const CHUNK: usize = 32;
 
 /// One campaign job: a scenario plus the faults to arm.
 ///
@@ -61,8 +56,9 @@ pub struct CampaignResult {
 }
 
 /// A source of campaign jobs. Iterator-backed: anything that can be
-/// turned into a `Send` iterator of [`CampaignJob`]s qualifies, and the
-/// engine pulls from it lazily — one job at a time, as workers go idle.
+/// turned into a `Send` iterator of [`CampaignJob`]s qualifies. The
+/// engine collects the pending jobs before dispatch, so a sweep's job
+/// list is held in memory (jobs share their scenario's allocation).
 pub trait JobSource {
     /// The job iterator type.
     type Iter: Iterator<Item = CampaignJob> + Send;
@@ -273,11 +269,12 @@ impl CampaignEngine {
     }
 
     /// Runs every job from `jobs`, streaming each result into `sink` on
-    /// the calling thread as chunks complete. Jobs are pulled from the
-    /// source lazily, one chunk of jobs per idle worker, and the jobs of
-    /// a chunk over one scenario share a golden pilot. Submission
-    /// indices are per job (chunks are full except possibly the last, so
-    /// job `i` keeps index `i`).
+    /// the calling thread as tasks complete. The engine first collects
+    /// the jobs, tagging each with its submission index (job `i` keeps
+    /// index `i`), then groups them into one task per scenario, sorted by
+    /// first divergent frame and split only when a scenario holds more
+    /// than ceil(jobs ÷ workers) of them. Idle workers take the next
+    /// task, and a task's jobs share one golden pilot.
     ///
     /// # Panics
     ///
@@ -289,14 +286,13 @@ impl CampaignEngine {
     {
         let config = self.config;
         stream_map(
-            Chunks::new(jobs.into_jobs(), CHUNK),
+            ScenarioTask::group(jobs.into_jobs(), self.workers),
             self.workers,
-            || ChunkRunner::new(config),
-            ChunkRunner::run_chunk,
-            |chunk_index, results| {
-                let base = chunk_index * CHUNK as u64;
-                for (pos, result) in results.into_iter().enumerate() {
-                    sink.accept(base + pos as u64, result);
+            || (),
+            |(), task| task.run(config),
+            |_, results| {
+                for (index, result) in results {
+                    sink.accept(index, result);
                 }
             },
         );

@@ -12,11 +12,14 @@
 //! training data for the Bayesian network in `drivefi-core`.
 //!
 //! The [`CampaignEngine`] executes many (scenario × fault) runs in
-//! parallel with deterministic seeding: jobs stream lazily from a
-//! [`JobSource`], each job runs on its own [`Simulation`] forked from a
-//! shared golden prefix, and results stream into a [`CampaignSink`]
-//! ([`Collector`], [`RunningStats`], [`TraceSink`]).
-//! [`campaign::run_campaign`] is the eager compatibility wrapper. This crate is also the only place in the
+//! parallel with deterministic seeding. It collects the pending jobs
+//! from a [`JobSource`] and dispatches one task per scenario (split only
+//! when a scenario holds more than its share of the workers): each task
+//! drives one golden pilot forward, each job runs on its own
+//! [`Simulation`] forked from the pilot at the scene where it can first
+//! diverge, and results stream into a [`CampaignSink`] ([`Collector`],
+//! [`RunningStats`], [`TraceSink`]). [`campaign::run_campaign`] is the
+//! eager compatibility wrapper. This crate is also the only place in the
 //! workspace that spawns worker threads ([`engine::stream_map`] /
 //! [`engine::parallel_map`], with [`default_workers`] as the one
 //! worker-count policy).

@@ -132,6 +132,11 @@ impl Simulation {
         self.frame / BASE_TICKS_PER_SCENE
     }
 
+    /// The next base tick to step.
+    pub(crate) fn frame(&self) -> u64 {
+        self.frame
+    }
+
     /// True once every frame of the scenario has been stepped.
     pub(crate) fn done(&self) -> bool {
         self.frame >= self.total_frames
@@ -142,8 +147,24 @@ impl Simulation {
         1.0 / self.config.ads.tick_hz
     }
 
+    /// Steps one scene: [`BASE_TICKS_PER_SCENE`] base ticks with
+    /// `interceptor` on the bus, then the scene-rate evaluation into
+    /// `state`. Returns `true` when the run stops here (collision with
+    /// `stop_on_collision` set) — the single definition of the stop
+    /// point that golden pilots and forked jobs share.
+    pub(crate) fn step_scene<I: BusInterceptor + ?Sized>(
+        &mut self,
+        state: &mut RunState,
+        interceptor: &mut I,
+    ) -> bool {
+        for _ in 0..BASE_TICKS_PER_SCENE {
+            self.step_tick(interceptor);
+        }
+        self.eval_scene(state)
+    }
+
     /// Advances one 30 Hz base tick with the given interceptor.
-    pub(crate) fn step_tick<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) {
+    fn step_tick<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) {
         let dt = self.dt();
         // Sample straight into the bus frame: the same detection buffers
         // carry every tick of the run, so the sensing → ADS half of the
@@ -164,10 +185,8 @@ impl Simulation {
 
     /// Scene-rate evaluation after [`BASE_TICKS_PER_SCENE`] base ticks:
     /// ground truth, running min-δ, outcome transitions, and the optional
-    /// trace frame. Returns `true` when the run stops here (collision
-    /// with `stop_on_collision` set) — the single definition of the
-    /// stop point that golden pilots and forked jobs share.
-    pub(crate) fn eval_scene(&mut self, state: &mut RunState) -> bool {
+    /// trace frame. Returns `true` when the run stops here.
+    fn eval_scene(&mut self, state: &mut RunState) -> bool {
         let probe = profiler::start();
         let scene = self.scene() - 1;
         let gt = self.world.ground_truth();
@@ -247,10 +266,11 @@ impl Simulation {
         self.run_from(state, interceptor, None)
     }
 
-    /// The one scene loop: steps from the current frame to the end of
-    /// the scenario, or to the first collision under `stop_on_collision`,
-    /// continuing the accounting in `state` — fresh for a run from scene
-    /// 0, or a golden pilot's at the scene a campaign job forks from.
+    /// The scene loop of a whole run: steps from the current frame to the
+    /// end of the scenario, or to the first collision under
+    /// `stop_on_collision`, continuing the accounting in `state` — fresh
+    /// for a run from scene 0, or a campaign task's golden pilot's when
+    /// the pilot runs on to its final result.
     pub(crate) fn run_from<I: BusInterceptor + ?Sized>(
         &mut self,
         mut state: RunState,
@@ -259,10 +279,7 @@ impl Simulation {
     ) -> RunReport {
         let scene_dt = BASE_TICKS_PER_SCENE as f64 / self.config.ads.tick_hz;
         while !self.done() {
-            for _ in 0..BASE_TICKS_PER_SCENE {
-                self.step_tick(interceptor);
-            }
-            let stop = self.eval_scene(&mut state);
+            let stop = self.step_scene(&mut state, interceptor);
             if let Some(monitor) = monitor.as_deref_mut() {
                 monitor.observe_scene(
                     self.scene() - 1,

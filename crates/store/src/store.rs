@@ -472,21 +472,7 @@ impl StoreWriter {
             let path = shard_path(dir, index);
             let scan = scan_shard(&path, index)?;
             for record in &scan.records {
-                if record.job >= expected.total_jobs {
-                    return Err(StoreError::new(format!(
-                        "{}: record for job {} but the campaign has only {} jobs",
-                        path.display(),
-                        record.job,
-                        expected.total_jobs
-                    )));
-                }
-                if record.job % u64::from(expected.shards) != u64::from(index) {
-                    return Err(StoreError::new(format!(
-                        "{}: record for job {} does not belong in shard {index}",
-                        path.display(),
-                        record.job
-                    )));
-                }
+                check_placement(&path, index, record.job, &expected)?;
                 state.mark(record.job);
                 scenes_of.push((record.job, record.scenes));
             }
@@ -686,17 +672,46 @@ impl StoreWriter {
 /// # Errors
 ///
 /// Returns a [`StoreError`] when the directory is not a store, a shard
-/// file is missing, or a CRC-valid record fails to decode.
+/// file is missing, a CRC-valid record fails to decode, or a record
+/// contradicts the manifest (a job past `total_jobs`, or one in a shard
+/// other than `job % shards`) — the checks a resume applies too.
 pub fn read_store(dir: impl AsRef<Path>) -> Result<(StoreMeta, Vec<CampaignRecord>), StoreError> {
     let dir = dir.as_ref();
     let meta = read_manifest(dir)?;
     let mut records = Vec::new();
     for index in 0..meta.shards {
-        records.extend(scan_shard(&shard_path(dir, index), index)?.records);
+        let path = shard_path(dir, index);
+        let scan = scan_shard(&path, index)?;
+        for record in &scan.records {
+            check_placement(&path, index, record.job, &meta)?;
+        }
+        records.extend(scan.records);
     }
     records.sort_by_key(|r| r.job);
     records.dedup_by_key(|r| r.job);
     Ok((meta, records))
+}
+
+/// Checks that the record for `job`, read from shard `index` at `path`,
+/// fits the store's manifest: the job is one of its `total_jobs`, and
+/// its shard is `job % shards`. A record that does not is corruption
+/// (or a manifest edited after the fact), never an interruption.
+fn check_placement(path: &Path, index: u32, job: u64, meta: &StoreMeta) -> Result<(), StoreError> {
+    if job >= meta.total_jobs {
+        return Err(StoreError::new(format!(
+            "{}: corrupt store: record for job {job} but the campaign has only {} jobs",
+            path.display(),
+            meta.total_jobs
+        )));
+    }
+    if job % u64::from(meta.shards) != u64::from(index) {
+        return Err(StoreError::new(format!(
+            "{}: corrupt store: record for job {job} does not belong in shard {index} of {}",
+            path.display(),
+            meta.shards
+        )));
+    }
+    Ok(())
 }
 
 /// Per-shard completion picture of a store, for diagnostics: how many

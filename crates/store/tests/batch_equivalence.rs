@@ -22,14 +22,18 @@ fn short_scenario(family: &str, seed: u64) -> Arc<ScenarioConfig> {
     Arc::new(scenario)
 }
 
-/// A small fault palette covering throttle/brake/steering corruptions
-/// and a module hang (the Freeze/Hang capture-lookahead path).
+/// A small fault palette covering throttle/brake/steering corruptions,
+/// a lead-distance corruption (a world-model write, a no-op without a
+/// lead), and a module hang (the Freeze/Hang capture-lookahead path).
+/// Brake-min faults while coasting change no bus bit, so they exercise
+/// the engine's take-the-pilot's-result path.
 fn fault(palette: usize, window: FaultWindow) -> Fault {
-    let kind = match palette % 5 {
+    let kind = match palette % 6 {
         0 => FaultKind::Scalar { signal: Signal::RawThrottle, model: ScalarFaultModel::StuckMax },
         1 => FaultKind::Scalar { signal: Signal::FinalBrake, model: ScalarFaultModel::StuckMin },
         2 => FaultKind::Scalar { signal: Signal::FinalThrottle, model: ScalarFaultModel::StuckMax },
         3 => FaultKind::Scalar { signal: Signal::FinalSteering, model: ScalarFaultModel::StuckMax },
+        4 => FaultKind::Scalar { signal: Signal::LeadDistance, model: ScalarFaultModel::StuckMax },
         _ => FaultKind::ModuleHang { stage: drivefi_ads::Stage::Planning },
     };
     Fault { kind, window }
@@ -81,7 +85,8 @@ fn assert_equivalent(config: SimConfig, jobs: &[CampaignJob]) -> Result<(), Test
 }
 
 /// Golden + transient + permanent jobs over one scenario (all sharing
-/// its allocation, so the engine's prefix sharing engages).
+/// its allocation, so the engine's prefix sharing engages), plus a job
+/// whose window opens past the scenario end.
 fn jobs_for(scenario: &Arc<ScenarioConfig>, palette: u64, first_id: u64) -> Vec<CampaignJob> {
     let scenes = scenario.scene_count() as u64;
     vec![
@@ -103,6 +108,11 @@ fn jobs_for(scenario: &Arc<ScenarioConfig>, palette: u64, first_id: u64) -> Vec<
                 fault(palette as usize + 2, FaultWindow::burst(4 * (palette % 20), 12)),
                 fault(palette as usize + 4, FaultWindow::permanent(100)),
             ],
+        },
+        CampaignJob {
+            id: first_id + 4,
+            scenario: Arc::clone(scenario),
+            faults: vec![fault(palette as usize + 3, FaultWindow::scene(scenes + palette % 3))],
         },
     ]
 }
@@ -127,13 +137,13 @@ proptest! {
 
     /// Randomized depth over the same property: random family, seed, and
     /// fault palette; jobs over two scenarios interleaved in one stream
-    /// (a mixed-scenario chunk exercises per-chunk grouping).
+    /// (the engine regroups them into one task per scenario).
     #[test]
     fn random_campaigns_match_scalar(
         family_a in 0usize..14,
         family_b in 0usize..14,
         seed in 0u64..10_000,
-        palette in 0u64..40,
+        palette in 0u64..42,
         trace in 0usize..2,
     ) {
         let config = SimConfig { record_trace: trace == 1, ..SimConfig::default() };
@@ -142,7 +152,7 @@ proptest! {
         let a = short_scenario(names[family_a], seed);
         let b = short_scenario(names[family_b], seed ^ 0x9E37);
         let mut jobs = jobs_for(&a, palette, 0);
-        // Interleave so chunks mix scenario groups.
+        // Interleave the two scenarios' jobs in submission order.
         for (i, job) in jobs_for(&b, palette + 7, 100).into_iter().enumerate() {
             jobs.insert(2 * i + 1, job);
         }

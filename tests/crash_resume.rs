@@ -437,3 +437,42 @@ fn golden_plan_persists_and_resumes() {
     assert_eq!(resumed, full);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A complete store whose manifest was edited afterwards is corrupt, not
+/// interrupted and not complete: `read_store`, which `drivefi report`
+/// reads, refuses it with the checks a resume applies.
+#[test]
+fn doctored_manifests_read_as_corrupt() {
+    let dir = std::env::temp_dir().join(format!("drivefi-crash-doctored-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let plan_into = |out: &Path| {
+        let mut plan = CampaignPlan::load(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/plans/persistent_random.toml"
+        ))
+        .unwrap();
+        plan.output.as_mut().unwrap().dir = out.to_string_lossy().into_owned();
+        plan
+    };
+    let full = dir.join("full");
+    let PlanResult::Persisted(report) = run_plan(&plan_into(&full)).unwrap();
+    assert!(report.complete());
+    let manifest = std::fs::read_to_string(full.join(MANIFEST_FILE)).unwrap();
+
+    for (i, (line, doctored)) in
+        [("total_jobs = 40", "total_jobs = 30"), ("shards = 4", "shards = 8")].iter().enumerate()
+    {
+        assert!(manifest.contains(line), "the shipped plan changed: {manifest}");
+        let copy = dir.join(format!("doctored-{i}"));
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(&full).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+        }
+        std::fs::write(copy.join(MANIFEST_FILE), manifest.replace(line, doctored)).unwrap();
+        let err = read_store(&copy).unwrap_err().to_string();
+        assert!(err.contains("corrupt store"), "{doctored}: {err}");
+        assert!(run_plan(&plan_into(&copy)).is_err(), "{doctored}: resumed a doctored store");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
