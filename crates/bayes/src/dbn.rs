@@ -167,18 +167,18 @@ mod tests {
         // 10% noise.
         let mut rows = Vec::new();
         for i in 0..500usize {
-            let mut xs = [0usize; 3];
-            xs[0] = usize::from(i % 2 == 0);
+            let mut xs = [0u8; 3];
+            xs[0] = u8::from(i % 2 == 0);
             for s in 1..3 {
                 let persist = i % 10 != s;
                 xs[s] = if persist { xs[s - 1] } else { 1 - xs[s - 1] };
             }
-            let mut row = vec![0usize; 6];
+            let mut row = [0u8; 6];
             for s in 0..3 {
                 row[ids[s][x].0] = xs[s];
                 row[ids[s][y].0] = if i % 10 == 9 { 1 - xs[s] } else { xs[s] };
             }
-            rows.push(row);
+            rows.extend(row);
         }
         fit_cpts(&mut net, &structure, &rows, 1.0).unwrap();
         // Observing y@0 = 1 should put x@2 = 1 in the joint MAP

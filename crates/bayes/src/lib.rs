@@ -11,8 +11,8 @@
 //! * **interventions** (`do(·)` in Pearl's calculus): graph surgery that
 //!   severs a node from its parents and pins its value, which is exactly
 //!   how the paper models a fault injection inside the network,
-//! * **maximum-likelihood CPD learning** from complete data with
-//!   Laplace smoothing,
+//! * **maximum-likelihood CPD learning** from complete data (one flat
+//!   byte matrix, a category byte per variable) with Laplace smoothing,
 //! * a **quantile discretizer** for mapping continuous ADS traces onto
 //!   the discrete networks,
 //! * a **dynamic BN template** that unrolls into the paper's 3-slice
@@ -56,7 +56,7 @@ pub use counterfactual::Counterfactual;
 pub use dbn::{DbnTemplate, SliceVar, TemporalEdge, UnrolledDbn};
 pub use discretize::Discretizer;
 pub use factor::Factor;
-pub use learn::fit_cpts;
+pub use learn::{check_categories, fit_cpts, MAX_CATEGORIES};
 pub use map::{MapQuery, MapScratch};
 pub use network::{BayesNet, Cpt, VarId};
 pub use score::{dimension, fit_and_score, log_likelihood, StructureScore};
@@ -98,6 +98,23 @@ pub enum BayesError {
         /// The rejected category index.
         value: usize,
     },
+    /// A discretizer was asked for zero bins.
+    NoBins,
+    /// A variable has more categories than a byte of a data row holds
+    /// ([`MAX_CATEGORIES`]).
+    TooManyCategories {
+        /// The variable.
+        var: VarId,
+        /// Its cardinality.
+        cardinality: usize,
+    },
+    /// A data matrix is not a whole number of rows.
+    RaggedData {
+        /// Bytes in the matrix.
+        len: usize,
+        /// Bytes per row: the network's variable count.
+        width: usize,
+    },
 }
 
 impl std::fmt::Display for BayesError {
@@ -114,6 +131,15 @@ impl std::fmt::Display for BayesError {
             BayesError::MissingCpt(v) => write!(f, "variable {v:?} has no cpt"),
             BayesError::BadCategory { var, value } => {
                 write!(f, "category {value} out of range for {var:?}")
+            }
+            BayesError::NoBins => write!(f, "a discretizer needs at least one bin"),
+            BayesError::TooManyCategories { var, cardinality } => write!(
+                f,
+                "{var:?} has {cardinality} categories, more than the {MAX_CATEGORIES} a data \
+                 byte holds"
+            ),
+            BayesError::RaggedData { len, width } => {
+                write!(f, "{len} bytes of data are not whole rows of {width} variables")
             }
         }
     }

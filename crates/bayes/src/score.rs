@@ -51,31 +51,35 @@ pub fn dimension(net: &BayesNet) -> Result<usize, BayesError> {
     Ok(dim)
 }
 
-/// Log-likelihood of complete data rows under the network's fitted CPTs.
+/// Log-likelihood of complete data under the network's fitted CPTs.
 ///
-/// Rows are complete assignments indexed by `VarId.0` (the same layout
-/// [`crate::learn::fit_cpts`] consumes). Zero-probability entries
-/// contribute `ln(ε)` with `ε = 1e-300` instead of `-∞`, so ablated
-/// structures that assign zero mass to observed rows score abysmally but
-/// finitely.
+/// `data` is the byte matrix [`crate::learn::fit_cpts`] consumes: one
+/// row per sample, one category byte per variable. Zero-probability
+/// entries contribute `ln(ε)` with `ε = 1e-300` instead of `-∞`, so
+/// ablated structures that assign zero mass to observed rows score
+/// abysmally but finitely.
 ///
 /// # Errors
 ///
-/// Returns an error when a CPT is missing or a row is malformed.
-pub fn log_likelihood(net: &BayesNet, rows: &[Vec<usize>]) -> Result<StructureScore, BayesError> {
+/// Returns an error when a CPT is missing, the data is malformed (as
+/// [`crate::learn::fit_cpts`] rejects it), or a row holds an
+/// out-of-range category.
+pub fn log_likelihood(net: &BayesNet, data: &[u8]) -> Result<StructureScore, BayesError> {
     const EPS: f64 = 1e-300;
+    let rows = crate::learn::data_rows(net, data)?;
+    let n = rows.len();
     let mut per_variable = vec![0.0f64; net.len()];
     for row in rows {
         for var in net.variables() {
             let cpt = net.cpt(var).ok_or(BayesError::MissingCpt(var))?;
             let card = net.cardinality(var);
-            let value = *row.get(var.0).ok_or(BayesError::UnknownVariable(var))?;
+            let value = usize::from(row[var.0]);
             if value >= card {
                 return Err(BayesError::BadCategory { var, value });
             }
             let mut pr = 0usize;
             for p in &cpt.parents {
-                let pv = *row.get(p.0).ok_or(BayesError::UnknownVariable(*p))?;
+                let pv = usize::from(row[p.0]);
                 if pv >= net.cardinality(*p) {
                     return Err(BayesError::BadCategory { var: *p, value: pv });
                 }
@@ -86,27 +90,27 @@ pub fn log_likelihood(net: &BayesNet, rows: &[Vec<usize>]) -> Result<StructureSc
     }
     let ll: f64 = per_variable.iter().sum();
     let dim = dimension(net)?;
-    let n = rows.len();
     let bic = ll - (n.max(1) as f64).ln() / 2.0 * dim as f64;
     Ok(StructureScore { log_likelihood: ll, dimension: dim, bic, rows: n, per_variable })
 }
 
 /// Fits a structure to data and scores it in one step: builds CPTs by
-/// Laplace-smoothed maximum likelihood over `rows`, then computes the
-/// BIC on the same rows (the usual in-sample structure-selection score).
+/// Laplace-smoothed maximum likelihood over the byte matrix `data`, then
+/// computes the BIC on the same rows (the usual in-sample
+/// structure-selection score).
 ///
 /// # Errors
 ///
 /// Propagates fitting and scoring failures (cyclic structure, malformed
-/// rows).
+/// data).
 pub fn fit_and_score(
     net: &mut BayesNet,
     structure: &[(VarId, Vec<VarId>)],
-    rows: &[Vec<usize>],
+    data: &[u8],
     alpha: f64,
 ) -> Result<StructureScore, BayesError> {
-    crate::learn::fit_cpts(net, structure, rows, alpha)?;
-    log_likelihood(net, rows)
+    crate::learn::fit_cpts(net, structure, data, alpha)?;
+    log_likelihood(net, data)
 }
 
 #[cfg(test)]
@@ -116,17 +120,17 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// Synthetic data from A -> B: strongly dependent.
-    fn dependent_rows(n: usize, seed: u64) -> Vec<Vec<usize>> {
+    fn dependent_rows(n: usize, seed: u64) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| {
-                let a = usize::from(rng.random_bool(0.5));
+            .flat_map(|_| {
+                let a = u8::from(rng.random_bool(0.5));
                 let b = if a == 1 {
-                    usize::from(rng.random_bool(0.95))
+                    u8::from(rng.random_bool(0.95))
                 } else {
-                    usize::from(rng.random_bool(0.05))
+                    u8::from(rng.random_bool(0.05))
                 };
-                vec![a, b]
+                [a, b]
             })
             .collect()
     }
@@ -168,8 +172,8 @@ mod tests {
     #[test]
     fn bic_penalizes_spurious_edges_on_independent_data() {
         let mut rng = StdRng::seed_from_u64(13);
-        let rows: Vec<Vec<usize>> = (0..2_000)
-            .map(|_| vec![usize::from(rng.random_bool(0.5)), usize::from(rng.random_bool(0.5))])
+        let rows: Vec<u8> = (0..2_000)
+            .flat_map(|_| [u8::from(rng.random_bool(0.5)), u8::from(rng.random_bool(0.5))])
             .collect();
         let (mut linked, a, b) = two_var_net();
         let linked_score =
@@ -199,9 +203,9 @@ mod tests {
     fn impossible_rows_score_finite() {
         let (mut net, a, b) = two_var_net();
         // Fit on all-zeros with no smoothing → P(1) = 0 exactly.
-        let zeros = vec![vec![0usize, 0usize]; 10];
+        let zeros = [0u8; 20];
         crate::learn::fit_cpts(&mut net, &[(a, vec![]), (b, vec![])], &zeros, 0.0).unwrap();
-        let score = log_likelihood(&net, &[vec![1, 1]]).unwrap();
+        let score = log_likelihood(&net, &[1, 1]).unwrap();
         assert!(score.log_likelihood.is_finite());
         assert!(score.log_likelihood < -100.0);
     }
@@ -211,7 +215,7 @@ mod tests {
         let (mut net, a, b) = two_var_net();
         crate::learn::fit_cpts(&mut net, &[(a, vec![]), (b, vec![a])], &dependent_rows(20, 9), 1.0)
             .unwrap();
-        assert!(matches!(log_likelihood(&net, &[vec![0, 5]]), Err(BayesError::BadCategory { .. })));
-        assert!(matches!(log_likelihood(&net, &[vec![0]]), Err(BayesError::UnknownVariable(_))));
+        assert!(matches!(log_likelihood(&net, &[0, 5]), Err(BayesError::BadCategory { .. })));
+        assert!(matches!(log_likelihood(&net, &[0]), Err(BayesError::RaggedData { .. })));
     }
 }

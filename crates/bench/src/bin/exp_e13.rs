@@ -52,6 +52,11 @@ fn inter(structure: &str) -> Vec<(usize, usize)> {
 fn main() {
     let scenarios: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(12);
     let bins: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(6);
+    assert!(
+        (1..=drivefi_bayes::MAX_CATEGORIES).contains(&bins),
+        "bins must be 1..={} (a data row holds a category per byte)",
+        drivefi_bayes::MAX_CATEGORIES
+    );
     let workers = drivefi_sim::default_workers();
 
     let suite = ScenarioSuite::generate(scenarios, 2026);
@@ -77,22 +82,21 @@ fn main() {
         }
     }
     let discretizers: Vec<Discretizer> = pooled.iter().map(|d| Discretizer::fit(d, bins)).collect();
-    let mut rows: Vec<Vec<usize>> = Vec::new();
+    // One byte per variable and slice; every bin fits (checked above).
+    let mut rows: Vec<u8> = Vec::new();
     for t in &traces {
         for w in t.frames.windows(2) {
-            let mut row = Vec::with_capacity(2 * VARS.len());
             for f in w {
                 for (i, v) in frame_vals(f).into_iter().enumerate() {
-                    row.push(discretizers[i].transform(v));
+                    rows.push(discretizers[i].transform(v) as u8);
                 }
             }
-            rows.push(row);
         }
     }
 
     println!(
         "E13: BIC of candidate BN structures over {} golden two-slice rows ({bins} bins)",
-        rows.len()
+        rows.len() / (2 * VARS.len())
     );
     println!();
     println!("| structure               | dim  | log-likelihood | BIC            |");

@@ -1,6 +1,6 @@
 //! The Bayesian fault-selection engine (paper §III-B).
 
-use crate::tbn::{SceneObs, TbnModel, TbnVar};
+use crate::tbn::{SceneCategories, SceneObs, TbnModel, TbnVar};
 use drivefi_ads::Signal;
 use drivefi_bayes::{BayesError, Counterfactual};
 use drivefi_fault::ScalarFaultModel;
@@ -125,6 +125,10 @@ const FORECAST_VARS: [TbnVar; 3] = [TbnVar::AThrottle, TbnVar::ABrake, TbnVar::A
 
 /// Variables in the unrolled 3-TBN.
 const NET_VARS: usize = 3 * TbnVar::ALL.len();
+
+/// A forecast's memo key: both scenes' network categories, the
+/// intervened variable's template index and its category, in 22 bytes.
+type ForecastKey = (SceneCategories, SceneCategories, u8, u8);
 
 /// The continuous value of `signal` recorded in a trace frame, when the
 /// trace captures that signal.
@@ -253,6 +257,25 @@ impl BayesianMiner {
             brake: rep1(TbnVar::ABrake),
             steering: rep1(TbnVar::ASteer),
         })
+    }
+
+    /// The memo key of [`BayesianMiner::forecast`]`(obs0, obs1, var,
+    /// category)`: the forecast is a function of the network categories,
+    /// and these fit in bytes.
+    fn forecast_key(
+        &self,
+        obs0: &SceneObs,
+        obs1: &SceneObs,
+        var: TbnVar,
+        category: usize,
+    ) -> ForecastKey {
+        // Categories fit in a byte: the fit checked every cardinality.
+        (
+            self.model.categories(obs0),
+            self.model.categories(obs1),
+            var.index() as u8,
+            category as u8,
+        )
     }
 
     /// Computes `δ̂_do(f)` for the scene recorded in `frame`, given the
@@ -448,8 +471,7 @@ impl BayesianMiner {
     /// repeat their bins; the paper-scale benchmark at stride 64 sees no
     /// repeats.
     pub fn mine(&self, traces: &[Trace]) -> Vec<CandidateFault> {
-        let mut cache: HashMap<(SceneObs, SceneObs, usize, usize), ResponseForecast> =
-            HashMap::new();
+        let mut cache: HashMap<ForecastKey, ResponseForecast> = HashMap::new();
         let mut out = Vec::new();
         for trace in traces {
             // The last scene that needed a floor, and its floor (scene 0
@@ -487,8 +509,9 @@ impl BayesianMiner {
                         continue;
                     }
                 }
-                let mut response =
-                    *cache.entry((obs0, obs1, var.index(), category)).or_insert_with(|| {
+                let mut response = *cache
+                    .entry(self.forecast_key(&obs0, &obs1, var, category))
+                    .or_insert_with(|| {
                         self.forecast(&obs0, &obs1, var, category)
                             .expect("inference on fitted model")
                     });
@@ -528,8 +551,7 @@ impl BayesianMiner {
     /// keep their golden δ: injecting them would leave the run — and so
     /// its safety margin — unchanged.
     pub fn predict_deltas(&self, traces: &[Trace]) -> Vec<CandidateFault> {
-        let mut cache: HashMap<(SceneObs, SceneObs, usize, usize), ResponseForecast> =
-            HashMap::new();
+        let mut cache: HashMap<ForecastKey, ResponseForecast> = HashMap::new();
         let mut out = Vec::new();
         for trace in traces {
             for (k, signal, var, model) in self.candidates(trace) {
@@ -558,8 +580,9 @@ impl BayesianMiner {
                 let predicted_delta = if noop {
                     golden_delta
                 } else {
-                    let mut response =
-                        *cache.entry((obs0, obs1, var.index(), category)).or_insert_with(|| {
+                    let mut response = *cache
+                        .entry(self.forecast_key(&obs0, &obs1, var, category))
+                        .or_insert_with(|| {
                             self.forecast(&obs0, &obs1, var, category)
                                 .expect("inference on fitted model")
                         });
@@ -732,6 +755,25 @@ mod tests {
             "mined F_crit drifted through the store"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bins_outside_a_byte_are_errors() {
+        let suite = ScenarioSuite::generate(4, 42);
+        let traces = collect_golden_traces(&SimConfig::default(), &suite, 4);
+        let fit =
+            |bins| BayesianMiner::fit(&traces, MinerConfig { bins, ..MinerConfig::default() });
+        assert_eq!(fit(0).err(), Some(BayesError::NoBins));
+        // The lead distance takes more than 256 distinct values, and its
+        // no-lead category makes a 257th.
+        let wdist = TbnVar::WDist;
+        match fit(drivefi_bayes::MAX_CATEGORIES) {
+            Err(BayesError::TooManyCategories { var, cardinality }) => {
+                assert_eq!(var.0, wdist.index(), "the first variable past a byte is w_dist@0");
+                assert_eq!(cardinality, drivefi_bayes::MAX_CATEGORIES + 1);
+            }
+            other => panic!("expected too many categories, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!               A_x (t-1)                      → A_x (t)
 //! ```
 
-use drivefi_bayes::{fit_cpts, BayesError, BayesNet, DbnTemplate, Discretizer, VarId};
+use drivefi_bayes::{
+    check_categories, fit_cpts, BayesError, BayesNet, DbnTemplate, Discretizer, VarId,
+};
 use drivefi_sim::{FrameRecord, Trace};
 
 /// The ADS variables modeled per slice.
@@ -105,6 +107,11 @@ pub const NO_LEAD: usize = usize::MAX;
 /// One scene observation: the discretized category of every template
 /// variable.
 pub type SceneObs = [usize; 10];
+
+/// One scene's network categories, a byte per template variable (the
+/// no-lead category standing for an absent lead object): the form the
+/// training rows and the miner's forecast memo hold.
+pub(crate) type SceneCategories = [u8; 10];
 
 /// The fitted model: unrolled 3-TBN with learned CPDs plus the
 /// discretizers that map between continuous traces and categories.
@@ -200,10 +207,18 @@ impl TbnModel {
     /// paper's "integrating domain knowledge in the form of vehicle
     /// kinematics" — covering the full actuation grid.
     ///
+    /// The training rows are one byte matrix (see
+    /// [`drivefi_bayes::fit_cpts`]), allocated once at its final size: a
+    /// row per three consecutive frames, 30 bytes each, then the
+    /// kinematic grid's rows.
+    ///
     /// # Errors
     ///
-    /// Propagates CPT validation failures (which indicate a bug, since
-    /// the structure is fixed and acyclic).
+    /// Returns [`BayesError::NoBins`] when `bins` is 0 and
+    /// [`BayesError::TooManyCategories`] when a variable ends up with more
+    /// categories than a data byte holds; propagates CPT validation
+    /// failures (which indicate a bug, since the structure is fixed and
+    /// acyclic).
     ///
     /// # Panics
     ///
@@ -213,6 +228,9 @@ impl TbnModel {
         bins: usize,
         kinematic_augmentation: bool,
     ) -> Result<Self, BayesError> {
+        if bins == 0 {
+            return Err(BayesError::NoBins);
+        }
         // 1. Discretizers from all observed (Some) values.
         let mut discretizers = Vec::with_capacity(10);
         for var in TbnVar::ALL {
@@ -234,21 +252,25 @@ impl TbnModel {
         // 3. Unroll and fit.
         let template = Self::template(&cards);
         let (mut net, ids, structure) = template.unroll(3);
+        check_categories(&net)?;
         let model = TbnModel { net: BayesNet::new(), ids: ids.clone(), discretizers, bins };
 
-        let mut rows: Vec<Vec<usize>> = Vec::new();
+        let width = net.len();
+        let windows: usize = traces.iter().map(|t| t.frames.len().saturating_sub(2)).sum();
+        let synthetic = if kinematic_augmentation { model.kinematic_row_count(&cards) } else { 0 };
+        let mut data = Vec::with_capacity((windows + synthetic) * width);
+        let mut scenes: Vec<SceneCategories> = Vec::new();
         for trace in traces {
-            for window in trace.frames.windows(3) {
-                let mut row = vec![0usize; net.len()];
-                for (slice, frame) in window.iter().enumerate() {
-                    let obs = model.observe(frame);
-                    for (k, var) in TbnVar::ALL.iter().enumerate() {
-                        let card = cards[k];
-                        let cat = if obs[k] == NO_LEAD { card - 1 } else { obs[k] };
-                        row[ids[slice][var.index()].0] = cat;
+            scenes.clear();
+            scenes.extend(trace.frames.iter().map(|f| model.categories(&model.observe(f))));
+            for window in scenes.windows(3) {
+                let start = data.len();
+                data.resize(start + width, 0);
+                for (slice, categories) in window.iter().enumerate() {
+                    for (id, &category) in ids[slice].iter().zip(categories) {
+                        data[start + id.0] = category;
                     }
                 }
-                rows.push(row);
             }
         }
         if kinematic_augmentation {
@@ -268,27 +290,34 @@ impl TbnModel {
                 .collect();
             let (kin_structure, beh_structure): (Vec<_>, Vec<_>) =
                 structure.into_iter().partition(|(child, _)| kinematic_children.contains(child));
-            fit_cpts(&mut net, &beh_structure, &rows, 1.0)?;
-            let mut aug_rows = rows;
-            aug_rows.extend(model.kinematic_rows(&ids, &cards));
-            fit_cpts(&mut net, &kin_structure, &aug_rows, 1.0)?;
+            fit_cpts(&mut net, &beh_structure, &data, 1.0)?;
+            model.kinematic_rows(&ids, &cards, &mut data);
+            debug_assert_eq!(data.len(), (windows + synthetic) * width);
+            fit_cpts(&mut net, &kin_structure, &data, 1.0)?;
         } else {
-            fit_cpts(&mut net, &structure, &rows, 1.0)?;
+            fit_cpts(&mut net, &structure, &data, 1.0)?;
         }
         Ok(TbnModel { net, ..model })
+    }
+
+    /// Rows [`TbnModel::kinematic_rows`] appends: one per grid point.
+    fn kinematic_row_count(&self, cards: &[usize; 10]) -> usize {
+        let bins = |var: TbnVar| self.discretizers[var.index()].bins();
+        let leads = (cards[TbnVar::WDist.index()] - 1) * (cards[TbnVar::WSpeed.index()] - 1) + 1;
+        bins(TbnVar::MV) * bins(TbnVar::AThrottle) * bins(TbnVar::ABrake) * leads
     }
 
     /// Synthetic one-scene transitions over the full
     /// (speed × throttle × brake × lead) grid, computed from the vehicle
     /// kinematics: `v' = v + a·Δt`, `gap' = gap + (v_lead − v)·Δt`, with
-    /// `a = ζ·a_max − b·a_dec − drag·v`. One row per grid point.
-    fn kinematic_rows(&self, ids: &[Vec<VarId>], cards: &[usize; 10]) -> Vec<Vec<usize>> {
+    /// `a = ζ·a_max − b·a_dec − drag·v`. Appends one byte row per grid
+    /// point to `data`.
+    fn kinematic_rows(&self, ids: &[Vec<VarId>], cards: &[usize; 10], data: &mut Vec<u8>) {
         const SCENE_DT: f64 = 4.0 / 30.0;
         let params = drivefi_kinematics::VehicleParams::default();
         let n_net: usize = ids.iter().map(|s| s.len()).sum();
         let rep = |var: TbnVar, cat: usize| self.representative(var, cat);
 
-        let mut rows = Vec::new();
         let v_bins = self.discretizers[TbnVar::MV.index()].bins();
         let thr_bins = self.discretizers[TbnVar::AThrottle.index()].bins();
         let brk_bins = self.discretizers[TbnVar::ABrake.index()].bins();
@@ -306,15 +335,11 @@ impl TbnModel {
                     let brk = rep(TbnVar::ABrake, brk_cat).expect("brake bin");
                     let accel = thr * params.max_accel - brk * params.max_decel - params.drag * v;
                     let v2 = (v + accel * SCENE_DT).clamp(0.0, params.max_speed);
-                    for gap_cat in (0..gap_cards).step_by(1) {
+                    for gap_cat in 0..gap_cards {
                         // Pair each gap with a representative lead speed
                         // sweep; no-lead pairs only with no-lead.
-                        let ws_iter: Vec<usize> = if gap_cat == no_gap {
-                            vec![no_ws]
-                        } else {
-                            (0..ws_cards - 1).collect()
-                        };
-                        for ws_cat in ws_iter {
+                        let ws_cats = if gap_cat == no_gap { no_ws..ws_cards } else { 0..no_ws };
+                        for ws_cat in ws_cats {
                             let (gap2_cat, ws2_cat) = if gap_cat == no_gap {
                                 (no_gap, no_ws)
                             } else {
@@ -332,9 +357,13 @@ impl TbnModel {
                             let u_brk_cat = self.category_of(TbnVar::UBrake, brk);
                             let u_steer_cat = self.category_of(TbnVar::USteer, 0.0);
 
-                            let mut row = vec![0usize; n_net];
+                            let start = data.len();
+                            data.resize(start + n_net, 0);
+                            let row = &mut data[start..];
+                            // Categories fit in a byte: the fit checked
+                            // every cardinality.
                             let mut set = |slice: usize, var: TbnVar, cat: usize| {
-                                row[ids[slice][var.index()].0] = cat;
+                                row[ids[slice][var.index()].0] = cat as u8;
                             };
                             for slice in 0..3 {
                                 set(slice, TbnVar::WDist, gap_cat);
@@ -351,13 +380,11 @@ impl TbnModel {
                             set(2, TbnVar::WDist, gap2_cat);
                             set(2, TbnVar::WSpeed, ws2_cat);
                             set(2, TbnVar::MV, v2_cat);
-                            rows.push(row);
                         }
                     }
                 }
             }
         }
-        rows
     }
 
     /// Number of quantile bins per continuous variable.
@@ -404,6 +431,13 @@ impl TbnModel {
     /// The network id of `var` in `slice`.
     pub fn id(&self, slice: usize, var: TbnVar) -> VarId {
         self.ids[slice][var.index()]
+    }
+
+    /// The network category of every variable of an observation, a
+    /// byte each (see [`SceneCategories`]).
+    pub(crate) fn categories(&self, obs: &SceneObs) -> SceneCategories {
+        // Categories fit in a byte: the fit checked every cardinality.
+        TbnVar::ALL.map(|v| self.obs_category(v, obs) as u8)
     }
 
     /// The network category for an observation entry (maps [`NO_LEAD`]

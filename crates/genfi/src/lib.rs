@@ -41,7 +41,8 @@
 pub mod surgical;
 
 use drivefi_bayes::{
-    fit_cpts, BayesError, BayesNet, Counterfactual, DbnTemplate, Discretizer, VarId,
+    check_categories, fit_cpts, BayesError, BayesNet, Counterfactual, DbnTemplate, Discretizer,
+    VarId,
 };
 
 /// One monitored variable of the system under test.
@@ -251,7 +252,10 @@ impl GenericMiner {
     ///
     /// # Errors
     ///
-    /// Propagates CPD-fitting failures.
+    /// Returns [`BayesError::NoBins`] when `options.bins` is 0 and
+    /// [`BayesError::TooManyCategories`] when it exceeds the
+    /// [`drivefi_bayes::MAX_CATEGORIES`] a training-row byte holds;
+    /// propagates CPD-fitting failures.
     ///
     /// # Panics
     ///
@@ -262,6 +266,11 @@ impl GenericMiner {
         traces: &[Vec<Vec<f64>>],
         options: MinerOptions,
     ) -> Result<Self, BayesError> {
+        if options.bins == 0 {
+            return Err(BayesError::NoBins);
+        }
+        let (mut net, ids, structure) = spec.template(options.bins).unroll(3);
+        check_categories(&net)?;
         let n = spec.vars.len();
         // Per-variable discretizers over the pooled data.
         let mut pooled: Vec<Vec<f64>> = vec![Vec::new(); n];
@@ -276,21 +285,23 @@ impl GenericMiner {
         let discretizers: Vec<Discretizer> =
             pooled.iter().map(|d| Discretizer::fit(d, options.bins)).collect();
 
-        let (mut net, ids, structure) = spec.template(options.bins).unroll(3);
-        let mut rows = Vec::new();
+        // One byte row per three consecutive steps; every bin fits in a
+        // byte (checked above).
+        let windows: usize = traces.iter().map(|t| t.len().saturating_sub(2)).sum();
+        assert!(windows > 0, "need at least one trace with three steps");
+        let mut data = Vec::with_capacity(windows * 3 * n);
         for trace in traces {
             for w in trace.windows(3) {
-                let mut row = vec![0usize; 3 * n];
+                let start = data.len();
+                data.resize(start + 3 * n, 0);
                 for (s, step) in w.iter().enumerate() {
                     for (i, &x) in step.iter().enumerate() {
-                        row[ids[s][i].0] = discretizers[i].transform(x);
+                        data[start + ids[s][i].0] = discretizers[i].transform(x) as u8;
                     }
                 }
-                rows.push(row);
             }
         }
-        assert!(!rows.is_empty(), "need at least one trace with three steps");
-        fit_cpts(&mut net, &structure, &rows, options.alpha)?;
+        fit_cpts(&mut net, &structure, &data, options.alpha)?;
         let reads: Vec<VarId> = ids[1].iter().chain(&ids[2]).copied().collect();
         let counterfactual = Counterfactual::new(&net, &ids, &reads)?;
         Ok(GenericMiner { spec: spec.clone(), net, ids, discretizers, counterfactual, options })
@@ -603,6 +614,22 @@ mod tests {
         let f = move |s: &[f64]| s[0] - threshold;
         assert!(f.margin(&[2.0]) > 0.0);
         assert!(f.margin(&[0.5]) < 0.0);
+    }
+
+    #[test]
+    fn bins_outside_a_byte_are_errors() {
+        let (spec, traces) = (toy_spec(), toy_traces());
+        let fit =
+            |bins| GenericMiner::fit(&spec, &traces, MinerOptions { bins, ..Default::default() });
+        assert_eq!(fit(0).err(), Some(BayesError::NoBins));
+        assert_eq!(
+            fit(drivefi_bayes::MAX_CATEGORIES + 1).err(),
+            Some(BayesError::TooManyCategories {
+                var: VarId(0),
+                cardinality: drivefi_bayes::MAX_CATEGORIES + 1
+            })
+        );
+        assert!(fit(drivefi_bayes::MAX_CATEGORIES).is_ok());
     }
 
     #[test]

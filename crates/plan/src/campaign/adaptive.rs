@@ -313,11 +313,16 @@ pub(super) fn run_adaptive(
 
     // Fit from the persisted traces and enumerate + score the candidate
     // space. `predict_deltas` keeps `candidate_specs` order, so a
-    // candidate index means the same fault on every resume.
+    // candidate index means the same fault on every resume. The golden
+    // traces and the miner are dropped once the predictions exist: the
+    // rounds need neither.
     let config = MinerConfig { scene_stride, ..MinerConfig::default() };
-    let (miner, traces) = BayesianMiner::fit_from_store(pipeline.stage_dir(GOLDEN_SUBDIR), config)
-        .map_err(|e| PlanError::new(format!("[output] store: {e}")))?;
-    let predictions = miner.predict_deltas(&traces);
+    let predictions = {
+        let (miner, traces) =
+            BayesianMiner::fit_from_store(pipeline.stage_dir(GOLDEN_SUBDIR), config)
+                .map_err(|e| PlanError::new(format!("[output] store: {e}")))?;
+        miner.predict_deltas(&traces)
+    };
     let candidates: Vec<(u32, FaultSpec)> =
         predictions.iter().map(|p| (p.scenario_id, p.fault_spec())).collect();
     let mut scorer = CandidateScorer::new(&predictions, AcquisitionConfig::default());

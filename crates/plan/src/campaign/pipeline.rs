@@ -483,19 +483,25 @@ fn run_two_stage(
         _ => unreachable!("run_two_stage only handles two-stage pipeline kinds"),
     };
     let config = MinerConfig { scene_stride, ..MinerConfig::default() };
-    let (miner, traces) = BayesianMiner::fit_from_store(pipeline.stage_dir(GOLDEN_SUBDIR), config)
-        .map_err(store_err)?;
-    let candidates: Vec<(u32, FaultSpec)> = match plan.kind {
-        // Mining stays on this thread; only the injection stages fan out
-        // over `workers`. With compiled queries the mine stage is a
-        // fraction of the validation sweep, and running it on two threads
-        // as well made campaign wall times far less repeatable on a shared
-        // 2-vCPU VM (campaignbench paper_mine: the spread of the fastest
-        // runs ~5x wider) for a ~15% shorter median.
-        CampaignKind::Mine { .. } => {
-            miner.mine(&traces).iter().map(|c| (c.scenario_id, c.fault_spec())).collect()
+    // The golden traces and the miner live only until the candidate list
+    // exists: the injection stage below needs neither.
+    let candidates: Vec<(u32, FaultSpec)> = {
+        let (miner, traces) =
+            BayesianMiner::fit_from_store(pipeline.stage_dir(GOLDEN_SUBDIR), config)
+                .map_err(store_err)?;
+        match plan.kind {
+            // Mining stays on this thread; only the injection stages fan
+            // out over `workers`. With compiled queries the mine stage is
+            // a fraction of the validation sweep, and running it on two
+            // threads as well made campaign wall times far less
+            // repeatable on a shared 2-vCPU VM (campaignbench paper_mine:
+            // the spread of the fastest runs ~5x wider) for a ~15%
+            // shorter median.
+            CampaignKind::Mine { .. } => {
+                miner.mine(&traces).iter().map(|c| (c.scenario_id, c.fault_spec())).collect()
+            }
+            _ => candidate_specs(&miner, &traces),
         }
-        _ => candidate_specs(&miner, &traces),
     };
 
     // Stage 3: the injection sweep, store-backed and resumable.

@@ -1,8 +1,7 @@
 //! Shard leases: per-shard lock files that keep a store to one writer.
 //!
 //! A writer claims one `lease-NNN.lock` file for every shard of the
-//! store, created beside the manifest with `O_CREAT | O_EXCL` (so
-//! exactly one claimant wins) and carrying the owner id and pid:
+//! store, beside the manifest, carrying the owner id and pid:
 //!
 //! ```text
 //! out/run1/
@@ -10,6 +9,12 @@
 //!   shard-000.log
 //!   lease-000.lock   # owner = pid-4242 / pid = 4242
 //! ```
+//!
+//! A lock is published whole: its content is written to a private
+//! temporary file first, which a hard link then makes the lock —
+//! failing, like `O_CREAT | O_EXCL`, when a lock exists, so exactly one
+//! claimant wins. A writer killed at any point leaves either no lock or
+//! a complete one.
 //!
 //! Every claimant takes `0..shards`, so two openers of one store always
 //! contend for shard 0 and at most one of them proceeds.
@@ -21,8 +26,8 @@
 //! `/proc`, and the bound on how long a wedged-but-alive writer can
 //! squat on a store). Takeover is race-free without fcntl locks: the
 //! claimant atomically renames the stale lock to a private name (exactly
-//! one renamer succeeds), deletes it, and claims fresh with
-//! `create_new`.
+//! one renamer succeeds), deletes it, and claims fresh. A heartbeat
+//! renames a complete new lock over the old one.
 //!
 //! A kill -9'd writer leaves its locks behind with a dead pid, so a
 //! restarting daemon reclaims them instantly; a cleanly dropped
@@ -30,6 +35,7 @@
 
 use crate::StoreError;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Heartbeat age past which a lease may be taken over even when the
@@ -175,21 +181,36 @@ impl LeaseSet {
         Ok(set)
     }
 
+    /// Writes this writer's lock content for `shard` to a fresh
+    /// temporary file beside the lock, from which the lock is published
+    /// whole.
+    fn stage(&self, shard: u32) -> Result<PathBuf, StoreError> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let pid = std::process::id();
+        let info = LeaseInfo { shard, owner: self.owner.clone(), pid };
+        let serial = NEXT.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.dir.join(format!(".lease-{shard:03}.lock.tmp.{pid}.{serial}"));
+        std::fs::write(&tmp, info.emit()).map_err(|e| io_err("writing", &tmp, e))?;
+        Ok(tmp)
+    }
+
     fn claim_one(&self, shard: u32) -> Result<(), StoreError> {
+        let tmp = self.stage(shard)?;
+        let claimed = self.publish_claim(shard, &tmp);
+        std::fs::remove_file(&tmp).ok();
+        claimed
+    }
+
+    /// Makes the staged lock `tmp` shard `shard`'s lock, unless a live
+    /// writer holds it.
+    fn publish_claim(&self, shard: u32, tmp: &Path) -> Result<(), StoreError> {
         let path = lease_path(&self.dir, shard);
-        let info = LeaseInfo { shard, owner: self.owner.clone(), pid: std::process::id() };
         // Bounded retries: each loop either claims, steals a stale lock,
         // or observes a live holder and fails. Two claimants racing the
         // same stale lock need one extra pass, never more.
         for _ in 0..8 {
-            match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(file) => {
-                    use std::io::Write;
-                    let mut file = file;
-                    file.write_all(info.emit().as_bytes())
-                        .map_err(|e| io_err("writing", &path, e))?;
-                    return Ok(());
-                }
+            match std::fs::hard_link(tmp, &path) {
+                Ok(()) => return Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                     match examine(&path, shard) {
                         (LeaseState::Live { holder }, age) => {
@@ -244,19 +265,21 @@ impl LeaseSet {
         )))
     }
 
-    /// Refreshes every held lease's heartbeat mtime (rewriting the lock
-    /// content in place — a concurrent examiner that catches the file
-    /// mid-write falls back to the just-refreshed mtime).
+    /// Refreshes every held lease's heartbeat mtime by renaming a
+    /// complete new lock over the old one, so an examiner never sees a
+    /// lock half-written.
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] on I/O failure.
     pub fn heartbeat(&self) -> Result<(), StoreError> {
-        let pid = std::process::id();
         for shard in 0..self.held {
             let path = lease_path(&self.dir, shard);
-            let info = LeaseInfo { shard, owner: self.owner.clone(), pid };
-            std::fs::write(&path, info.emit()).map_err(|e| io_err("heartbeating", &path, e))?;
+            let tmp = self.stage(shard)?;
+            std::fs::rename(&tmp, &path).map_err(|e| {
+                std::fs::remove_file(&tmp).ok();
+                io_err("heartbeating", &path, e)
+            })?;
         }
         Ok(())
     }
@@ -374,6 +397,42 @@ mod tests {
                 .unwrap();
             assert!(age < Duration::from_secs(60), "shard {shard} heartbeat did not refresh");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_lock_is_never_seen_half_written() {
+        // A reader polls the lock while a writer claims, heartbeats and
+        // releases it over and over: every lock it finds must parse, so
+        // a writer killed at any instant cannot leave a lock that reads
+        // as held by an unknown live writer.
+        let dir = temp_dir("whole");
+        let path = lease_path(&dir, 0);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let (reads, torn) = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let (mut reads, mut torn) = (0u64, 0u64);
+                while !stop.load(Ordering::Relaxed) {
+                    if let Ok(src) = std::fs::read_to_string(&path) {
+                        reads += 1;
+                        torn += u64::from(LeaseInfo::parse(0, &src).is_none());
+                    }
+                }
+                (reads, torn)
+            });
+            for _ in 0..400 {
+                let set = LeaseSet::acquire(&dir, 1, "steady").unwrap();
+                for _ in 0..8 {
+                    set.heartbeat().unwrap();
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            reader.join().unwrap()
+        });
+        assert!(reads > 0, "the reader never saw the lock");
+        assert_eq!(torn, 0, "{torn} of {reads} reads saw a half-written lock");
+        let litter: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(litter.is_empty(), "claims and heartbeats left files behind: {litter:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

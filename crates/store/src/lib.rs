@@ -50,7 +50,7 @@ pub use store::{
     compact_store, fingerprint64, open_store, open_store_with_traces, read_manifest, read_store,
     read_traces, shard_progress, ShardProgress, StoreMeta, StoreState, StoreWriter, MANIFEST_FILE,
 };
-pub use trace::{rebuild_traces, scan_trace_shard, TraceRecord, TRACE_BASE_LEN};
+pub use trace::{scan_trace_shard, TraceRecord, TRACE_BASE_LEN};
 
 /// An error from encoding, decoding, or store I/O.
 #[derive(Debug, Clone, PartialEq)]

@@ -17,7 +17,8 @@
 
 use crate::record::CampaignRecord;
 use crate::StoreError;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 /// Outcome-shard-file magic.
@@ -121,52 +122,59 @@ pub struct ShardScan {
 }
 
 /// The generic shard scan underneath [`scan_shard`] and
-/// [`scan_trace_shard`](crate::scan_trace_shard): reads a shard file
-/// whose header carries `magic`, decoding each CRC-valid payload with
-/// `decode` and tolerating a torn tail.
+/// [`scan_trace_shard`](crate::scan_trace_shard): streams a shard file
+/// whose header carries `magic` through a small buffer, handing each
+/// CRC-valid payload of the valid prefix to `visit` in append order,
+/// and tolerating a torn tail. Returns the byte offset where the valid
+/// prefix ends (see [`ShardScan::valid_len`]) and whether bytes past it
+/// were discarded. Only one payload is held at a time, so the caller
+/// decides what a shard costs in memory.
 ///
 /// # Errors
 ///
 /// Returns a [`StoreError`] when the file cannot be read, is not a
 /// `magic`-kind shard file for `shard_index` (wrong magic, version, or
-/// index), or contains a CRC-valid frame that no longer decodes (format
-/// drift, not crash damage — truncating would destroy good data).
-pub fn scan_shard_with<T>(
+/// index), or `visit` rejects a CRC-valid payload (format drift, not
+/// crash damage — truncating would destroy good data); the error names
+/// the file and the frame's offset.
+pub fn visit_shard(
     path: &Path,
     magic: &[u8; 8],
     shard_index: u32,
-    mut decode: impl FnMut(&[u8]) -> Result<T, StoreError>,
-) -> Result<(Vec<T>, u64, bool), StoreError> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
+    mut visit: impl FnMut(&[u8]) -> Result<(), StoreError>,
+) -> Result<(u64, bool), StoreError> {
+    let read_err = |e: std::io::Error| StoreError::new(format!("reading {}: {e}", path.display()));
+    let file = match File::open(path) {
+        Ok(file) => file,
         // A shard file that was never created: a crash between writing
         // the manifest and creating the shards. Same contract as
         // whole-shard loss — those jobs just aren't persisted.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok((Vec::new(), 0, false));
-        }
-        Err(e) => return Err(StoreError::new(format!("reading {}: {e}", path.display()))),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, false)),
+        Err(e) => return Err(read_err(e)),
     };
-    if bytes.len() < HEADER_LEN as usize {
+    let mut reader = BufReader::with_capacity(1 << 16, file);
+    let mut header = [0u8; HEADER_LEN as usize];
+    let got = read_full(&mut reader, &mut header).map_err(read_err)?;
+    if got < header.len() {
         // A crash while creating the shard: nothing usable, rewrite from
         // scratch.
-        return Ok((Vec::new(), 0, !bytes.is_empty()));
+        return Ok((0, got > 0));
     }
-    if &bytes[..8] != magic {
+    if &header[..8] != magic {
         return Err(StoreError::new(format!(
             "{} is not a drivefi {} shard file",
             path.display(),
             String::from_utf8_lossy(magic)
         )));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("header length checked"));
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("header length checked"));
     if version != FORMAT_VERSION {
         return Err(StoreError::new(format!(
             "{}: unsupported shard format version {version} (expected {FORMAT_VERSION})",
             path.display()
         )));
     }
-    let index = u32::from_le_bytes(bytes[12..16].try_into().expect("header length checked"));
+    let index = u32::from_le_bytes(header[12..16].try_into().expect("header length checked"));
     if index != shard_index {
         return Err(StoreError::new(format!(
             "{}: shard header claims index {index}, expected {shard_index}",
@@ -174,33 +182,50 @@ pub fn scan_shard_with<T>(
         )));
     }
 
-    let mut records = Vec::new();
-    let mut at = HEADER_LEN as usize;
+    let mut at = HEADER_LEN;
+    let mut payload = Vec::new();
     loop {
-        let Some(head) = bytes.get(at..at + 8) else {
-            // Partial frame head (or exactly the end of the file).
-            return Ok((records, at as u64, at != bytes.len()));
-        };
+        let mut head = [0u8; 8];
+        match read_full(&mut reader, &mut head).map_err(read_err)? {
+            // Exactly the end of the file.
+            0 => return Ok((at, false)),
+            // Partial frame head.
+            n if n < head.len() => return Ok((at, true)),
+            _ => {}
+        }
         let len = u32::from_le_bytes(head[..4].try_into().expect("head length checked"));
         let crc = u32::from_le_bytes(head[4..].try_into().expect("head length checked"));
         if len > MAX_FRAME {
             // Garbage length: treat as a torn tail.
-            return Ok((records, at as u64, true));
+            return Ok((at, true));
         }
-        let Some(payload) = bytes.get(at + 8..at + 8 + len as usize) else {
-            return Ok((records, at as u64, true));
-        };
-        if crc32(payload) != crc {
-            return Ok((records, at as u64, true));
+        payload.resize(len as usize, 0);
+        if read_full(&mut reader, &mut payload).map_err(read_err)? < payload.len()
+            || crc32(&payload) != crc
+        {
+            return Ok((at, true));
         }
         // A CRC-valid frame that fails to decode is a format problem and
         // must not be silently truncated away.
-        records.push(
-            decode(payload)
-                .map_err(|e| StoreError::new(format!("{} at offset {at}: {e}", path.display())))?,
-        );
-        at += 8 + len as usize;
+        visit(&payload)
+            .map_err(|e| StoreError::new(format!("{} at offset {at}: {e}", path.display())))?;
+        at += 8 + u64::from(len);
     }
+}
+
+/// Reads into `buf` until it is full or the reader is exhausted;
+/// returns the bytes read.
+fn read_full(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
 }
 
 /// Reads an outcome shard file, tolerating a torn tail: the scan stops
@@ -209,10 +234,13 @@ pub fn scan_shard_with<T>(
 ///
 /// # Errors
 ///
-/// See [`scan_shard_with`].
+/// See [`visit_shard`].
 pub fn scan_shard(path: &Path, shard_index: u32) -> Result<ShardScan, StoreError> {
-    let (records, valid_len, torn) =
-        scan_shard_with(path, &SHARD_MAGIC, shard_index, CampaignRecord::decode)?;
+    let mut records = Vec::new();
+    let (valid_len, torn) = visit_shard(path, &SHARD_MAGIC, shard_index, |payload| {
+        records.push(CampaignRecord::decode(payload)?);
+        Ok(())
+    })?;
     Ok(ShardScan { records, valid_len, torn })
 }
 

@@ -25,7 +25,7 @@ use crate::log::{
     SHARD_MAGIC, TRACE_MAGIC,
 };
 use crate::record::CampaignRecord;
-use crate::trace::{rebuild_traces, scan_trace_shard, TraceRecord};
+use crate::trace::{scan_trace_shard, visit_trace_shard, TraceRecord, TRACE_BASE_LEN};
 use crate::StoreError;
 use drivefi_obs::{EventLog, Field};
 use std::collections::{BTreeSet, HashMap};
@@ -491,20 +491,18 @@ impl StoreWriter {
             let mut reopened = Vec::with_capacity(expected.shards as usize);
             for index in 0..expected.shards {
                 let path = trace_shard_path(dir, index);
-                let scan = scan_trace_shard(&path, index)?;
-                for record in &scan.records {
+                let (valid_len, torn) = visit_trace_shard(&path, index, |record| {
                     if record.job >= expected.total_jobs {
                         return Err(StoreError::new(format!(
-                            "{}: trace record for job {} but the campaign has only {} jobs",
-                            path.display(),
-                            record.job,
-                            expected.total_jobs
+                            "trace record for job {} but the campaign has only {} jobs",
+                            record.job, expected.total_jobs
                         )));
                     }
                     scenes_seen.entry(record.job).or_default().insert(record.frame.scene);
-                }
-                state.torn |= scan.torn;
-                reopened.push(Self::reopen_truncated(&path, &TRACE_MAGIC, index, scan.valid_len)?);
+                    Ok(())
+                })?;
+                state.torn |= torn;
+                reopened.push(Self::reopen_truncated(&path, &TRACE_MAGIC, index, valid_len)?);
             }
             for &(job, scenes) in &scenes_of {
                 let covered = scenes_seen.get(&job).map_or(0, BTreeSet::len) as u64;
@@ -791,19 +789,24 @@ fn write_manifest(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
     std::fs::rename(&tmp, &path).map_err(|e| io_err("renaming", &tmp, e))
 }
 
-/// Reads the golden traces persisted in a trace-logging store: trace
-/// shards are scanned (torn tails tolerated), merged by `(job, scene)`,
-/// deduplicated, and reassembled into one [`Trace`](drivefi_sim::Trace)
-/// per job, in job order. Only jobs whose outcome record survived are
-/// returned, and each such trace is checked against the scene count its
-/// record claims — an interrupted store whose trace log lags its
+/// Reads the golden traces persisted in a trace-logging store, one
+/// [`Trace`](drivefi_sim::Trace) per surviving outcome record, in job
+/// order. Each trace's frame vector is allocated once, at the scene
+/// count its record claims, and the trace shards are decoded straight
+/// into these vectors: frame `s` of a job lands in slot `s`. A frame
+/// whose slot is already filled is a demoted-and-rerun job's second
+/// copy (bitwise identical, because golden runs are deterministic), so
+/// the first persisted copy wins; frames of a job without an outcome
+/// record (a crash before the record flushed) are skipped unread. Every
+/// slot must be filled — an interrupted store whose trace log lags its
 /// outcome log must be reopened (recovered) before fitting from it.
 ///
 /// # Errors
 ///
 /// Returns a [`StoreError`] when the directory is not a trace-logging
 /// store, a shard is missing, a CRC-valid record fails to decode, or a
-/// job's persisted trace does not cover its recorded scene count.
+/// job's persisted frames do not cover exactly the scenes its record
+/// claims.
 pub fn read_traces(
     dir: impl AsRef<Path>,
 ) -> Result<(StoreMeta, Vec<drivefi_sim::Trace>), StoreError> {
@@ -815,39 +818,66 @@ pub fn read_traces(
             dir.display()
         )));
     }
-    let mut trace_records = Vec::new();
+    let recover_hint = "recover the store (reopen it for append) before fitting from it";
+    let mut traces: Vec<drivefi_sim::Trace> = records
+        .iter()
+        .map(|r| drivefi_sim::Trace { scenario_id: r.scenario_id, frames: Vec::new() })
+        .collect();
     for index in 0..meta.shards {
-        trace_records.extend(scan_trace_shard(&trace_shard_path(dir, index), index)?.records);
+        let path = trace_shard_path(dir, index);
+        // The most frames the shard can hold bounds any allocation a
+        // record's claimed scene count asks for.
+        let room = std::fs::metadata(&path)
+            .map_or(0, |m| m.len().saturating_sub(HEADER_LEN) / (8 + TRACE_BASE_LEN as u64));
+        visit_trace_shard(&path, index, |record| {
+            let Ok(at) = records.binary_search_by_key(&record.job, |r| r.job) else {
+                return Ok(());
+            };
+            let (scenes, frames) = (records[at].scenes, &mut traces[at].frames);
+            if record.frame.scene >= scenes {
+                return Err(StoreError::new(format!(
+                    "job {} persisted a trace frame for scene {} but its record claims {scenes} \
+                     scenes",
+                    record.job, record.frame.scene
+                )));
+            }
+            if frames.is_empty() {
+                if scenes > room {
+                    return Err(StoreError::new(format!(
+                        "job {} claims {scenes} scenes but its trace shard holds at most {room} \
+                         frames — {recover_hint}",
+                        record.job
+                    )));
+                }
+                // Every slot starts as a copy of the first frame, whose
+                // scene number marks the other slots as unfilled.
+                frames.resize(scenes as usize, record.frame);
+            }
+            let slot = &mut frames[record.frame.scene as usize];
+            if slot.scene != record.frame.scene {
+                *slot = record.frame;
+            }
+            Ok(())
+        })?;
     }
-    // Both sides are sorted ascending by job (read_store merges by job,
-    // rebuild_traces sorts), so a single merge walk pairs them — and
-    // jobs whose outcome record didn't survive (crash before the record
-    // flushed) are skipped, their frames simply unread.
-    let mut by_job = rebuild_traces(trace_records).into_iter().peekable();
-    let mut traces = Vec::with_capacity(records.len());
-    for record in &records {
-        while by_job.peek().is_some_and(|(job, _)| *job < record.job) {
-            by_job.next();
-        }
-        let Some((_, trace)) = by_job.next_if(|(job, _)| *job == record.job) else {
+    for (record, trace) in records.iter().zip(&traces) {
+        if trace.frames.is_empty() {
             return Err(StoreError::new(format!(
-                "{}: job {} has an outcome record but no persisted trace — recover the \
-                 store (reopen it for append) before fitting from it",
+                "{}: job {} has an outcome record but no persisted trace — {recover_hint}",
                 dir.display(),
                 record.job
             )));
-        };
-        if trace.frames.len() as u64 != record.scenes {
+        }
+        let filled = trace.frames.iter().enumerate().filter(|(s, f)| f.scene == *s as u64).count();
+        if filled as u64 != record.scenes {
             return Err(StoreError::new(format!(
-                "{}: job {} persisted {} trace frames but its record claims {} scenes — \
-                 recover the store (reopen it for append) before fitting from it",
+                "{}: job {} persisted {filled} trace frames but its record claims {} scenes — \
+                 {recover_hint}",
                 dir.display(),
                 record.job,
-                trace.frames.len(),
                 record.scenes
             )));
         }
-        traces.push(trace);
     }
     Ok((meta, traces))
 }

@@ -9,11 +9,11 @@
 //! Frames are variable-length: the lead-object fields are optional, so
 //! a no-lead scene is 16 bytes shorter than a car-following one.
 
-use crate::log::{scan_shard_with, TRACE_MAGIC};
+use crate::log::{visit_shard, TRACE_MAGIC};
 use crate::record::Reader;
 use crate::StoreError;
 use drivefi_kinematics::{Actuation, SafetyPotential, VehicleState};
-use drivefi_sim::{FrameRecord, Trace};
+use drivefi_sim::FrameRecord;
 use std::path::Path;
 
 /// One persisted golden-trace slice: a single scene's [`FrameRecord`]
@@ -159,32 +159,31 @@ pub struct TraceShardScan {
 ///
 /// # Errors
 ///
-/// See [`scan_shard_with`].
+/// See [`visit_shard`].
 pub fn scan_trace_shard(path: &Path, shard_index: u32) -> Result<TraceShardScan, StoreError> {
-    let (records, valid_len, torn) =
-        scan_shard_with(path, &TRACE_MAGIC, shard_index, TraceRecord::decode)?;
+    let mut records = Vec::new();
+    let (valid_len, torn) = visit_trace_shard(path, shard_index, |record| {
+        records.push(record);
+        Ok(())
+    })?;
     Ok(TraceShardScan { records, valid_len, torn })
 }
 
-/// Reassembles merged trace records into per-job [`Trace`]s: records are
-/// sorted by `(job, scene)`, duplicate scenes collapse to the first
-/// persisted (a demoted-and-rerun job appends its frames twice; both
-/// copies are bitwise identical because golden runs are deterministic),
-/// and one `Trace` per distinct job comes back in job order.
-pub fn rebuild_traces(mut records: Vec<TraceRecord>) -> Vec<(u64, Trace)> {
-    records.sort_by_key(|r| (r.job, r.frame.scene));
-    records.dedup_by_key(|r| (r.job, r.frame.scene));
-    let mut out: Vec<(u64, Trace)> = Vec::new();
-    for record in records {
-        match out.last_mut() {
-            Some((job, trace)) if *job == record.job => trace.frames.push(record.frame),
-            _ => out.push((
-                record.job,
-                Trace { scenario_id: record.scenario_id, frames: vec![record.frame] },
-            )),
-        }
-    }
-    out
+/// Streams a trace shard file record by record, in append order, without
+/// collecting it: `visit` sees each decoded record of the valid prefix.
+/// Returns the valid prefix's length and whether a torn tail was
+/// discarded, as [`scan_trace_shard`] reports them.
+///
+/// # Errors
+///
+/// See [`visit_shard`]; an error `visit` returns is reported the same
+/// way as a payload that fails to decode.
+pub(crate) fn visit_trace_shard(
+    path: &Path,
+    shard_index: u32,
+    mut visit: impl FnMut(TraceRecord) -> Result<(), StoreError>,
+) -> Result<(u64, bool), StoreError> {
+    visit_shard(path, &TRACE_MAGIC, shard_index, |payload| visit(TraceRecord::decode(payload)?))
 }
 
 #[cfg(test)]
@@ -351,24 +350,40 @@ mod tests {
 
     #[test]
     fn rebuild_merges_sorts_and_dedups() {
-        // Out-of-order appends across jobs, with job 1's frames appended
-        // twice (the demote-and-rerun shape).
-        let records = vec![
-            sample_trace_record(1, 1, true),
-            sample_trace_record(0, 0, false),
-            sample_trace_record(1, 0, true),
-            sample_trace_record(0, 1, false),
-            sample_trace_record(1, 0, true),
-            sample_trace_record(1, 1, true),
-        ];
-        let traces = rebuild_traces(records);
-        assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0].0, 0);
-        assert_eq!(traces[1].0, 1);
-        for (job, trace) in &traces {
-            assert_eq!(trace.scenario_id, *job as u32);
-            let scenes: Vec<u64> = trace.frames.iter().map(|f| f.scene).collect();
-            assert_eq!(scenes, vec![0, 1], "job {job}");
+        // Appends interleaved across jobs, job 1 persisting scene 1
+        // before scene 0 and then its frames a second time (the
+        // demote-and-rerun shape): every frame lands in its scene's
+        // slot, the first copy wins, and traces come back in job order.
+        let dir = std::env::temp_dir().join(format!("drivefi-trace-merge-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (mut writer, _) = crate::open_store_with_traces(&dir, 1, 2, 1, 64).unwrap();
+        for (job, scene) in [(1, 1), (0, 0), (1, 0), (0, 1), (1, 0), (1, 1)] {
+            writer.append_trace(&sample_trace_record(job, scene, true)).unwrap();
         }
+        for job in [1, 0] {
+            writer
+                .append(&crate::CampaignRecord {
+                    job,
+                    scenario_id: job as u32,
+                    scenario_seed: job * 17 + 3,
+                    fault: None,
+                    outcome: drivefi_sim::Outcome::Safe,
+                    injections: 0,
+                    scenes: 2,
+                    min_delta_lon: 1.0,
+                    min_delta_lat: 1.0,
+                })
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        let (_, traces) = crate::read_traces(&dir).unwrap();
+        assert_eq!(traces.len(), 2);
+        for (job, trace) in traces.iter().enumerate() {
+            assert_eq!(trace.scenario_id, job as u32);
+            let expected: Vec<FrameRecord> =
+                (0..2).map(|scene| sample_frame(scene, true)).collect();
+            assert_eq!(trace.frames, expected, "job {job}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
