@@ -26,25 +26,6 @@ pub fn check_categories(net: &BayesNet) -> Result<(), BayesError> {
     }
 }
 
-/// The rows of the byte matrix `data` over `net`'s variables.
-///
-/// # Errors
-///
-/// Returns [`BayesError::TooManyCategories`] when a variable has more
-/// than [`MAX_CATEGORIES`] categories, and [`BayesError::RaggedData`]
-/// when `data` is not a whole number of `net.len()`-byte rows.
-pub(crate) fn data_rows<'a>(
-    net: &BayesNet,
-    data: &'a [u8],
-) -> Result<std::slice::ChunksExact<'a, u8>, BayesError> {
-    check_categories(net)?;
-    let width = net.len();
-    if !data.len().is_multiple_of(width) {
-        return Err(BayesError::RaggedData { len: data.len(), width });
-    }
-    Ok(data.chunks_exact(width.max(1)))
-}
-
 /// Fits the CPT of every variable in `structure` from complete data by
 /// Laplace-smoothed maximum likelihood.
 ///
@@ -70,7 +51,12 @@ pub fn fit_cpts(
     data: &[u8],
     alpha: f64,
 ) -> Result<(), BayesError> {
-    let rows = data_rows(net, data)?;
+    check_categories(net)?;
+    let width = net.len();
+    if !data.len().is_multiple_of(width) {
+        return Err(BayesError::RaggedData { len: data.len(), width });
+    }
+    let rows = data.chunks_exact(width.max(1));
     for (child, parents) in structure {
         let child_card = net.cardinality(*child);
         let parent_cards: Vec<usize> = parents.iter().map(|p| net.cardinality(*p)).collect();

@@ -19,9 +19,7 @@
 //!   temporal Bayesian network (3-TBN, Fig. 6),
 //! * the **counterfactual query** of Eq. 2 on such a network: `do(v@1 =
 //!   c)` with slices 0 and 1 observed except where the fault reaches,
-//!   compiled once per intervened variable, and
-//! * **structure scoring** (log-likelihood, BIC) to compare the
-//!   architecture-derived topology against ablated alternatives.
+//!   compiled once per intervened variable.
 //!
 //! # Example
 //!
@@ -50,7 +48,6 @@ pub mod factor;
 pub mod learn;
 pub mod map;
 pub mod network;
-pub mod score;
 
 pub use counterfactual::Counterfactual;
 pub use dbn::{DbnTemplate, SliceVar, TemporalEdge, UnrolledDbn};
@@ -59,7 +56,6 @@ pub use factor::Factor;
 pub use learn::{check_categories, fit_cpts, MAX_CATEGORIES};
 pub use map::{MapQuery, MapScratch};
 pub use network::{BayesNet, Cpt, VarId};
-pub use score::{dimension, fit_and_score, log_likelihood, StructureScore};
 
 use std::collections::BTreeMap;
 

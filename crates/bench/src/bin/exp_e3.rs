@@ -78,7 +78,7 @@ fn main() {
     println!("| miner precision              | {:9.1}% | 82.0%      |", 100.0 * precision);
     println!("| safety-critical scenes       | {:10} | 68 of 7200 |", critical_scenes.len());
 
-    // Per-signal breakdown of the validated set (E9 feeds on this too).
+    // Per-signal breakdown of the validated set.
     let mut by_signal: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     for record in validated {
         let Some(FaultKind::Scalar { signal, .. }) = record.fault.map(|f| f.kind) else {

@@ -47,7 +47,6 @@ pub mod golden;
 pub mod miner;
 pub mod random;
 pub mod report;
-pub mod situations;
 pub mod tbn;
 
 pub use acquisition::{AcquisitionConfig, CandidateScorer};
@@ -56,5 +55,4 @@ pub use golden::{collect_golden_traces, golden_record_metas};
 pub use miner::{BayesianMiner, CandidateFault, MinedFault, MinerConfig};
 pub use random::{pick_record_metas, random_fault_picks, RandomCampaignConfig};
 pub use report::{validate_candidates, AccelerationReport, ValidationStats};
-pub use situations::{Situation, SituationLibrary, TestRule};
 pub use tbn::{SceneObs, TbnModel, TbnVar, NO_LEAD};

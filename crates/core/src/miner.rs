@@ -12,10 +12,6 @@ use std::collections::HashMap;
 pub struct MinerConfig {
     /// Quantile bins per continuous variable.
     pub bins: usize,
-    /// Augment CPD training with kinematics-derived transitions (the
-    /// paper's domain-knowledge integration; disable only for the
-    /// ablation bench).
-    pub kinematic_augmentation: bool,
     /// Evaluate every `scene_stride`-th eligible scene (1 = all).
     pub scene_stride: usize,
     /// A candidate joins `F_crit` when `δ̂_do(f) ≤ delta_threshold`.
@@ -32,7 +28,6 @@ impl Default for MinerConfig {
     fn default() -> Self {
         MinerConfig {
             bins: 6,
-            kinematic_augmentation: true,
             scene_stride: 1,
             delta_threshold: 0.0,
             margin_lon: 2.0,
@@ -166,7 +161,7 @@ impl BayesianMiner {
     ///
     /// Propagates model-fitting failures.
     pub fn fit(traces: &[Trace], config: MinerConfig) -> Result<Self, BayesError> {
-        let model = TbnModel::fit_with(traces, config.bins, config.kinematic_augmentation)?;
+        let model = TbnModel::fit(traces, config.bins)?;
         let forecast_values = FORECAST_VARS.map(|v| {
             // Every category `forecast` can read back, as its `rep1` does.
             let mut values: Vec<f64> = (0..model.net.cardinality(model.id(1, v)))
@@ -182,9 +177,12 @@ impl BayesianMiner {
     }
 
     /// Fits the miner from the golden traces persisted in a
-    /// trace-logging store (see [`TbnModel::fit_from_store`]), returning
-    /// the loaded traces alongside so the caller can mine without
-    /// re-reading the store. The fitted miner — and therefore the mined
+    /// trace-logging store (see [`drivefi_store::read_traces`]) — the
+    /// resumable form of [`BayesianMiner::fit`]: an interrupted mining
+    /// pipeline re-fits from disk instead of re-simulating its golden
+    /// runs. Returns the loaded traces alongside so the caller can mine
+    /// without re-reading the store. Persisted frames round-trip every
+    /// `f64` bit-exactly, so the fitted miner — and therefore the mined
     /// `F_crit` — is identical to one fitted from the same traces in
     /// memory.
     ///

@@ -161,51 +161,16 @@ impl TbnModel {
         t
     }
 
-    /// [`TbnModel::fit_with`] with kinematic augmentation enabled (the
-    /// paper's design: CPDs of kinematic state variables are derived
-    /// from the vehicle kinematics model, §III-B).
-    ///
-    /// # Errors
-    ///
-    /// See [`TbnModel::fit_with`].
-    pub fn fit(traces: &[Trace], bins: usize) -> Result<Self, BayesError> {
-        Self::fit_with(traces, bins, true)
-    }
-
-    /// Fits the 3-TBN from the golden traces persisted in a
-    /// trace-logging store directory (see
-    /// [`drivefi_store::open_store_with_traces`]) — the resumable form
-    /// of [`TbnModel::fit`]: an interrupted mining pipeline re-fits from
-    /// disk instead of re-simulating its golden runs. Persisted frames
-    /// round-trip every `f64` bit-exactly, so the fitted model is
-    /// identical to one fitted from the in-memory traces.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`drivefi_store::StoreError`] when the store cannot be
-    /// read (or holds incomplete traces) and wraps model-fitting
-    /// failures in the same error type.
-    pub fn fit_from_store(
-        dir: impl AsRef<std::path::Path>,
-        bins: usize,
-        kinematic_augmentation: bool,
-    ) -> Result<Self, drivefi_store::StoreError> {
-        let (_, traces) = drivefi_store::read_traces(dir)?;
-        Self::fit_with(&traces, bins, kinematic_augmentation).map_err(|e| {
-            drivefi_store::StoreError::new(format!("fitting 3-TBN from persisted traces: {e}"))
-        })
-    }
-
     /// Fits discretizers and CPDs from golden traces.
     ///
     /// Golden runs never exercise off-nominal actuation (a healthy
     /// planner does not command full throttle toward a close lead), so
     /// purely data-driven CPTs would leave the very rows that
-    /// interventions hit at their uniform prior. With
-    /// `kinematic_augmentation`, the fit adds synthetic transitions
-    /// computed from the one-scene vehicle kinematics — exactly the
-    /// paper's "integrating domain knowledge in the form of vehicle
-    /// kinematics" — covering the full actuation grid.
+    /// interventions hit at their uniform prior. The fit therefore adds
+    /// synthetic transitions computed from the one-scene vehicle
+    /// kinematics — exactly the paper's "integrating domain knowledge in
+    /// the form of vehicle kinematics" (§III-B) — covering the full
+    /// actuation grid.
     ///
     /// The training rows are one byte matrix (see
     /// [`drivefi_bayes::fit_cpts`]), allocated once at its final size: a
@@ -223,11 +188,7 @@ impl TbnModel {
     /// # Panics
     ///
     /// Panics if `traces` contain no frames.
-    pub fn fit_with(
-        traces: &[Trace],
-        bins: usize,
-        kinematic_augmentation: bool,
-    ) -> Result<Self, BayesError> {
+    pub fn fit(traces: &[Trace], bins: usize) -> Result<Self, BayesError> {
         if bins == 0 {
             return Err(BayesError::NoBins);
         }
@@ -257,7 +218,7 @@ impl TbnModel {
 
         let width = net.len();
         let windows: usize = traces.iter().map(|t| t.frames.len().saturating_sub(2)).sum();
-        let synthetic = if kinematic_augmentation { model.kinematic_row_count(&cards) } else { 0 };
+        let synthetic = model.kinematic_row_count(&cards);
         let mut data = Vec::with_capacity((windows + synthetic) * width);
         let mut scenes: Vec<SceneCategories> = Vec::new();
         for trace in traces {
@@ -273,30 +234,26 @@ impl TbnModel {
                 }
             }
         }
-        if kinematic_augmentation {
-            // The synthetic transitions inform only the *kinematic* CPDs
-            // (how M and W evolve given actuation) — the *behavioral*
-            // CPDs (what the planner/controller command given the world,
-            // i.e. P(U|W,M) and P(A|U)) must come from golden behavior
-            // alone, or the synthetic grid would dilute them to uniform
-            // and the forecasts of the ego's reaction would be garbage.
-            let ids_ref = &ids;
-            let kinematic_children: Vec<VarId> = (0..3)
-                .flat_map(|slice| {
-                    [TbnVar::MV, TbnVar::MA, TbnVar::WDist, TbnVar::WSpeed]
-                        .into_iter()
-                        .map(move |v| ids_ref[slice][v.index()])
-                })
-                .collect();
-            let (kin_structure, beh_structure): (Vec<_>, Vec<_>) =
-                structure.into_iter().partition(|(child, _)| kinematic_children.contains(child));
-            fit_cpts(&mut net, &beh_structure, &data, 1.0)?;
-            model.kinematic_rows(&ids, &cards, &mut data);
-            debug_assert_eq!(data.len(), (windows + synthetic) * width);
-            fit_cpts(&mut net, &kin_structure, &data, 1.0)?;
-        } else {
-            fit_cpts(&mut net, &structure, &data, 1.0)?;
-        }
+        // The synthetic transitions inform only the *kinematic* CPDs (how
+        // M and W evolve given actuation) — the *behavioral* CPDs (what
+        // the planner/controller command given the world, i.e. P(U|W,M)
+        // and P(A|U)) must come from golden behavior alone, or the
+        // synthetic grid would dilute them to uniform and the forecasts
+        // of the ego's reaction would be garbage.
+        let ids_ref = &ids;
+        let kinematic_children: Vec<VarId> = (0..3)
+            .flat_map(|slice| {
+                [TbnVar::MV, TbnVar::MA, TbnVar::WDist, TbnVar::WSpeed]
+                    .into_iter()
+                    .map(move |v| ids_ref[slice][v.index()])
+            })
+            .collect();
+        let (kin_structure, beh_structure): (Vec<_>, Vec<_>) =
+            structure.into_iter().partition(|(child, _)| kinematic_children.contains(child));
+        fit_cpts(&mut net, &beh_structure, &data, 1.0)?;
+        model.kinematic_rows(&ids, &cards, &mut data);
+        debug_assert_eq!(data.len(), (windows + synthetic) * width);
+        fit_cpts(&mut net, &kin_structure, &data, 1.0)?;
         Ok(TbnModel { net, ..model })
     }
 

@@ -38,13 +38,11 @@
 //! ```
 
 pub mod arch;
-pub mod ecc;
 pub mod injector;
 pub mod model;
 pub mod space;
 
 pub use arch::{ArchOutcome, ArchProgram, ArchSimulator, InjectionSite};
-pub use ecc::{Codeword, DecodeResult, EccMemory};
 pub use injector::Injector;
 pub use model::{Fault, FaultKind, FaultWindow, ScalarFaultModel};
 pub use space::{CorruptionGrid, FaultKey, FaultSpace, FaultSpec, WindowSpec};

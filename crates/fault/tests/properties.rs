@@ -1,53 +1,10 @@
-//! Property-based tests for fault-model and ECC invariants.
+//! Property-based tests for fault-model invariants.
 
 use drivefi_ads::SignalRange;
-use drivefi_fault::ecc::CODEWORD_BITS;
-use drivefi_fault::{Codeword, DecodeResult, EccMemory, FaultWindow, ScalarFaultModel};
+use drivefi_fault::{FaultWindow, ScalarFaultModel};
 use proptest::prelude::*;
 
 proptest! {
-    /// SECDED corrects every single-bit strike on any data word.
-    #[test]
-    fn secded_corrects_any_single_flip(word in any::<u64>(), bit in 0u32..CODEWORD_BITS) {
-        let mut cw = Codeword::encode(word);
-        cw.flip(bit);
-        prop_assert_eq!(cw.decode(), DecodeResult::Corrected(word));
-    }
-
-    /// SECDED detects (and never miscorrects) every double-bit strike.
-    #[test]
-    fn secded_detects_any_double_flip(word in any::<u64>(),
-                                      a in 0u32..CODEWORD_BITS,
-                                      b in 0u32..CODEWORD_BITS) {
-        prop_assume!(a != b);
-        let mut cw = Codeword::encode(word);
-        cw.flip(a);
-        cw.flip(b);
-        prop_assert_eq!(cw.decode(), DecodeResult::DoubleError);
-    }
-
-    /// Encoding is injective on the data bits: distinct words yield
-    /// distinct codewords, and clean decode round-trips.
-    #[test]
-    fn secded_roundtrip(word in any::<u64>()) {
-        let cw = Codeword::encode(word);
-        prop_assert_eq!(cw.decode(), DecodeResult::Clean(word));
-    }
-
-    /// Scrubbing on read restores a struck memory to clean state.
-    #[test]
-    fn ecc_memory_scrubs(words in prop::collection::vec(any::<u64>(), 1..8),
-                         addr_seed in any::<usize>(), bit in 0u32..CODEWORD_BITS) {
-        let mut mem = EccMemory::from_words(&words);
-        let addr = addr_seed % words.len();
-        mem.strike(addr, bit);
-        prop_assert_eq!(mem.read(addr), Some(words[addr]));
-        // Scrubbed: reading again reports clean (no new corrections).
-        let corrected = mem.corrected_count();
-        prop_assert_eq!(mem.read(addr), Some(words[addr]));
-        prop_assert_eq!(mem.corrected_count(), corrected);
-    }
-
     /// The IEEE-754 bit-flip model is an involution.
     #[test]
     fn bitflip_involutive(value in any::<f64>(), bit in 0u8..64) {

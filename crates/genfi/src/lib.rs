@@ -307,7 +307,7 @@ impl GenericMiner {
         Ok(GenericMiner { spec: spec.clone(), net, ids, discretizers, counterfactual, options })
     }
 
-    /// The fitted network (for inspection and structure scoring).
+    /// The fitted network (for inspection).
     pub fn net(&self) -> &BayesNet {
         &self.net
     }

@@ -162,16 +162,15 @@ impl EventLog {
         // Scan existing history once: continue `seq` after it, and
         // newline-terminate a torn final fragment so our own events
         // start on a fresh line.
-        let mut existing = String::new();
-        if file.seek(SeekFrom::Start(0)).is_ok() && file.read_to_string(&mut existing).is_ok() {
-            let max_seq = existing
-                .lines()
+        let mut existing = Vec::new();
+        if file.seek(SeekFrom::Start(0)).is_ok() && file.read_to_end(&mut existing).is_ok() {
+            let max_seq = text_lines(&existing)
                 .filter_map(|line| parse_line(line).ok())
                 .map(|event| event.seq)
                 .max()
                 .unwrap_or(0);
             NEXT_SEQ.fetch_max(max_seq + 1, Ordering::Relaxed);
-            if !existing.is_empty() && !existing.ends_with('\n') {
+            if existing.last().is_some_and(|&b| b != b'\n') {
                 let _ = file.write_all(b"\n");
             }
         }
@@ -208,9 +207,21 @@ pub fn emit_event(dir: &Path, kind: &str, fields: &[(&str, Field)]) {
 }
 
 fn parse_error(line: &str, what: &str) -> std::io::Error {
-    let mut shown = line.to_string();
-    shown.truncate(80);
+    // At most 80 bytes of the line, cut at a character boundary.
+    let mut end = line.len().min(80);
+    while !line.is_char_boundary(end) {
+        end -= 1;
+    }
+    let shown = &line[..end];
     std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{what} in event `{shown}`"))
+}
+
+/// The lines of a log's bytes that are valid UTF-8. A torn write can
+/// cut a multi-byte character; only that line is lost, not the file.
+fn text_lines(bytes: &[u8]) -> impl Iterator<Item = &str> {
+    bytes
+        .split(|&b| b == b'\n')
+        .filter_map(|line| std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line)).ok())
 }
 
 struct Cursor<'a> {
@@ -384,8 +395,9 @@ pub fn parse_line(line: &str) -> std::io::Result<Event> {
 
 /// Reads every parseable event from `dir/events.jsonl`, in file order.
 ///
-/// Unparsable lines — torn tails and fragments from crashed writers —
-/// are skipped, not errors. A missing file reads as no events.
+/// Unparsable lines — torn tails and fragments from crashed writers,
+/// lines that are not UTF-8 — are skipped, not errors. A missing file
+/// reads as no events.
 ///
 /// # Errors
 ///
@@ -402,12 +414,12 @@ pub fn read_events(dir: &Path) -> std::io::Result<Vec<Event>> {
 /// Returns an error only for I/O failures other than the file being
 /// absent.
 pub fn read_events_file(path: &Path) -> std::io::Result<Vec<Event>> {
-    let src = match std::fs::read_to_string(path) {
+    let src = match std::fs::read(path) {
         Ok(src) => src,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
-    Ok(src.lines().filter_map(|line| parse_line(line).ok()).collect())
+    Ok(text_lines(&src).filter_map(|line| parse_line(line).ok()).collect())
 }
 
 #[cfg(test)]
@@ -451,6 +463,56 @@ mod tests {
         ] {
             assert!(parse_line(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// An unparsable line whose 80th byte falls inside a multi-byte
+    /// character: the error message cuts it at a character boundary.
+    fn straddling_line() -> String {
+        format!("{{\"seq\":99,\"kind\":\"{}é\"", "x".repeat(61))
+    }
+
+    #[test]
+    fn error_excerpts_cut_at_a_character_boundary() {
+        let line = straddling_line();
+        assert!(!line.is_char_boundary(80));
+        let err = parse_line(&line).unwrap_err();
+        assert!(err.to_string().contains(&"x".repeat(61)), "{err}");
+        assert!(!err.to_string().contains('é'), "{err}");
+    }
+
+    #[test]
+    fn straddling_and_non_utf8_lines_are_skipped() {
+        let _guard = crate::test_lock();
+        crate::force_enabled(true);
+        let dir = temp_dir("straddle");
+        let mut log = EventLog::open(&dir);
+        log.emit("campaign_start", &[]);
+        drop(log);
+
+        // The straddling line, then a write torn inside a character.
+        let path = dir.join(EVENTS_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(straddling_line().as_bytes());
+        bytes.push(b'\n');
+        let torn = "{\"seq\":100,\"ts_ms\":1,\"mono_ms\":1,\"kind\":\"é\"}";
+        bytes.extend_from_slice(&torn.as_bytes()[..torn.find('é').unwrap() + 1]);
+        assert!(std::str::from_utf8(&bytes).is_err());
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_events(&dir).unwrap().len(), 1);
+
+        // A new writer still ends the torn tail and continues `seq`.
+        let mut log = EventLog::open(&dir);
+        log.emit("resume", &[]);
+        drop(log);
+        let events = read_events(&dir).unwrap();
+        assert_eq!(
+            events.iter().map(|e| e.kind.as_str()).collect::<Vec<_>>(),
+            ["campaign_start", "resume"]
+        );
+        assert!(events[1].seq > events[0].seq);
+
+        crate::clear_force();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   `drivefi run`. Sealed stage stores are compacted in the gaps
 //!   between rounds.
 //!
-//! The daemon holds a shard lease (see `drivefi_store::lease`) on every
-//! store it appends to, so a concurrent `drivefi compact` — or a second
+//! The daemon holds the store lease (see `drivefi_store::lease`) of
+//! every store it appends to, so a concurrent `drivefi compact` — or a second
 //! daemon misconfigured onto the same campaign directory — is refused
 //! instead of corrupting the store.
 

@@ -14,9 +14,9 @@
 //!   and the next daemon (or a standalone `drivefi resume`) continues
 //!   from the store. Reports are byte-identical either way, because
 //!   job records never depend on scheduling.
-//! * **Isolation** is the store's shard leases: a slice holds the
-//!   campaign's lease only while it runs, and compaction takes every
-//!   lease first, so the in-between-rounds compactor and any outside
+//! * **Isolation** is the store's lease: a slice holds the campaign's
+//!   lease only while it runs, and compaction takes the lease first,
+//!   so the in-between-rounds compactor and any outside
 //!   `drivefi compact` are refused rather than racing a writer.
 //!
 //! Between rounds the daemon compacts at most one *sealed* stage store

@@ -175,7 +175,7 @@ impl Pilot {
         if stopped {
             state.into_report(&sim)
         } else {
-            sim.run_from(state, &mut NullInterceptor, None)
+            sim.run_from(state, &mut NullInterceptor)
         }
     }
 }

@@ -299,25 +299,15 @@ impl CampaignEngine {
     }
 
     /// The resume hook: runs only the jobs for which `done(job.id)` is
-    /// false, skipping the rest without scheduling them. A persistent
-    /// store resumes an interrupted campaign by passing its set of
-    /// already-persisted job ids; submission indices renumber over the
-    /// pending jobs, so sinks that need a stable identity should key on
-    /// `CampaignResult::id` (the skipped ids never reappear).
-    pub fn run_skipping<S, K, P>(&self, jobs: S, done: P, sink: &mut K)
-    where
-        S: JobSource,
-        K: CampaignSink + ?Sized,
-        P: Fn(u64) -> bool + Send,
-    {
-        self.run(jobs.into_jobs().filter(move |job| !done(job.id)), sink);
-    }
-
-    /// [`CampaignEngine::run_skipping`] with a job budget: at most
-    /// `budget` pending jobs are executed (already-done jobs don't
-    /// count), then the stream stops cleanly — the "interrupt via budget
-    /// cap" a resumable store-backed campaign uses. `None` means
-    /// unbounded. Returns the number of jobs actually executed.
+    /// false, skipping the rest without scheduling them, and at most
+    /// `budget` of those pending jobs (`None` means unbounded); then the
+    /// stream stops cleanly — the "interrupt via budget cap" a resumable
+    /// store-backed campaign uses. A persistent store resumes an
+    /// interrupted campaign by passing its set of already-persisted job
+    /// ids; submission indices renumber over the pending jobs, so sinks
+    /// that need a stable identity should key on `CampaignResult::id`
+    /// (the skipped ids never reappear). Returns the number of jobs
+    /// actually executed.
     pub fn run_skipping_budget<S, K, P>(
         &self,
         jobs: S,
@@ -349,22 +339,17 @@ impl CampaignEngine {
     }
 }
 
-/// Compatibility wrapper over [`CampaignEngine`]: runs all jobs, fanning
-/// out over `workers` threads, and returns results in job order.
-pub fn run_campaign(
-    config: SimConfig,
-    jobs: &[CampaignJob],
-    workers: usize,
-) -> Vec<CampaignResult> {
-    CampaignEngine::new(config).with_workers(workers).collect(jobs.iter().cloned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simulation::Simulation;
     use drivefi_ads::Signal;
     use drivefi_fault::{FaultKind, FaultWindow, Injector, ScalarFaultModel};
+
+    /// The results of `jobs` on `workers` threads, in job order.
+    fn run_jobs(jobs: &[CampaignJob], workers: usize) -> Vec<CampaignResult> {
+        CampaignEngine::new(SimConfig::default()).with_workers(workers).collect(jobs.to_vec())
+    }
 
     fn golden_job(id: u64, seed: u64) -> CampaignJob {
         CampaignJob::new(id, ScenarioConfig::lead_vehicle_cruise(seed), vec![])
@@ -384,7 +369,7 @@ mod tests {
     #[test]
     fn campaign_preserves_job_order_and_ids() {
         let jobs: Vec<_> = (0..6).map(|i| golden_job(100 + i, i)).collect();
-        let results = run_campaign(SimConfig::default(), &jobs, 3);
+        let results = run_jobs(&jobs, 3);
         assert_eq!(results.len(), 6);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.id, 100 + i as u64);
@@ -399,9 +384,9 @@ mod tests {
         // its own simulation, so scheduling cannot leak state.
         let mut jobs: Vec<_> = (0..4).map(|i| golden_job(i, i * 7)).collect();
         jobs.extend((0..4).map(|i| faulted_job(100 + i, i * 3 + 1, 20 + 5 * i)));
-        let serial = run_campaign(SimConfig::default(), &jobs, 1);
+        let serial = run_jobs(&jobs, 1);
         for workers in [2, 8] {
-            let parallel = run_campaign(SimConfig::default(), &jobs, workers);
+            let parallel = run_jobs(&jobs, workers);
             assert_eq!(serial.len(), parallel.len());
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_eq!(s.id, p.id);
@@ -421,7 +406,7 @@ mod tests {
             .map(|i| faulted_job(i, 5, 30))
             .chain((0..2).map(|i| golden_job(10 + i, 2)))
             .collect();
-        let reused = run_campaign(SimConfig::default(), &jobs, 1);
+        let reused = run_jobs(&jobs, 1);
         for (job, result) in jobs.iter().zip(&reused) {
             let mut sim = Simulation::new(SimConfig::default(), &job.scenario);
             let mut injector = Injector::new(job.faults.clone());
@@ -441,7 +426,7 @@ mod tests {
             window: FaultWindow::scene(10),
         };
         let jobs = vec![CampaignJob::new(0, scenario, vec![fault])];
-        let results = run_campaign(SimConfig::default(), &jobs, 2);
+        let results = run_jobs(&jobs, 2);
         assert!(results[0].report.injections > 0);
     }
 
@@ -463,8 +448,8 @@ mod tests {
     fn jobs_share_one_scenario_allocation() {
         // The zero-clone contract: a cross-product of jobs over one
         // scenario holds one allocation, and cloning a job (the
-        // `run_campaign` slice path) bumps a refcount instead of deep-
-        // cloning road + actor storage.
+        // `run_jobs` slice path) bumps a refcount instead of deep-cloning
+        // road + actor storage.
         let scenario = Arc::new(ScenarioConfig::lead_vehicle_cruise(3));
         let jobs: Vec<_> = (0..8u64)
             .map(|id| CampaignJob { id, scenario: Arc::clone(&scenario), faults: vec![] })
@@ -474,7 +459,7 @@ mod tests {
         }
         let cloned = jobs[0].clone();
         assert!(Arc::ptr_eq(&cloned.scenario, &scenario));
-        let results = run_campaign(SimConfig::default(), &jobs, 4);
+        let results = run_jobs(&jobs, 4);
         assert_eq!(results.len(), 8);
     }
 
@@ -509,9 +494,13 @@ mod tests {
         let engine = CampaignEngine::new(SimConfig::default()).with_workers(2);
         let jobs: Vec<_> = (0..6u64).map(|i| golden_job(i, i)).collect();
         let mut seen = Vec::new();
-        engine.run_skipping(jobs, |id| id % 2 == 0, &mut |index: u64, result: CampaignResult| {
-            seen.push((index, result.id))
-        });
+        let ran = engine.run_skipping_budget(
+            jobs,
+            |id| id % 2 == 0,
+            None,
+            &mut |index: u64, result: CampaignResult| seen.push((index, result.id)),
+        );
+        assert_eq!(ran, 3);
         seen.sort_unstable();
         assert_eq!(seen, vec![(0, 1), (1, 3), (2, 5)]);
     }

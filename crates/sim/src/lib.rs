@@ -18,8 +18,8 @@
 //! drives one golden pilot forward, each job runs on its own
 //! [`Simulation`] forked from the pilot at the scene where it can first
 //! diverge, and results stream into a [`CampaignSink`] ([`Collector`],
-//! [`RunningStats`], [`TraceSink`]). [`campaign::run_campaign`] is the
-//! eager compatibility wrapper. This crate is also the only place in the
+//! [`RunningStats`], [`TraceSink`]); [`CampaignEngine::collect`]
+//! returns them in job order. This crate is also the only place in the
 //! workspace that spawns worker threads ([`engine::stream_map`] /
 //! [`engine::parallel_map`], with [`default_workers`] as the one
 //! worker-count policy).
@@ -40,16 +40,14 @@ mod batch;
 pub mod campaign;
 pub mod engine;
 pub mod outcome;
-pub mod rules;
 pub mod simulation;
 pub mod trace;
 
 pub use campaign::{
-    run_campaign, CampaignEngine, CampaignJob, CampaignResult, CampaignSink, Collector, JobSource,
-    RunningStats, Tee, TraceSink,
+    CampaignEngine, CampaignJob, CampaignResult, CampaignSink, Collector, JobSource, RunningStats,
+    Tee, TraceSink,
 };
 pub use engine::{default_workers, parallel_map, stream_map};
 pub use outcome::{Outcome, RunReport};
-pub use rules::{RuleConfig, RuleKind, RuleMonitor, RuleSummary, RuleViolation};
 pub use simulation::{SimConfig, Simulation, BASE_TICKS_PER_SCENE};
 pub use trace::{FrameRecord, Trace};

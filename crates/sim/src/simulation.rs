@@ -1,7 +1,6 @@
 //! The closed loop: world ↔ sensors ↔ ADS ↔ vehicle dynamics.
 
 use crate::outcome::{Outcome, RunReport};
-use crate::rules::RuleMonitor;
 use crate::trace::{FrameRecord, Trace};
 use drivefi_ads::profiler::{self, TickPhase};
 use drivefi_ads::{AdsConfig, AdsStack, BusInterceptor, NullInterceptor, Signal};
@@ -243,19 +242,6 @@ impl Simulation {
         self.run_with(&mut NullInterceptor)
     }
 
-    /// Runs the scenario to completion with `interceptor` attached to the
-    /// bus and a [`RuleMonitor`] fed ground truth once per scene — the
-    /// paper's "extended notions of safety" hook. The report is the one
-    /// [`Simulation::run_with`] returns.
-    pub fn run_monitored<I: BusInterceptor + ?Sized>(
-        &mut self,
-        interceptor: &mut I,
-        monitor: &mut RuleMonitor,
-    ) -> RunReport {
-        let state = RunState::new(self);
-        self.run_from(state, interceptor, Some(monitor))
-    }
-
     /// Runs the scenario to completion with `interceptor` (typically a
     /// [`drivefi_fault::Injector`]) attached to the bus.
     ///
@@ -263,7 +249,7 @@ impl Simulation {
     /// the paper's per-scene accounting.
     pub fn run_with<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) -> RunReport {
         let state = RunState::new(self);
-        self.run_from(state, interceptor, None)
+        self.run_from(state, interceptor)
     }
 
     /// The scene loop of a whole run: steps from the current frame to the
@@ -275,21 +261,9 @@ impl Simulation {
         &mut self,
         mut state: RunState,
         interceptor: &mut I,
-        mut monitor: Option<&mut RuleMonitor>,
     ) -> RunReport {
-        let scene_dt = BASE_TICKS_PER_SCENE as f64 / self.config.ads.tick_hz;
         while !self.done() {
-            let stop = self.step_scene(&mut state, interceptor);
-            if let Some(monitor) = monitor.as_deref_mut() {
-                monitor.observe_scene(
-                    self.scene() - 1,
-                    &self.ego,
-                    self.world.ego_lead(),
-                    self.world.road(),
-                    scene_dt,
-                );
-            }
-            if stop {
+            if self.step_scene(&mut state, interceptor) {
                 break;
             }
         }
@@ -429,89 +403,6 @@ mod tests {
         let report = sim.run();
         assert!(report.outcome.is_safe());
         assert!(!sim.ads().watchdog().is_fallback());
-    }
-
-    #[test]
-    fn rule_monitor_flags_faulted_run_not_golden() {
-        use crate::rules::{RuleConfig, RuleKind, RuleMonitor};
-        let scenario = ScenarioConfig::lead_vehicle_cruise(3);
-
-        let mut golden_monitor =
-            RuleMonitor::new(RuleConfig::default(), SimConfig::default().ads.vehicle);
-        let mut sim = Simulation::new(SimConfig::default(), &scenario);
-        sim.run_monitored(&mut drivefi_ads::NullInterceptor, &mut golden_monitor);
-        let golden = golden_monitor.finish();
-
-        let mut fault_monitor =
-            RuleMonitor::new(RuleConfig::default(), SimConfig::default().ads.vehicle);
-        let mut sim = Simulation::new(SimConfig::default(), &scenario);
-        let faults = vec![
-            Fault {
-                kind: FaultKind::Scalar {
-                    signal: Signal::FinalThrottle,
-                    model: ScalarFaultModel::StuckMax,
-                },
-                window: FaultWindow::permanent(60),
-            },
-            Fault {
-                kind: FaultKind::Scalar {
-                    signal: Signal::FinalBrake,
-                    model: ScalarFaultModel::StuckMin,
-                },
-                window: FaultWindow::permanent(60),
-            },
-        ];
-        let mut injector = Injector::new(faults);
-        sim.run_monitored(&mut injector, &mut fault_monitor);
-        let faulted = fault_monitor.finish();
-
-        // The runaway-throttle fault must trip speeding and/or headway
-        // rules that the golden run never does.
-        assert_eq!(golden.count(RuleKind::SpeedLimit), 0, "golden run speeding");
-        assert!(
-            faulted.count(RuleKind::SpeedLimit) + faulted.count(RuleKind::Headway) > 0,
-            "runaway throttle tripped no rules: {faulted:?}"
-        );
-    }
-
-    #[test]
-    fn run_monitored_reports_like_run_with() {
-        // The rule monitor rides on the same scene loop as `run_with`: a
-        // colliding faulted run reports the same outcome, min-δ, stop
-        // scene and trace, and the monitor sees every evaluated scene.
-        use crate::rules::{RuleConfig, RuleMonitor};
-        let config = SimConfig { record_trace: true, ..SimConfig::default() };
-        let scenario = ScenarioConfig::lead_brake(3);
-        let runaway = vec![
-            Fault {
-                kind: FaultKind::Scalar {
-                    signal: Signal::FinalThrottle,
-                    model: ScalarFaultModel::StuckMax,
-                },
-                window: FaultWindow::permanent(8),
-            },
-            Fault {
-                kind: FaultKind::Scalar {
-                    signal: Signal::FinalBrake,
-                    model: ScalarFaultModel::StuckMin,
-                },
-                window: FaultWindow::permanent(8),
-            },
-        ];
-        let plain =
-            Simulation::new(config, &scenario).run_with(&mut Injector::new(runaway.clone()));
-        let mut monitor = RuleMonitor::new(RuleConfig::default(), config.ads.vehicle);
-        let monitored = Simulation::new(config, &scenario)
-            .run_monitored(&mut Injector::new(runaway), &mut monitor);
-
-        assert!(plain.outcome.is_collision(), "runaway stayed collision-free: {:?}", plain.outcome);
-        assert_eq!(monitored.outcome, plain.outcome);
-        assert_eq!(monitored.min_delta_lon.to_bits(), plain.min_delta_lon.to_bits());
-        assert_eq!(monitored.min_delta_lat.to_bits(), plain.min_delta_lat.to_bits());
-        assert_eq!(monitored.scenes, plain.scenes);
-        assert!(plain.trace.is_some());
-        assert_eq!(monitored.trace, plain.trace);
-        assert_eq!(monitor.finish().observed_scenes, plain.scenes);
     }
 
     #[test]

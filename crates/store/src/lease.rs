@@ -1,13 +1,13 @@
-//! Shard leases: per-shard lock files that keep a store to one writer.
+//! The store lease: one lock file that keeps a store to one writer.
 //!
-//! A writer claims one `lease-NNN.lock` file for every shard of the
-//! store, beside the manifest, carrying the owner id and pid:
+//! A writer claims `lease.lock` beside the manifest, carrying the owner
+//! id and pid:
 //!
 //! ```text
 //! out/run1/
 //!   manifest.toml
 //!   shard-000.log
-//!   lease-000.lock   # owner = pid-4242 / pid = 4242
+//!   lease.lock   # owner = pid-4242 / pid = 4242
 //! ```
 //!
 //! A lock is published whole: its content is written to a private
@@ -15,9 +15,6 @@
 //! failing, like `O_CREAT | O_EXCL`, when a lock exists, so exactly one
 //! claimant wins. A writer killed at any point leaves either no lock or
 //! a complete one.
-//!
-//! Every claimant takes `0..shards`, so two openers of one store always
-//! contend for shard 0 and at most one of them proceeds.
 //!
 //! The file's mtime is the lease heartbeat: the holder refreshes it at
 //! every checkpoint. A lease is **stale** — and may be taken over — when
@@ -29,9 +26,9 @@
 //! one renamer succeeds), deletes it, and claims fresh. A heartbeat
 //! renames a complete new lock over the old one.
 //!
-//! A kill -9'd writer leaves its locks behind with a dead pid, so a
-//! restarting daemon reclaims them instantly; a cleanly dropped
-//! [`LeaseSet`] removes its locks on the way out.
+//! A kill -9'd writer leaves its lock behind with a dead pid, so a
+//! restarting daemon reclaims it instantly; a cleanly dropped
+//! [`Lease`] removes its lock on the way out.
 
 use crate::StoreError;
 use std::path::{Path, PathBuf};
@@ -44,10 +41,8 @@ use std::time::Duration;
 /// without persisting anything.
 pub const DEFAULT_LEASE_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// The lock-file path guarding shard `index` of the store at `dir`.
-pub fn lease_path(dir: &Path, index: u32) -> PathBuf {
-    dir.join(format!("lease-{index:03}.lock"))
-}
+/// The lease lock file's name inside a store directory.
+pub const LEASE_FILE: &str = "lease.lock";
 
 /// The lease owner id of this process's store writers.
 pub(crate) fn default_owner() -> String {
@@ -57,8 +52,6 @@ pub(crate) fn default_owner() -> String {
 /// What a lease lock file says about its holder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseInfo {
-    /// Shard index the lease guards.
-    pub shard: u32,
     /// Holder's self-declared owner id.
     pub owner: String,
     /// Holder's pid at claim time.
@@ -70,7 +63,7 @@ impl LeaseInfo {
         format!("owner = {}\npid = {}\n", self.owner, self.pid)
     }
 
-    pub(crate) fn parse(shard: u32, src: &str) -> Option<LeaseInfo> {
+    pub(crate) fn parse(src: &str) -> Option<LeaseInfo> {
         let mut owner = None;
         let mut pid = None;
         for line in src.lines() {
@@ -81,7 +74,7 @@ impl LeaseInfo {
                 _ => return None,
             }
         }
-        Some(LeaseInfo { shard, owner: owner?, pid: pid? })
+        Some(LeaseInfo { owner: owner?, pid: pid? })
     }
 }
 
@@ -95,11 +88,11 @@ fn pid_alive(pid: u32) -> Option<bool> {
     Some(Path::new(&format!("/proc/{pid}")).exists())
 }
 
-/// Externally observable state of one shard's lease lock, for status
+/// Externally observable state of a store's lease lock, for status
 /// displays and diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LeaseState {
-    /// No lock file — no writer holds the shard.
+    /// No lock file — no writer holds the store.
     Unheld,
     /// Held by a live writer (pid alive, heartbeat current).
     Live {
@@ -116,7 +109,7 @@ pub enum LeaseState {
 /// Reads the lock at `path`: its state under the takeover rules (dead
 /// holder pid, or heartbeat older than [`DEFAULT_LEASE_TIMEOUT`]) and
 /// the heartbeat's age, when the file has one.
-fn examine(path: &Path, shard: u32) -> (LeaseState, Option<Duration>) {
+fn examine(path: &Path) -> (LeaseState, Option<Duration>) {
     let src = match std::fs::read_to_string(path) {
         Ok(src) => src,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return (LeaseState::Unheld, None),
@@ -127,7 +120,7 @@ fn examine(path: &Path, shard: u32) -> (LeaseState, Option<Duration>) {
         .and_then(|m| m.modified())
         .ok()
         .and_then(|mtime| mtime.elapsed().ok());
-    let info = LeaseInfo::parse(shard, &src);
+    let info = LeaseInfo::parse(&src);
     // A holder whose pid is provably dead is stale immediately — this is
     // what makes kill -9 + restart reclaim the store without waiting out
     // the timeout. Otherwise the heartbeat decides.
@@ -144,67 +137,62 @@ fn examine(path: &Path, shard: u32) -> (LeaseState, Option<Duration>) {
     (state, age)
 }
 
-/// Reports the lease state of shard `index` of the store at `dir`,
-/// using the same staleness rules as acquisition. A read-only probe:
-/// unlike [`LeaseSet::acquire`] it never claims, steals, or touches the
-/// lock.
-pub fn probe_lease(dir: &Path, index: u32) -> LeaseState {
-    examine(&lease_path(dir, index), index).0
+/// Reports the lease state of the store at `dir`, using the same
+/// staleness rules as acquisition. A read-only probe: unlike
+/// [`Lease::acquire`] it never claims, steals, or touches the lock.
+pub fn probe_lease(dir: &Path) -> LeaseState {
+    examine(&dir.join(LEASE_FILE)).0
 }
 
-/// The shard leases one writer holds over a store directory. Acquired
-/// by [`LeaseSet::acquire`]; heartbeated at every checkpoint; released
-/// (lock files removed) by [`LeaseSet::release`] or on drop.
+/// The lease one writer holds over a store directory. Acquired by
+/// [`Lease::acquire`]; heartbeated at every checkpoint; released (lock
+/// file removed) by [`Lease::release`] or on drop.
 #[derive(Debug)]
-pub struct LeaseSet {
+pub struct Lease {
     dir: PathBuf,
     owner: String,
-    /// Shards `0..held` are claimed.
-    held: u32,
+    /// Set from a successful claim until the release.
+    held: bool,
 }
 
-impl LeaseSet {
-    /// Claims the lease for every shard in `0..shards`, taking over
-    /// stale locks and refusing live ones. On failure nothing stays
-    /// claimed.
+impl Lease {
+    /// Claims the store's lease, taking over a stale lock and refusing a
+    /// live one.
     ///
     /// # Errors
     ///
-    /// Returns a [`StoreError`] naming the live holder when a shard is
+    /// Returns a [`StoreError`] naming the live holder when the store is
     /// already leased, or on I/O failure.
-    pub fn acquire(dir: &Path, shards: u32, owner: &str) -> Result<LeaseSet, StoreError> {
-        let mut set = LeaseSet { dir: dir.to_path_buf(), owner: owner.to_string(), held: 0 };
-        for shard in 0..shards {
-            set.claim_one(shard)?;
-            set.held += 1;
-        }
-        Ok(set)
+    pub fn acquire(dir: &Path, owner: &str) -> Result<Lease, StoreError> {
+        let mut lease = Lease { dir: dir.to_path_buf(), owner: owner.to_string(), held: false };
+        let tmp = lease.stage()?;
+        let claimed = lease.publish_claim(&tmp);
+        std::fs::remove_file(&tmp).ok();
+        claimed?;
+        lease.held = true;
+        Ok(lease)
     }
 
-    /// Writes this writer's lock content for `shard` to a fresh
-    /// temporary file beside the lock, from which the lock is published
-    /// whole.
-    fn stage(&self, shard: u32) -> Result<PathBuf, StoreError> {
+    fn path(&self) -> PathBuf {
+        self.dir.join(LEASE_FILE)
+    }
+
+    /// Writes this writer's lock content to a fresh temporary file
+    /// beside the lock, from which the lock is published whole.
+    fn stage(&self) -> Result<PathBuf, StoreError> {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let pid = std::process::id();
-        let info = LeaseInfo { shard, owner: self.owner.clone(), pid };
+        let info = LeaseInfo { owner: self.owner.clone(), pid };
         let serial = NEXT.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!(".lease-{shard:03}.lock.tmp.{pid}.{serial}"));
+        let tmp = self.dir.join(format!(".{LEASE_FILE}.tmp.{pid}.{serial}"));
         std::fs::write(&tmp, info.emit()).map_err(|e| io_err("writing", &tmp, e))?;
         Ok(tmp)
     }
 
-    fn claim_one(&self, shard: u32) -> Result<(), StoreError> {
-        let tmp = self.stage(shard)?;
-        let claimed = self.publish_claim(shard, &tmp);
-        std::fs::remove_file(&tmp).ok();
-        claimed
-    }
-
-    /// Makes the staged lock `tmp` shard `shard`'s lock, unless a live
+    /// Makes the staged lock `tmp` the store's lock, unless a live
     /// writer holds it.
-    fn publish_claim(&self, shard: u32, tmp: &Path) -> Result<(), StoreError> {
-        let path = lease_path(&self.dir, shard);
+    fn publish_claim(&self, tmp: &Path) -> Result<(), StoreError> {
+        let path = self.path();
         // Bounded retries: each loop either claims, steals a stale lock,
         // or observes a live holder and fails. Two claimants racing the
         // same stale lock need one extra pass, never more.
@@ -212,14 +200,13 @@ impl LeaseSet {
             match std::fs::hard_link(tmp, &path) {
                 Ok(()) => return Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    match examine(&path, shard) {
+                    match examine(&path) {
                         (LeaseState::Live { holder }, age) => {
                             let age = age.map_or_else(String::new, |age| {
                                 format!(", heartbeat {}s ago", age.as_secs())
                             });
                             return Err(StoreError::new(format!(
-                                "shard {shard} of {} is leased by {holder}{age} — another \
-                                 writer is active",
+                                "{} is leased by {holder}{age} — another writer is active",
                                 self.dir.display()
                             )));
                         }
@@ -228,20 +215,18 @@ impl LeaseSet {
                         (LeaseState::Stale { .. }, _) => {
                             // Atomic steal: exactly one claimant wins the
                             // rename; the losers loop and re-examine.
-                            let grave = self
-                                .dir
-                                .join(format!("lease-{shard:03}.stale.{}", std::process::id()));
+                            let grave =
+                                self.dir.join(format!("lease.stale.{}", std::process::id()));
                             if std::fs::rename(&path, &grave).is_ok() {
                                 let prev = std::fs::read_to_string(&grave)
                                     .ok()
-                                    .and_then(|src| LeaseInfo::parse(shard, &src));
+                                    .and_then(|src| LeaseInfo::parse(&src));
                                 std::fs::remove_file(&grave)
                                     .map_err(|e| io_err("removing", &grave, e))?;
                                 drivefi_obs::emit_event(
                                     &self.dir,
                                     "lease_takeover",
                                     &[
-                                        ("shard", drivefi_obs::Field::Int(i64::from(shard))),
                                         (
                                             "from",
                                             drivefi_obs::Field::Str(prev.map_or_else(
@@ -260,50 +245,50 @@ impl LeaseSet {
             }
         }
         Err(StoreError::new(format!(
-            "shard {shard} of {}: lease claim kept losing takeover races",
+            "{}: lease claim kept losing takeover races",
             self.dir.display()
         )))
     }
 
-    /// Refreshes every held lease's heartbeat mtime by renaming a
-    /// complete new lock over the old one, so an examiner never sees a
-    /// lock half-written.
+    /// Refreshes the lease's heartbeat mtime by renaming a complete new
+    /// lock over the old one, so an examiner never sees a lock
+    /// half-written.
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] on I/O failure.
     pub fn heartbeat(&self) -> Result<(), StoreError> {
-        for shard in 0..self.held {
-            let path = lease_path(&self.dir, shard);
-            let tmp = self.stage(shard)?;
-            std::fs::rename(&tmp, &path).map_err(|e| {
-                std::fs::remove_file(&tmp).ok();
-                io_err("heartbeating", &path, e)
-            })?;
+        if !self.held {
+            return Ok(());
         }
-        Ok(())
+        let path = self.path();
+        let tmp = self.stage()?;
+        std::fs::rename(&tmp, &path).map_err(|e| {
+            std::fs::remove_file(&tmp).ok();
+            io_err("heartbeating", &path, e)
+        })
     }
 
-    /// Removes every held lock file. Idempotent; also runs on drop
-    /// (best-effort there).
+    /// Removes the lock file. Idempotent; also runs on drop (best-effort
+    /// there).
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] on I/O failure.
     pub fn release(&mut self) -> Result<(), StoreError> {
-        for shard in 0..std::mem::take(&mut self.held) {
-            let path = lease_path(&self.dir, shard);
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io_err("releasing", &path, e)),
-            }
+        if !std::mem::take(&mut self.held) {
+            return Ok(());
         }
-        Ok(())
+        let path = self.path();
+        match std::fs::remove_file(&path) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(io_err("releasing", &path, e)),
+        }
     }
 }
 
-impl Drop for LeaseSet {
+impl Drop for Lease {
     fn drop(&mut self) {
         self.release().ok();
     }
@@ -324,79 +309,83 @@ mod tests {
         dir
     }
 
+    fn backdate(path: &Path) {
+        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        let past = std::time::SystemTime::now() - Duration::from_secs(3600);
+        file.set_times(std::fs::FileTimes::new().set_modified(past)).unwrap();
+    }
+
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn a_live_lease_refuses_the_whole_claim() {
         let dir = temp_dir("live");
-        let a = LeaseSet::acquire(&dir, 2, "writer-a").unwrap();
-        let err = LeaseSet::acquire(&dir, 4, "writer-c").expect_err("shard 0 is held");
-        assert!(err.to_string().contains("writer-a"), "got: {err}");
+        let a = Lease::acquire(&dir, "writer-a").unwrap();
+        assert_eq!(entries(&dir), [LEASE_FILE], "one lock per store");
+        assert!(matches!(probe_lease(&dir), LeaseState::Live { .. }));
+        let err = Lease::acquire(&dir, "writer-c").expect_err("the store is held");
+        assert!(err.to_string().contains("leased by `writer-a`"), "got: {err}");
         drop(a);
-        // A live holder of shard 2 alone: the claim fails there and
-        // releases the shards it had already taken.
-        let holder = LeaseInfo { shard: 2, owner: "writer-b".into(), pid: std::process::id() };
-        std::fs::write(lease_path(&dir, 2), holder.emit()).unwrap();
-        let err = LeaseSet::acquire(&dir, 4, "writer-c").expect_err("shard 2 is held");
-        assert!(err.to_string().contains("writer-b"), "got: {err}");
-        assert!(!lease_path(&dir, 0).exists() && !lease_path(&dir, 1).exists());
-        std::fs::remove_file(lease_path(&dir, 2)).unwrap();
-        // Every lock is gone: the whole store is claimable.
-        LeaseSet::acquire(&dir, 4, "writer-c").unwrap();
+        assert!(entries(&dir).is_empty(), "release removes the lock");
+        assert_eq!(probe_lease(&dir), LeaseState::Unheld);
+        Lease::acquire(&dir, "writer-c").unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn dead_pid_lease_is_taken_over_immediately() {
         let dir = temp_dir("deadpid");
+        let path = dir.join(LEASE_FILE);
         // No real pid can reach u32::MAX (Linux pid_max caps at 2^22),
         // so this holder is provably dead.
-        let corpse = LeaseInfo { shard: 0, owner: "crashed".into(), pid: u32::MAX };
-        std::fs::write(lease_path(&dir, 0), corpse.emit()).unwrap();
-        let set = LeaseSet::acquire(&dir, 1, "heir").unwrap();
-        let src = std::fs::read_to_string(lease_path(&dir, 0)).unwrap();
+        let corpse = LeaseInfo { owner: "crashed".into(), pid: u32::MAX };
+        std::fs::write(&path, corpse.emit()).unwrap();
+        assert!(matches!(probe_lease(&dir), LeaseState::Stale { .. }));
+        let lease = Lease::acquire(&dir, "heir").unwrap();
+        let src = std::fs::read_to_string(&path).unwrap();
         assert!(src.contains("heir"), "takeover rewrote the lock: {src}");
-        drop(set);
-        assert!(!lease_path(&dir, 0).exists());
+        drop(lease);
+        assert!(!path.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn expired_heartbeat_is_taken_over_and_fresh_one_is_not() {
         let dir = temp_dir("heartbeat");
-        let holder = LeaseInfo { shard: 0, owner: "slow".into(), pid: std::process::id() };
-        std::fs::write(lease_path(&dir, 0), holder.emit()).unwrap();
+        let path = dir.join(LEASE_FILE);
+        let holder = LeaseInfo { owner: "slow".into(), pid: std::process::id() };
+        std::fs::write(&path, holder.emit()).unwrap();
         // Live pid + fresh mtime: refused.
-        let err = LeaseSet::acquire(&dir, 1, "eager").expect_err("fresh lease");
+        let err = Lease::acquire(&dir, "eager").expect_err("fresh lease");
         assert!(err.to_string().contains("slow"), "got: {err}");
         // Live pid but expired heartbeat: the timeout bounds how long a
         // wedged writer can squat.
-        let file = std::fs::OpenOptions::new().write(true).open(lease_path(&dir, 0)).unwrap();
-        let past = std::time::SystemTime::now() - Duration::from_secs(3600);
-        file.set_times(std::fs::FileTimes::new().set_modified(past)).unwrap();
-        drop(file);
-        LeaseSet::acquire(&dir, 1, "eager").unwrap();
+        backdate(&path);
+        Lease::acquire(&dir, "eager").unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn heartbeat_refreshes_the_lock() {
         let dir = temp_dir("refresh");
-        let set = LeaseSet::acquire(&dir, 2, "steady").unwrap();
-        for shard in 0..2 {
-            let file =
-                std::fs::OpenOptions::new().write(true).open(lease_path(&dir, shard)).unwrap();
-            let past = std::time::SystemTime::now() - Duration::from_secs(3600);
-            file.set_times(std::fs::FileTimes::new().set_modified(past)).unwrap();
-        }
-        set.heartbeat().unwrap();
-        for shard in 0..2 {
-            let age = std::fs::metadata(lease_path(&dir, shard))
-                .unwrap()
-                .modified()
-                .unwrap()
-                .elapsed()
-                .unwrap();
-            assert!(age < Duration::from_secs(60), "shard {shard} heartbeat did not refresh");
-        }
+        let path = dir.join(LEASE_FILE);
+        let mut lease = Lease::acquire(&dir, "steady").unwrap();
+        backdate(&path);
+        lease.heartbeat().unwrap();
+        let age = std::fs::metadata(&path).unwrap().modified().unwrap().elapsed().unwrap();
+        assert!(age < Duration::from_secs(60), "the heartbeat did not refresh");
+        assert_eq!(entries(&dir), [LEASE_FILE]);
+        // A released lease stays released: a late heartbeat is a no-op.
+        lease.release().unwrap();
+        lease.heartbeat().unwrap();
+        assert!(entries(&dir).is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -407,7 +396,7 @@ mod tests {
         // a writer killed at any instant cannot leave a lock that reads
         // as held by an unknown live writer.
         let dir = temp_dir("whole");
-        let path = lease_path(&dir, 0);
+        let path = dir.join(LEASE_FILE);
         let stop = std::sync::atomic::AtomicBool::new(false);
         let (reads, torn) = std::thread::scope(|scope| {
             let reader = scope.spawn(|| {
@@ -415,15 +404,15 @@ mod tests {
                 while !stop.load(Ordering::Relaxed) {
                     if let Ok(src) = std::fs::read_to_string(&path) {
                         reads += 1;
-                        torn += u64::from(LeaseInfo::parse(0, &src).is_none());
+                        torn += u64::from(LeaseInfo::parse(&src).is_none());
                     }
                 }
                 (reads, torn)
             });
             for _ in 0..400 {
-                let set = LeaseSet::acquire(&dir, 1, "steady").unwrap();
+                let lease = Lease::acquire(&dir, "steady").unwrap();
                 for _ in 0..8 {
-                    set.heartbeat().unwrap();
+                    lease.heartbeat().unwrap();
                 }
             }
             stop.store(true, Ordering::Relaxed);
@@ -431,25 +420,22 @@ mod tests {
         });
         assert!(reads > 0, "the reader never saw the lock");
         assert_eq!(torn, 0, "{torn} of {reads} reads saw a half-written lock");
-        let litter: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert!(litter.is_empty(), "claims and heartbeats left files behind: {litter:?}");
+        assert!(entries(&dir).is_empty(), "claims and heartbeats left files behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn unparsable_lock_is_governed_by_its_mtime() {
         let dir = temp_dir("garbage");
-        std::fs::write(lease_path(&dir, 0), "???").unwrap();
+        let path = dir.join(LEASE_FILE);
+        std::fs::write(&path, "???").unwrap();
         // Recent garbage: held (conservative — might be a mid-write
         // heartbeat).
-        let err = LeaseSet::acquire(&dir, 1, "x").expect_err("recent unreadable lock");
+        let err = Lease::acquire(&dir, "x").expect_err("recent unreadable lock");
         assert!(err.to_string().contains("unreadable"), "got: {err}");
         // Old garbage: stale.
-        let file = std::fs::OpenOptions::new().write(true).open(lease_path(&dir, 0)).unwrap();
-        let past = std::time::SystemTime::now() - Duration::from_secs(3600);
-        file.set_times(std::fs::FileTimes::new().set_modified(past)).unwrap();
-        drop(file);
-        LeaseSet::acquire(&dir, 1, "x").unwrap();
+        backdate(&path);
+        Lease::acquire(&dir, "x").unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

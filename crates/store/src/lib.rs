@@ -25,11 +25,11 @@
 //!   one that created it.
 //! * [`StoreSink`] — the [`CampaignSink`](drivefi_sim::CampaignSink)
 //!   adapter: streams engine results straight to disk.
-//! * [`lease`] — shard leases (lock files with a heartbeat mtime and
-//!   stale-lease takeover) that keep a store to one writer: a second
-//!   live writer is refused, and a restarted one takes over the leases
-//!   of a writer that died. [`compact_store`] claims every lease first,
-//!   so it never races a live writer.
+//! * [`lease`] — the store lease (one lock file with a heartbeat mtime
+//!   and stale-lease takeover) that keeps a store to one writer: a
+//!   second live writer is refused, and a restarted one takes over the
+//!   lease of a writer that died. [`compact_store`] claims the lease
+//!   first, so it never races a live writer.
 //!
 //! Reads merge the shards deterministically by job index, so a resumed
 //! campaign reconstructs exactly the record sequence an uninterrupted
@@ -43,7 +43,7 @@ pub mod sink;
 pub mod store;
 pub mod trace;
 
-pub use lease::{lease_path, probe_lease, LeaseInfo, LeaseSet, LeaseState, DEFAULT_LEASE_TIMEOUT};
+pub use lease::{probe_lease, Lease, LeaseInfo, LeaseState, DEFAULT_LEASE_TIMEOUT, LEASE_FILE};
 pub use record::{CampaignRecord, PAYLOAD_LEN};
 pub use sink::{RecordMeta, StoreSink};
 pub use store::{

@@ -19,7 +19,7 @@
 //! recovery rescans them rather than trusting the checkpoint counter,
 //! so a crash between an append and the next checkpoint loses nothing.
 
-use crate::lease::{default_owner, LeaseSet};
+use crate::lease::{default_owner, Lease};
 use crate::log::{
     append_frame, append_payload, scan_shard, write_header_with, FORMAT_VERSION, HEADER_LEN,
     SHARD_MAGIC, TRACE_MAGIC,
@@ -226,7 +226,7 @@ pub struct StoreWriter {
     shards: Vec<BufWriter<File>>,
     /// Trace shard writers, present iff `meta.traces`.
     trace_shards: Option<Vec<BufWriter<File>>>,
-    leases: LeaseSet,
+    lease: Lease,
     persisted: u64,
     since_checkpoint: u64,
     checkpoint_every: u64,
@@ -274,9 +274,9 @@ fn has_orphaned_shards(dir: &Path) -> bool {
 /// `checkpoint_every` is the append-count period of checkpoint flushes
 /// (buffered writes flushed + synced, manifest atomically rewritten).
 ///
-/// A store has one writer. The open leases every shard first: a live
-/// writer's leases refuse it, while those of a writer that died, or
-/// whose heartbeat is older than [`crate::DEFAULT_LEASE_TIMEOUT`], are
+/// A store has one writer. The open claims the store's lease first: a
+/// live writer's lease refuses it, while that of a writer that died, or
+/// whose heartbeat is older than [`crate::DEFAULT_LEASE_TIMEOUT`], is
 /// taken over.
 ///
 /// # Errors
@@ -336,11 +336,11 @@ fn open(
         traces,
     };
     std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
-    // Leases first: everything after this — manifest probe, shard scans,
-    // truncation — happens with the store exclusively owned.
-    let leases = LeaseSet::acquire(dir, shards, &default_owner())?;
+    // The lease first: everything after this — manifest probe, shard
+    // scans, truncation — happens with the store exclusively owned.
+    let lease = Lease::acquire(dir, &default_owner())?;
     if dir.join(MANIFEST_FILE).is_file() {
-        return StoreWriter::recover(dir, meta, leases, checkpoint_every);
+        return StoreWriter::recover(dir, meta, lease, checkpoint_every);
     }
     // Shard files without a manifest mean a store whose manifest was
     // lost, not a fresh directory — creating here would truncate every
@@ -354,7 +354,7 @@ fn open(
             dir.display()
         )));
     }
-    let writer = StoreWriter::create(dir, meta, leases, checkpoint_every)?;
+    let writer = StoreWriter::create(dir, meta, lease, checkpoint_every)?;
     Ok((writer, StoreState::empty(total_jobs)))
 }
 
@@ -362,7 +362,7 @@ impl StoreWriter {
     fn create(
         dir: &Path,
         meta: StoreMeta,
-        leases: LeaseSet,
+        lease: Lease,
         checkpoint_every: u64,
     ) -> Result<StoreWriter, StoreError> {
         // Manifest before any shard file: a crash here must never leave
@@ -390,7 +390,7 @@ impl StoreWriter {
             meta,
             shards,
             trace_shards,
-            leases,
+            lease,
             persisted: 0,
             since_checkpoint: 0,
             checkpoint_every,
@@ -430,7 +430,7 @@ impl StoreWriter {
     fn recover(
         dir: &Path,
         expected: StoreMeta,
-        leases: LeaseSet,
+        lease: Lease,
         checkpoint_every: u64,
     ) -> Result<(StoreWriter, StoreState), StoreError> {
         let manifest_path = dir.join(MANIFEST_FILE);
@@ -520,7 +520,7 @@ impl StoreWriter {
             meta: StoreMeta { checkpoint_records: state.records, complete: false, ..expected },
             shards,
             trace_shards,
-            leases,
+            lease,
             persisted: state.records,
             since_checkpoint: 0,
             checkpoint_every,
@@ -639,15 +639,15 @@ impl StoreWriter {
         self.meta.checkpoint_records = self.persisted;
         write_manifest(&self.dir, &self.meta)?;
         // The checkpoint doubles as the lease heartbeat: a writer that
-        // keeps persisting keeps its shards.
-        self.leases.heartbeat()?;
+        // keeps persisting keeps its store.
+        self.lease.heartbeat()?;
         self.since_checkpoint = 0;
         self.events.emit("checkpoint", &[("records", Field::Int(self.persisted as i64))]);
         Ok(())
     }
 
     /// Final checkpoint; marks the store `complete` when every job's
-    /// record is persisted, releases the shard leases, and returns the
+    /// record is persisted, releases the store's lease, and returns the
     /// final manifest.
     ///
     /// # Errors
@@ -656,7 +656,7 @@ impl StoreWriter {
     pub fn finish(mut self) -> Result<StoreMeta, StoreError> {
         self.meta.complete = self.persisted >= self.meta.total_jobs;
         self.checkpoint()?;
-        self.leases.release()?;
+        self.lease.release()?;
         Ok(self.meta)
     }
 }
@@ -713,8 +713,7 @@ fn check_placement(path: &Path, index: u32, job: u64, meta: &StoreMeta) -> Resul
 }
 
 /// Per-shard completion picture of a store, for diagnostics: how many
-/// distinct jobs each shard holds versus how many it should, and the
-/// state of the shard's lease lock.
+/// distinct jobs each shard holds versus how many it should.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardProgress {
     /// Shard index.
@@ -723,8 +722,6 @@ pub struct ShardProgress {
     pub records: u64,
     /// Jobs the shard holds when the campaign is complete.
     pub expected: u64,
-    /// The shard's lease lock state at probe time.
-    pub lease: crate::lease::LeaseState,
 }
 
 impl ShardProgress {
@@ -734,8 +731,8 @@ impl ShardProgress {
     }
 }
 
-/// Surveys every shard of the store at `dir`: distinct persisted jobs,
-/// expected jobs, and lease state. Read-only — no leases are claimed,
+/// Surveys every shard of the store at `dir`: distinct persisted jobs
+/// and expected jobs. Read-only — no lease is claimed,
 /// no torn tails truncated — so it is safe to run against a store with
 /// live writers (counts are then a snapshot, not a barrier).
 ///
@@ -756,12 +753,7 @@ pub fn shard_progress(dir: impl AsRef<Path>) -> Result<Vec<ShardProgress>, Store
         // ceil((total - i) / shards) jobs.
         let expected =
             meta.total_jobs.saturating_sub(u64::from(index)).div_ceil(u64::from(meta.shards));
-        progress.push(ShardProgress {
-            shard: index,
-            records: jobs.len() as u64,
-            expected,
-            lease: crate::lease::probe_lease(dir, index),
-        });
+        progress.push(ShardProgress { shard: index, records: jobs.len() as u64, expected });
     }
     Ok(progress)
 }
@@ -891,24 +883,26 @@ pub fn read_traces(
 /// is rewritten to a temporary file, synced, and atomically renamed
 /// into place; the manifest's checkpoint counter is refreshed last.
 ///
-/// Compaction claims every shard lease for its duration: a store with a
+/// Compaction claims the store's lease for its duration: a store with a
 /// **live** writer (fresh lease — held pid alive, heartbeat current)
 /// refuses to compact rather than silently racing its appends, while
-/// leases left behind by dead or timed-out writers are reclaimed and
+/// a lease left behind by a dead or timed-out writer is reclaimed and
 /// the compaction proceeds.
 ///
 /// # Errors
 ///
-/// Returns a [`StoreError`] when a shard is leased by a live writer, on
-/// I/O failure, or on an unreadable store.
+/// Returns a [`StoreError`] when the store is leased by a live writer,
+/// on I/O failure, or on an unreadable store.
 pub fn compact_store(dir: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
     let dir = dir.as_ref();
-    let meta = read_manifest(dir)?;
+    // Only a store gets a lease: a directory without a manifest fails
+    // here, before a lock is written into it.
+    read_manifest(dir)?;
     let owner = format!("compact-{}", default_owner());
-    let mut leases = LeaseSet::acquire(dir, meta.shards, &owner)
+    let mut lease = Lease::acquire(dir, &owner)
         .map_err(|e| StoreError::new(format!("refusing to compact under a live writer: {e}")))?;
     let result = compact_locked(dir);
-    leases.release()?;
+    lease.release()?;
     if let Ok(compacted) = &result {
         drivefi_obs::emit_event(
             dir,
@@ -1091,7 +1085,7 @@ mod tests {
             }
             for src in [String::from_utf8_lossy(&raw).into_owned(), lines] {
                 let _ = StoreMeta::parse(&src);
-                let _ = crate::lease::LeaseInfo::parse(0, &src);
+                let _ = crate::lease::LeaseInfo::parse(&src);
             }
         }
     }
@@ -1444,7 +1438,7 @@ mod tests {
         assert!(err.to_string().contains("refusing to compact"), "got: {err}");
         let err = open_store(&dir, 3, 8, 2, 4).expect_err("a second writer");
         assert!(err.to_string().contains("leased"), "got: {err}");
-        // Finishing releases the leases; compaction proceeds.
+        // Finishing releases the lease; compaction proceeds.
         writer.finish().unwrap();
         compact_store(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -1461,7 +1455,6 @@ mod tests {
         let progress = shard_progress(&dir).unwrap();
         let counts: Vec<(u64, u64)> = progress.iter().map(|p| (p.records, p.expected)).collect();
         assert_eq!(counts, [(2, 3), (3, 3), (0, 2), (0, 2)]);
-        assert!(matches!(progress[0].lease, crate::lease::LeaseState::Live { .. }));
         writer.finish().unwrap();
         // A manifest's job count comes from disk: the survey must not
         // overflow on the largest one.
@@ -1483,13 +1476,10 @@ mod tests {
         writer.finish().unwrap();
         // A kill -9'd writer left its lock behind: the pid is dead, so
         // compaction reclaims the lease instead of failing.
-        std::fs::write(
-            crate::lease::lease_path(&dir, 1),
-            "owner = crashed-writer\npid = 4294967295\n",
-        )
-        .unwrap();
+        let lock = dir.join(crate::LEASE_FILE);
+        std::fs::write(&lock, "owner = crashed-writer\npid = 4294967295\n").unwrap();
         compact_store(&dir).unwrap();
-        assert!(!crate::lease::lease_path(&dir, 1).exists(), "stale lease reclaimed");
+        assert!(!lock.exists(), "stale lease reclaimed");
         let (_, records) = read_store(&dir).unwrap();
         assert_eq!(records.len(), 6);
         std::fs::remove_dir_all(&dir).ok();

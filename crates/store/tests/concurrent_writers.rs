@@ -1,13 +1,13 @@
 //! One writer per store, across real processes: while a writer in
 //! another process lives, a second open of its store is refused; once
 //! that writer dies without finishing, the next open takes over its
-//! shard leases, keeps every record it checkpointed, and completes the
-//! store to exactly what a serial writer produces. The shard-lease
-//! protocol is pure filesystem (lock files, atomic renames), so the
-//! processes hand off through files alone.
+//! lease, keeps every record it checkpointed, and completes the store
+//! to exactly what a serial writer produces. The lease protocol is pure
+//! filesystem (a lock file, atomic renames), so the processes hand off
+//! through files alone.
 
 use drivefi_sim::Outcome;
-use drivefi_store::{open_store, read_store, CampaignRecord};
+use drivefi_store::{open_store, read_store, CampaignRecord, LEASE_FILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -74,12 +74,12 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Lease lock files left in `dir`.
+/// Lease files left in `dir`.
 fn lease_files(dir: &Path) -> Vec<String> {
     std::fs::read_dir(dir)
         .unwrap()
         .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|name| name.starts_with("lease-"))
+        .filter(|name| name.starts_with("lease"))
         .collect()
 }
 
@@ -131,7 +131,7 @@ fn a_live_writer_process_refuses_opens_and_a_dead_one_is_taken_over() {
     let err = open_store(&store, FINGERPRINT, total, shards, 8).expect_err("a live writer");
     assert!(err.to_string().contains(&format!("(pid {})", child.id())), "got: {err}");
 
-    // The child dies without finishing; its lease files stay behind.
+    // The child dies without finishing; its lock stays behind.
     std::fs::write(root.join(ABORT_FILE), "").unwrap();
     let mut status = None;
     wait_until("the child to abort", || {
@@ -139,9 +139,9 @@ fn a_live_writer_process_refuses_opens_and_a_dead_one_is_taken_over() {
         status.is_some()
     });
     assert!(!status.unwrap().success(), "the child aborted");
-    assert_eq!(lease_files(&store).len(), shards as usize);
+    assert_eq!(lease_files(&store), [LEASE_FILE], "one lock for {shards} shards");
 
-    // The next open takes the dead child's leases over and keeps every
+    // The next open takes the dead child's lease over and keeps every
     // record it checkpointed.
     let (mut writer, state) = open_store(&store, FINGERPRINT, total, shards, 8).unwrap();
     assert_eq!(state.records(), k);
@@ -150,7 +150,7 @@ fn a_live_writer_process_refuses_opens_and_a_dead_one_is_taken_over() {
         writer.append(&record(job)).unwrap();
     }
     assert!(writer.finish().unwrap().complete);
-    assert!(lease_files(&store).is_empty(), "finishing releases every lease");
+    assert!(lease_files(&store).is_empty(), "finishing releases the lease");
     assert_eq!(read_store(&store).unwrap(), read_store(&reference).unwrap());
 
     std::fs::remove_dir_all(&reference).ok();
@@ -169,23 +169,21 @@ fn stale_leases_are_taken_over_and_live_ones_refuse() {
         let total = 10 * u64::from(shards);
         write_reference(&dir, total, shards);
 
-        // Plant a stale lock on every shard: a dead-pid lock (pid
-        // u32::MAX is unused on any real system) or an expired-heartbeat
-        // lock from a fake live pid.
-        for index in 0..shards {
-            let path = dir.join(format!("lease-{index:03}.lock"));
-            if rng.random::<bool>() {
-                std::fs::write(&path, "owner = crashed\npid = 4294967295\n").unwrap();
-            } else {
-                std::fs::write(&path, format!("owner = wedged\npid = {}\n", std::process::id()))
-                    .unwrap();
-                let old = std::time::SystemTime::now() - Duration::from_secs(3600);
-                let file = std::fs::File::options().write(true).open(&path).unwrap();
-                file.set_times(std::fs::FileTimes::new().set_modified(old)).unwrap();
-            }
+        // Plant a stale lock: a dead-pid lock (pid u32::MAX is unused on
+        // any real system) or an expired-heartbeat lock from a fake live
+        // pid.
+        let path = dir.join(LEASE_FILE);
+        if rng.random::<bool>() {
+            std::fs::write(&path, "owner = crashed\npid = 4294967295\n").unwrap();
+        } else {
+            std::fs::write(&path, format!("owner = wedged\npid = {}\n", std::process::id()))
+                .unwrap();
+            let old = std::time::SystemTime::now() - Duration::from_secs(3600);
+            let file = std::fs::File::options().write(true).open(&path).unwrap();
+            file.set_times(std::fs::FileTimes::new().set_modified(old)).unwrap();
         }
 
-        // Takeover: a writer opens despite every lock.
+        // Takeover: a writer opens despite the lock.
         let (writer, state) = open_store(&dir, FINGERPRINT, total, shards, 8).unwrap();
         assert_eq!(state.records(), total);
 
@@ -195,7 +193,7 @@ fn stale_leases_are_taken_over_and_live_ones_refuse() {
         assert!(err.to_string().contains(&owner), "case {case}: {err}");
         drop(writer);
 
-        // Drop released the leases: the second open now succeeds.
+        // Drop released the lease: the second open now succeeds.
         assert!(open_store(&dir, FINGERPRINT, total, shards, 8).is_ok(), "case {case}");
         std::fs::remove_dir_all(&dir).ok();
     }

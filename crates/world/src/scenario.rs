@@ -152,7 +152,7 @@ const PAPER_MIX: [&str; 12] = [
 /// The post-paper mix, cycled by [`ScenarioSuite::extended`]: the paper
 /// families interleaved with every DSL-native addition (tailgaters,
 /// weaves, debris fields, shockwaves, merges, stop-and-go). Kept separate
-/// from [`PAPER_MIX`] so the E1–E13 reproductions stay comparable
+/// from [`PAPER_MIX`] so the E1–E11 reproductions stay comparable
 /// run-to-run.
 const EXTENDED_MIX: [&str; 16] = [
     "free_drive",

@@ -152,19 +152,6 @@ impl World {
         self.ego
     }
 
-    /// Ground-truth lead vehicle of the ego: the nearest body ahead in
-    /// the ego's lane band, as `(bumper gap, lead speed)`. Used by the
-    /// rule monitor's headway check (never by the ADS, which must rely on
-    /// its sensors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no ego pose has been registered via [`World::set_ego`].
-    pub fn ego_lead(&self) -> Option<(f64, f64)> {
-        let (ego, dims) = self.ego.expect("ego_lead requires a registered ego pose");
-        self.lead_for(None, ego.x, ego.y, dims.length)
-    }
-
     /// Finds the lead "vehicle" (any actor or the ego) for the actor at
     /// `(x, y)`: the nearest body ahead in the same lane band. Returns
     /// `(bumper gap, lead speed)`.

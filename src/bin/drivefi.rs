@@ -32,7 +32,7 @@
 //!   without running any jobs. An interrupted store needs `--partial` —
 //!   a partial report is otherwise indistinguishable from a finished
 //!   run's at a glance; the refusal surveys the shards and says *which*
-//!   of them (and whose leases) are incomplete. `--format md|html`
+//!   of them are incomplete, and whose lease holds the store. `--format md|html`
 //!   additionally renders `report.md`/`report.html` with per-fault and
 //!   per-family breakdowns plus whatever `DRIVEFI_OBS` lifecycle events
 //!   and `DRIVEFI_PROFILE` tick timings the run left behind.
@@ -72,7 +72,9 @@ use drivefi::plan::{
     SWEEP_SUBDIR, VALIDATE_SUBDIR,
 };
 use drivefi::serve::{serve, submit_plan, CampaignStatus, ServeConfig, CAMPAIGNS_DIR, SPOOL_DIR};
-use drivefi::store::{compact_store, read_store, shard_progress, LeaseState, MANIFEST_FILE};
+use drivefi::store::{
+    compact_store, probe_lease, read_store, shard_progress, LeaseState, MANIFEST_FILE,
+};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -548,10 +550,10 @@ fn render_context(plan: &CampaignPlan, report_dir: &Path) -> RenderContext {
 }
 
 /// The `report` refusal for an interrupted store: survey the shards so
-/// the message says *which* of them are short and whether a writer
-/// still holds (or abandoned) them — an actively-running campaign, a
-/// crashed one, and one that stopped just short of finishing all read
-/// differently.
+/// the message says *which* of them are short, and probe the lease so it
+/// says whether a writer still holds (or abandoned) the store — an
+/// actively-running campaign, a crashed one, and one that stopped just
+/// short of finishing all read differently.
 fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
     use std::fmt::Write;
     let mut message = format!(
@@ -562,6 +564,12 @@ fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
         report.total_jobs
     );
     let Ok(progress) = shard_progress(dir) else { return message };
+    let lease = match probe_lease(dir) {
+        LeaseState::Unheld => "no writer holds it — interrupted".to_string(),
+        LeaseState::Live { holder } => format!("held live by {holder} — still running"),
+        LeaseState::Stale { holder } => format!("stale lease from {holder} — crashed"),
+    };
+    let _ = write!(message, "\n  lease: {lease}");
     let all_shards_full = progress.iter().all(|shard| shard.complete());
     message.push_str("\n  incomplete shards:");
     if all_shards_full {
@@ -575,14 +583,9 @@ fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
         return message;
     }
     for shard in progress.iter().filter(|shard| !shard.complete()) {
-        let lease = match &shard.lease {
-            LeaseState::Unheld => "no writer holds it — interrupted".to_string(),
-            LeaseState::Live { holder } => format!("held live by {holder} — still running"),
-            LeaseState::Stale { holder } => format!("stale lease from {holder} — crashed"),
-        };
         let _ = write!(
             message,
-            "\n    shard {:03}: {} of {} records; {lease}",
+            "\n    shard {:03}: {} of {} records",
             shard.shard, shard.records, shard.expected
         );
     }

@@ -15,10 +15,8 @@
 //! * [`control`] — PID smoothing of raw actuation commands.
 //! * [`ads`] — message bus, module scheduler, fault-injectable variables.
 //! * [`bayes`] — discrete Bayesian networks, inference, do-calculus.
-//! * [`fault`] — fault models, injector, architectural soft-error VM,
-//!   SECDED memory.
-//! * [`sim`] — closed-loop simulator, hazard monitor, traffic-rule
-//!   monitor, parallel campaigns.
+//! * [`fault`] — fault models, injector, architectural soft-error VM.
+//! * [`sim`] — closed-loop simulator, hazard monitor, parallel campaigns.
 //! * [`core`] — the Bayesian fault-injection engine itself.
 //! * [`plan`] — TOML campaign plans + scenario-spec files: run any
 //!   campaign from a `.toml` file without recompiling.

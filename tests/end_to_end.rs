@@ -2,7 +2,7 @@
 
 use drivefi::ads::Signal;
 use drivefi::fault::{Fault, FaultKind, FaultWindow, Injector, ScalarFaultModel};
-use drivefi::sim::{run_campaign, CampaignJob, SimConfig, Simulation, BASE_TICKS_PER_SCENE};
+use drivefi::sim::{CampaignEngine, CampaignJob, SimConfig, Simulation, BASE_TICKS_PER_SCENE};
 use drivefi::world::{scenario::ScenarioConfig, ScenarioSuite};
 
 /// Every scenario family in the paper-scale suite completes its golden
@@ -16,7 +16,7 @@ fn paper_suite_golden_runs_are_safe() {
         .into_iter()
         .map(|s| CampaignJob { id: u64::from(s.id), scenario: s, faults: vec![] })
         .collect();
-    let results = run_campaign(SimConfig::default(), &jobs, 8);
+    let results = CampaignEngine::new(SimConfig::default()).with_workers(8).collect(jobs);
     for r in &results {
         assert!(r.report.outcome.is_safe(), "scenario {} golden run: {}", r.id, r.report.outcome);
     }
@@ -181,8 +181,9 @@ fn campaigns_are_reproducible() {
             }],
         })
         .collect();
-    let a = run_campaign(SimConfig::default(), &jobs, 1);
-    let b = run_campaign(SimConfig::default(), &jobs, 6);
+    let engine = CampaignEngine::new(SimConfig::default());
+    let a = engine.with_workers(1).collect(jobs.clone());
+    let b = engine.with_workers(6).collect(jobs);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.report.outcome, y.report.outcome);
         assert_eq!(x.report.min_delta_lon, y.report.min_delta_lon);
