@@ -104,6 +104,12 @@ pub enum BayesError {
         /// Its cardinality.
         cardinality: usize,
     },
+    /// A variable has no training data to fit its discretizer to (a TBN
+    /// lead-object variable over a corpus that never saw a lead).
+    NoTrainingData {
+        /// The variable's name.
+        name: String,
+    },
     /// A data matrix is not a whole number of rows.
     RaggedData {
         /// Bytes in the matrix.
@@ -134,6 +140,7 @@ impl std::fmt::Display for BayesError {
                 "{var:?} has {cardinality} categories, more than the {MAX_CATEGORIES} a data \
                  byte holds"
             ),
+            BayesError::NoTrainingData { name } => write!(f, "no training data for {name}"),
             BayesError::RaggedData { len, width } => {
                 write!(f, "{len} bytes of data are not whole rows of {width} variables")
             }

@@ -9,10 +9,12 @@
 //! injects every pair enumerated here for real, and the mined set can be
 //! compared against the manifested one.
 
-use crate::miner::BayesianMiner;
-use drivefi_fault::{FaultKind, FaultSpec};
+use crate::miner::{scene_candidates, BayesianMiner, SceneEligibility};
+use drivefi_fault::{FaultKind, FaultSpec, WindowSpec};
 use drivefi_sim::Trace;
+use drivefi_store::StoreError;
 use drivefi_world::ScenarioSuite;
+use std::path::Path;
 
 /// The exhaustive candidate enumeration as light-weight
 /// `(scenario id, FaultSpec)` pairs, in the miner's deterministic
@@ -23,17 +25,46 @@ use drivefi_world::ScenarioSuite;
 /// persists under — the pair at index `i` is job `i`, interrupted or
 /// not, because the enumeration is a pure function of the traces.
 pub fn candidate_specs(miner: &BayesianMiner, traces: &[Trace]) -> Vec<(u32, FaultSpec)> {
+    specs(
+        miner.config().scene_stride,
+        traces.iter().map(|t| (t.scenario_id, t.frames.iter().map(SceneEligibility::of))),
+    )
+}
+
+/// [`candidate_specs`] of the golden traces persisted in the
+/// trace-logging store at `dir`, at `scene_stride`, with no fitted miner:
+/// one streaming pass over the store keeps each frame's
+/// [`SceneEligibility`] (two flags) and decodes no whole trace. An
+/// exhaustive sweep needs nothing else, so it never fits the 3-TBN.
+///
+/// # Errors
+///
+/// Returns a [`StoreError`] when [`drivefi_store::read_traces`] would:
+/// the store is not a trace-logging store, is unreadable, or holds
+/// incomplete traces.
+pub fn candidate_specs_from_store(
+    dir: impl AsRef<Path>,
+    scene_stride: usize,
+) -> Result<Vec<(u32, FaultSpec)>, StoreError> {
+    let (_, scan) = drivefi_store::read_projected_traces(dir, SceneEligibility::of)?;
+    Ok(specs(scene_stride, scan.iter().map(|t| (t.scenario_id, t.frames.iter().copied()))))
+}
+
+/// The candidate pairs of `(scenario id, per-scene eligibility)` traces.
+/// A golden run records every scene from 0, so frame `k` is scene `k`.
+fn specs<S: ExactSizeIterator<Item = SceneEligibility>>(
+    scene_stride: usize,
+    traces: impl Iterator<Item = (u32, S)>,
+) -> Vec<(u32, FaultSpec)> {
     traces
-        .iter()
-        .flat_map(|trace| {
-            miner.candidates(trace).map(|(k, signal, _var, model)| {
-                let scene = trace.frames[k].scene;
+        .flat_map(|(scenario_id, scenes)| {
+            scene_candidates(scene_stride, scenes).map(move |(k, signal, _var, model)| {
                 (
-                    trace.scenario_id,
+                    scenario_id,
                     FaultSpec {
                         kind: FaultKind::Scalar { signal, model },
-                        window: drivefi_fault::WindowSpec::burst(
-                            scene,
+                        window: WindowSpec::burst(
+                            k as u64,
                             crate::report::VALIDATION_WINDOW_SCENES,
                         ),
                     },

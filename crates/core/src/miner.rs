@@ -125,6 +125,51 @@ const NET_VARS: usize = 3 * TbnVar::ALL.len();
 /// intervened variable's template index and its category, in 22 bytes.
 type ForecastKey = (SceneCategories, SceneCategories, u8, u8);
 
+/// What candidate enumeration reads of a golden frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SceneEligibility {
+    /// The ground-truth δ is safe on both axes (Eq. 1's pre-condition).
+    pub safe: bool,
+    /// A lead object exists, so the lead-object signals hold a live value.
+    pub lead: bool,
+}
+
+impl SceneEligibility {
+    /// The eligibility of the scene `frame` recorded.
+    pub fn of(frame: &drivefi_sim::FrameRecord) -> SceneEligibility {
+        SceneEligibility { safe: frame.delta_true.is_safe(), lead: frame.lead_distance.is_some() }
+    }
+}
+
+/// The candidate enumeration, written once: [`BayesianMiner::candidates`]
+/// over one golden trace's scenes, given each scene's eligibility in
+/// scene order. [`crate::candidate_specs`] and
+/// [`crate::candidate_specs_from_store`] go through it too, so every
+/// campaign kind indexes the same candidate space.
+pub(crate) fn scene_candidates(
+    scene_stride: usize,
+    scenes: impl ExactSizeIterator<Item = SceneEligibility>,
+) -> impl Iterator<Item = (usize, Signal, TbnVar, ScalarFaultModel)> {
+    let n = scenes.len();
+    let tail = (3 * crate::report::VALIDATION_WINDOW_SCENES) as usize;
+    scenes
+        .enumerate()
+        .skip(1)
+        .step_by(scene_stride.max(1))
+        .filter(move |(k, scene)| *k + tail < n && scene.safe)
+        .flat_map(|(k, scene)| {
+            MINED_SIGNALS
+                .into_iter()
+                .filter(move |(_, var)| scene.lead || !var.has_no_lead())
+                .flat_map(move |(sig, var)| {
+                    [
+                        (k, sig, var, ScalarFaultModel::StuckMin),
+                        (k, sig, var, ScalarFaultModel::StuckMax),
+                    ]
+                })
+        })
+}
+
 /// The continuous value of `signal` recorded in a trace frame, when the
 /// trace captures that signal.
 fn recorded_value(frame: &drivefi_sim::FrameRecord, signal: Signal) -> Option<f64> {
@@ -415,8 +460,9 @@ impl BayesianMiner {
         Ok(self.delta_hat_from_forecast(frame, &response))
     }
 
-    /// The candidate list for one trace: every eligible scene × mined
-    /// signal × {min, max}. Eligible scenes are those with positive
+    /// The candidate list for one trace: every `scene_stride`-th scene
+    /// from scene 1 × mined signal × {min, max}, as `(frame index,
+    /// signal, variable, model)`. Eligible scenes are those with positive
     /// golden δ (Eq. 1's pre-condition) and enough scenario left for the
     /// fault to play out — the injection window plus the recovery
     /// transient (a fault injected into the final seconds of a scenario
@@ -424,33 +470,12 @@ impl BayesianMiner {
     /// scenario remaining). Faults on lead-object signals are only
     /// candidates when a lead object exists — corrupting a variable that
     /// holds no live value is a no-op (the injector would write
-    /// nothing).
+    /// nothing). Only each frame's [`SceneEligibility`] is read.
     pub fn candidates<'t>(
         &self,
         trace: &'t Trace,
     ) -> impl Iterator<Item = (usize, Signal, TbnVar, ScalarFaultModel)> + 't {
-        let stride = self.config.scene_stride.max(1);
-        let n = trace.frames.len();
-        let tail = (3 * crate::report::VALIDATION_WINDOW_SCENES) as usize;
-        trace
-            .frames
-            .iter()
-            .enumerate()
-            .skip(1)
-            .step_by(stride)
-            .filter(move |(k, f)| *k + tail < n && f.delta_true.is_safe())
-            .flat_map(|(k, f)| {
-                let has_lead = f.lead_distance.is_some();
-                MINED_SIGNALS
-                    .into_iter()
-                    .filter(move |(_, var)| has_lead || !var.has_no_lead())
-                    .flat_map(move |(sig, var)| {
-                        [
-                            (k, sig, var, ScalarFaultModel::StuckMin),
-                            (k, sig, var, ScalarFaultModel::StuckMax),
-                        ]
-                    })
-            })
+        scene_candidates(self.config.scene_stride, trace.frames.iter().map(SceneEligibility::of))
     }
 
     /// Mines the critical set `F_crit` over golden traces (Eq. 1):

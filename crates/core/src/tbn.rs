@@ -179,15 +179,13 @@ impl TbnModel {
     ///
     /// # Errors
     ///
-    /// Returns [`BayesError::NoBins`] when `bins` is 0 and
-    /// [`BayesError::TooManyCategories`] when a variable ends up with more
-    /// categories than a data byte holds; propagates CPT validation
-    /// failures (which indicate a bug, since the structure is fixed and
-    /// acyclic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces` contain no frames.
+    /// Returns [`BayesError::NoBins`] when `bins` is 0,
+    /// [`BayesError::NoTrainingData`] when no frame observes a variable
+    /// (`w_dist` on a corpus without a lead object) and
+    /// [`BayesError::TooManyCategories`] when a
+    /// variable ends up with more categories than a data byte holds;
+    /// propagates CPT validation failures (which indicate a bug, since
+    /// the structure is fixed and acyclic).
     pub fn fit(traces: &[Trace], bins: usize) -> Result<Self, BayesError> {
         if bins == 0 {
             return Err(BayesError::NoBins);
@@ -200,7 +198,9 @@ impl TbnModel {
                 .flat_map(|t| t.frames.iter())
                 .filter_map(|f| var.extract(f))
                 .collect();
-            assert!(!data.is_empty(), "no training data for {}", var.name());
+            if data.is_empty() {
+                return Err(BayesError::NoTrainingData { name: var.name().into() });
+            }
             discretizers.push(Discretizer::fit(&data, bins));
         }
 

@@ -354,7 +354,7 @@ pub(super) fn run_adaptive(
             pipeline.fingerprint,
             suite,
             &shared,
-            &batch,
+            batch,
             sim,
         );
         let means_before = scorer.posterior_means();

@@ -80,9 +80,10 @@ pub enum CampaignKind {
         /// Number of injection runs.
         runs: usize,
     },
-    /// The exhaustive ground truth (golden traces → miner fit → inject
-    /// every candidate the miner screens into `dir/sweep/`), against
-    /// which a mined set's precision and recall are measured.
+    /// The exhaustive ground truth (golden traces → candidate enumeration
+    /// → inject every candidate the miner would screen into `dir/sweep/`;
+    /// nothing is fitted), against which a mined set's precision and
+    /// recall are measured.
     Exhaustive {
         /// Evaluate every `scene_stride`-th eligible scene.
         scene_stride: usize,
@@ -146,7 +147,7 @@ impl CampaignKind {
     }
 
     /// True for the staged pipeline kinds that collect golden traces
-    /// into `dir/golden/` before fitting and injecting (mine,
+    /// into `dir/golden/` before enumerating and injecting (mine,
     /// exhaustive, adaptive).
     pub fn is_staged(&self) -> bool {
         matches!(

@@ -8,8 +8,9 @@
 //!
 //! [`run_persisted`] is the execution path for every plan kind:
 //! single-stage campaigns (random, golden) run one `"main"` stage whose
-//! store *is* the output dir; `kind = "mine"` and `kind = "exhaustive"`
-//! run golden → fit → sweep through [`run_two_stage`]; and
+//! store *is* the output dir; `kind = "mine"` (golden → fit → mine →
+//! validate) and `kind = "exhaustive"` (golden → enumerate → inject) run
+//! through [`run_two_stage`]; and
 //! `kind = "adaptive"` layers its acquisition loop on the same engine
 //! in [`super::adaptive`].
 
@@ -20,7 +21,7 @@ use super::{
 use crate::report::PlanReport;
 use crate::PlanError;
 use drivefi_core::{
-    candidate_record_metas, candidate_specs, golden_record_metas, pick_record_metas,
+    candidate_record_metas, candidate_specs_from_store, golden_record_metas, pick_record_metas,
     random_fault_picks, BayesianMiner, MinerConfig, RandomCampaignConfig,
 };
 use drivefi_fault::FaultSpec;
@@ -104,7 +105,8 @@ impl<'a> Pipeline<'a> {
     /// Opens the pipeline on a plan's output root and emits
     /// `campaign_start`. Single-stage campaigns announce their total
     /// job count up front (`announce_total`); multi-stage pipelines
-    /// don't know theirs until the fit runs, and announce per stage.
+    /// don't know theirs until the golden stage ends, and announce per
+    /// stage.
     pub fn begin(
         plan: &'a CampaignPlan,
         output: &'a OutputSpec,
@@ -188,6 +190,9 @@ impl<'a> Pipeline<'a> {
         sink.finish().map_err(store_err)?;
         let meta = writer.finish().map_err(store_err)?;
         self.budget = self.budget.map(|b| b.saturating_sub(ran));
+        // Only the sink read the metas: free them before the read-back
+        // allocates the records, so the two are never held together.
+        drop(stage.metas);
         let (_, records) = read_store(&stage.dir).map_err(store_err)?;
         Ok(StageRun { done_before, total, complete: meta.complete, records })
     }
@@ -276,7 +281,7 @@ pub(super) fn sweep_stage(
     fingerprint: u64,
     suite: &ScenarioSuite,
     shared: &[Arc<ScenarioConfig>],
-    candidates: &[(u32, FaultSpec)],
+    candidates: Vec<(u32, FaultSpec)>,
     sim: SimConfig,
 ) -> Stage {
     Stage {
@@ -284,11 +289,11 @@ pub(super) fn sweep_stage(
         dir,
         traces: false,
         sim,
-        metas: candidate_record_metas(suite, candidates),
+        metas: candidate_record_metas(suite, &candidates),
         jobs: candidates
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(id, &(scenario_id, spec))| CampaignJob {
+            .map(|(id, (scenario_id, spec))| CampaignJob {
                 id: id as u64,
                 scenario: Arc::clone(&shared[scenario_id as usize]),
                 faults: vec![spec.compile()],
@@ -436,8 +441,9 @@ pub(super) fn run_persisted(
 }
 
 /// The two-stage pipelines: `kind = "mine"` (the paper's golden → fit →
-/// mine → validate loop) and `kind = "exhaustive"` (golden → fit →
-/// inject every candidate). Stage layout under the `[output]` dir:
+/// mine → validate loop) and `kind = "exhaustive"` (golden → enumerate →
+/// inject every candidate, with no fit). Stage layout under the
+/// `[output]` dir:
 ///
 /// ```text
 /// dir/golden/     trace-logging store of the golden runs
@@ -447,10 +453,11 @@ pub(super) fn run_persisted(
 /// ```
 ///
 /// Every stage resumes from disk: pending golden jobs are the only
-/// golden simulations run, the 3-TBN re-fits **from the persisted
-/// traces** (CPU-only — no re-simulation), the candidate enumeration is
-/// a pure function of those traces (so sweep job indices are stable
-/// across interruptions), and the sweep store skips its persisted jobs.
+/// golden simulations run, the 3-TBN re-fits (mine) or the candidates
+/// are re-enumerated (exhaustive) **from the persisted traces**
+/// (CPU-only — no re-simulation), both are pure functions of those
+/// traces (so sweep job indices are stable across interruptions), and
+/// the sweep store skips its persisted jobs.
 /// A `budget` caps the *simulated* jobs of this invocation across both
 /// stages; an invocation that exhausts it mid-golden leaves a progress
 /// report inside `dir/golden/` and returns it.
@@ -473,23 +480,20 @@ fn run_two_stage(
         return Ok(PlanResult::Persisted(golden_report));
     }
 
-    // Stage 2: fit from the persisted traces (resumable by construction:
-    // deterministic CPU work over what stage 1 left on disk), then
-    // enumerate the sweep. The candidate order is a pure function of the
-    // traces, so job index i means the same fault on every resume.
-    let (scene_stride, subdir) = match plan.kind {
-        CampaignKind::Mine { scene_stride } => (scene_stride, VALIDATE_SUBDIR),
-        CampaignKind::Exhaustive { scene_stride } => (scene_stride, SWEEP_SUBDIR),
-        _ => unreachable!("run_two_stage only handles two-stage pipeline kinds"),
-    };
-    let config = MinerConfig { scene_stride, ..MinerConfig::default() };
-    // The golden traces and the miner live only until the candidate list
-    // exists: the injection stage below needs neither.
-    let candidates: Vec<(u32, FaultSpec)> = {
-        let (miner, traces) =
-            BayesianMiner::fit_from_store(pipeline.stage_dir(GOLDEN_SUBDIR), config)
-                .map_err(store_err)?;
-        match plan.kind {
+    // Stage 2: enumerate the sweep from the persisted traces (resumable
+    // by construction: deterministic CPU work over what stage 1 left on
+    // disk). The candidate order is a pure function of the traces, so
+    // job index i means the same fault on every resume. `mine` fits the
+    // 3-TBN and mines; `exhaustive` injects every candidate, so it only
+    // scans the store for each scene's eligibility and fits nothing.
+    let golden_dir = pipeline.stage_dir(GOLDEN_SUBDIR);
+    let (candidates, subdir) = match plan.kind {
+        CampaignKind::Mine { scene_stride } => {
+            // The golden traces and the miner live only until the mined
+            // set exists: the injection stage below needs neither.
+            let config = MinerConfig { scene_stride, ..MinerConfig::default() };
+            let (miner, traces) =
+                BayesianMiner::fit_from_store(golden_dir, config).map_err(store_err)?;
             // Mining stays on this thread; only the injection stages fan
             // out over `workers`. With compiled queries the mine stage is
             // a fraction of the validation sweep, and running it on two
@@ -497,21 +501,25 @@ fn run_two_stage(
             // repeatable on a shared 2-vCPU VM (campaignbench paper_mine:
             // the spread of the fastest runs ~5x wider) for a ~15%
             // shorter median.
-            CampaignKind::Mine { .. } => {
-                miner.mine(&traces).iter().map(|c| (c.scenario_id, c.fault_spec())).collect()
-            }
-            _ => candidate_specs(&miner, &traces),
+            let mined = miner.mine(&traces);
+            (mined.iter().map(|c| (c.scenario_id, c.fault_spec())).collect(), VALIDATE_SUBDIR)
         }
+        CampaignKind::Exhaustive { scene_stride } => {
+            (candidate_specs_from_store(golden_dir, scene_stride).map_err(store_err)?, SWEEP_SUBDIR)
+        }
+        _ => unreachable!("run_two_stage only handles two-stage pipeline kinds"),
     };
 
-    // Stage 3: the injection sweep, store-backed and resumable.
+    // Stage 3: the injection sweep, store-backed and resumable. The
+    // stage takes the candidate list over, so it does not outlive the
+    // jobs built from it.
     let stage = sweep_stage(
         subdir.into(),
         pipeline.stage_dir(subdir),
         pipeline.fingerprint,
         suite,
         &shared,
-        &candidates,
+        candidates,
         sim,
     );
     let total = stage.total();

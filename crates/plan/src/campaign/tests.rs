@@ -914,6 +914,34 @@ fn small_exhaustive_sweep_is_coherent() {
 }
 
 #[test]
+fn a_corpus_without_a_lead_sweeps_but_cannot_be_fitted() {
+    // Free driving never meets a lead object, so the 3-TBN has no data
+    // for `w_dist`. The exhaustive sweep fits nothing and completes;
+    // mining reports the variable instead of panicking.
+    let root = std::env::temp_dir().join(format!("drivefi-plan-no-lead-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let plan = |kind: CampaignKind, name: &str| CampaignPlan {
+        name: name.into(),
+        kind,
+        scenarios: ScenarioSelection::Families {
+            names: vec!["free_drive".into()],
+            count: 2,
+            seed: 1,
+        },
+        output: Some(OutputSpec::new(root.join(name).to_string_lossy().into_owned())),
+        ..tiny_random_plan()
+    };
+    let exhaustive = plan(CampaignKind::Exhaustive { scene_stride: 64 }, "exhaustive");
+    let PlanResult::Persisted(report) = run_plan(&exhaustive).unwrap();
+    assert!(report.complete());
+    assert_eq!(report.jobs.len(), 120, "6 lead-free signals x 2 models x 10 scenes");
+    let err = run_plan(&plan(CampaignKind::Mine { scene_stride: 64 }, "mine"))
+        .expect_err("a corpus without a lead cannot be fitted");
+    assert!(err.to_string().contains("no training data for w_dist"), "{err}");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn shipped_plan_fingerprints_are_pinned() {
     // Every existing store of a shipped plan is locked to its
     // fingerprint, so a schema edit that moves one strands those stores.

@@ -36,11 +36,21 @@ enum Token {
     Close,
 }
 
+/// The most tokens an expression may have. The parser recurses once per
+/// `(`, unary `-` and `min(`/`max(`, and a chain of `+ - * /` builds a
+/// tree as deep as it is long, so the token count bounds both the
+/// parser's stack and the depth of the tree every later pass walks. The
+/// longest shipped expression has 10 tokens.
+const MAX_TOKENS: usize = 256;
+
 fn tokenize(src: &str) -> Result<Vec<Token>, PlanError> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
+        if tokens.len() > MAX_TOKENS {
+            break;
+        }
         let c = bytes[i];
         match c {
             b' ' | b'\t' => i += 1,
@@ -106,6 +116,9 @@ fn tokenize(src: &str) -> Result<Vec<Token>, PlanError> {
                 )))
             }
         }
+    }
+    if tokens.len() > MAX_TOKENS {
+        return Err(PlanError::new(format!("expression has more than {MAX_TOKENS} tokens")));
     }
     Ok(tokens)
 }

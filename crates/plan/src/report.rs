@@ -25,6 +25,8 @@ use drivefi_ads::{Signal, Stage};
 use drivefi_fault::{FaultKind, FaultSpace, FaultSpec, ScalarFaultModel, WindowSpec};
 use drivefi_sim::Outcome;
 use drivefi_store::CampaignRecord;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Summary file name inside a store/report directory.
@@ -121,19 +123,10 @@ impl PlanReport {
         ]))
     }
 
-    /// Renders the per-job CSV (header + one row per record).
-    pub fn jobs_csv(&self) -> String {
-        let mut out = String::with_capacity(64 * (self.jobs.len() + 1));
-        out.push_str(CSV_HEADER);
-        out.push('\n');
-        for record in &self.jobs {
-            csv_row(record, &mut out);
-        }
-        out
-    }
-
     /// Saves `report.toml` + `jobs.csv` into `dir` (typically the store
-    /// directory itself).
+    /// directory itself). `jobs.csv` (header + one row per record) is
+    /// written row by row, so a sweep's rows never sit in memory as one
+    /// string.
     ///
     /// # Errors
     ///
@@ -142,12 +135,25 @@ impl PlanReport {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)
             .map_err(|e| PlanError::new(format!("creating {}: {e}", dir.display())))?;
-        for (file, content) in [(REPORT_FILE, self.summary_toml()), (JOBS_FILE, self.jobs_csv())] {
-            let path = dir.join(file);
-            std::fs::write(&path, content)
-                .map_err(|e| PlanError::new(format!("writing {}: {e}", path.display())))?;
-        }
-        Ok(())
+        let path = dir.join(REPORT_FILE);
+        let write_err = |path: &Path, e: std::io::Error| {
+            PlanError::new(format!("writing {}: {e}", path.display()))
+        };
+        std::fs::write(&path, self.summary_toml()).map_err(|e| write_err(&path, e))?;
+        let path = dir.join(JOBS_FILE);
+        let write_csv = || -> std::io::Result<()> {
+            let mut out = BufWriter::new(File::create(&path)?);
+            writeln!(out, "{CSV_HEADER}")?;
+            let mut row = String::new();
+            for record in &self.jobs {
+                row.clear();
+                csv_row(record, &mut row);
+                out.write_all(row.as_bytes())?;
+            }
+            out.into_inner().map_err(|e| e.into_error())?;
+            Ok(())
+        };
+        write_csv().map_err(|e| write_err(&path, e))
     }
 
     /// Loads a report saved by [`PlanReport::save`], cross-checking the

@@ -76,15 +76,22 @@ impl Toml {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// How deep arrays and inline tables may nest. The deepest shipped plan
+/// or scenario spec nests 6 levels; a bound keeps a hostile file from
+/// overflowing the parser's stack.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
+    /// Arrays and inline tables open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Self {
-        Parser { src: src.as_bytes(), pos: 0, line: 1 }
+        Parser { src: src.as_bytes(), pos: 0, line: 1, depth: 0 }
     }
 
     fn err(&self, message: impl std::fmt::Display) -> PlanError {
@@ -234,64 +241,18 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Toml, PlanError> {
         match self.peek() {
             Some(b'"') => Ok(Toml::Str(self.parse_string()?)),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(format!(
+                        "arrays and inline tables nest more than {MAX_NESTING} levels deep"
+                    )));
+                }
                 self.pos += 1;
-                let mut items = Vec::new();
-                loop {
-                    self.skip_ws();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Toml::Array(items));
-                    }
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {}
-                        _ => return Err(self.err("expected `,` or `]` in array")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut table = Map::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Toml::Table(table));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_key()?;
-                    self.skip_ws();
-                    if self.bump() != Some(b'=') {
-                        return Err(self.err("expected `=` in inline table"));
-                    }
-                    self.skip_ws();
-                    let value = self.parse_value()?;
-                    if table.insert(key.clone(), value).is_some() {
-                        return Err(self.err(format!("duplicate key `{key}`")));
-                    }
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                            self.skip_ws();
-                            // Tolerate a trailing comma.
-                            if self.peek() == Some(b'}') {
-                                self.pos += 1;
-                                return Ok(Toml::Table(table));
-                            }
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Toml::Table(table));
-                        }
-                        _ => return Err(self.err("expected `,` or `}` in inline table")),
-                    }
-                }
+                self.depth += 1;
+                let value =
+                    if open == b'[' { self.parse_array() } else { self.parse_inline_table() };
+                self.depth -= 1;
+                value
             }
             Some(c) if c == b't' || c == b'f' => {
                 let start = self.pos;
@@ -337,6 +298,67 @@ impl<'a> Parser<'a> {
             }
             Some(c) => Err(self.err(format!("unexpected value character `{}`", c as char))),
             None => Err(self.err("expected a value, found end of input")),
+        }
+    }
+
+    /// The rest of an array whose `[` was consumed.
+    fn parse_array(&mut self) -> Result<Toml, PlanError> {
+        let mut items = Vec::new();
+        loop {
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                return Ok(Toml::Array(items));
+            }
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b']') => {}
+                _ => return Err(self.err("expected `,` or `]` in array")),
+            }
+        }
+    }
+
+    /// The rest of an inline table whose `{` was consumed.
+    fn parse_inline_table(&mut self) -> Result<Toml, PlanError> {
+        let mut table = Map::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Toml::Table(table));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_key()?;
+            self.skip_ws();
+            if self.bump() != Some(b'=') {
+                return Err(self.err("expected `=` in inline table"));
+            }
+            self.skip_ws();
+            let value = self.parse_value()?;
+            if table.insert(key.clone(), value).is_some() {
+                return Err(self.err(format!("duplicate key `{key}`")));
+            }
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                    // Tolerate a trailing comma.
+                    if self.peek() == Some(b'}') {
+                        self.pos += 1;
+                        return Ok(Toml::Table(table));
+                    }
+                }
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Toml::Table(table));
+                }
+                _ => return Err(self.err("expected `,` or `}` in inline table")),
+            }
         }
     }
 

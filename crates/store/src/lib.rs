@@ -47,8 +47,9 @@ pub use lease::{probe_lease, Lease, LeaseInfo, LeaseState, DEFAULT_LEASE_TIMEOUT
 pub use record::{CampaignRecord, PAYLOAD_LEN};
 pub use sink::{RecordMeta, StoreSink};
 pub use store::{
-    compact_store, fingerprint64, open_store, open_store_with_traces, read_manifest, read_store,
-    read_traces, shard_progress, ShardProgress, StoreMeta, StoreState, StoreWriter, MANIFEST_FILE,
+    compact_store, fingerprint64, open_store, open_store_with_traces, read_manifest,
+    read_projected_traces, read_store, read_traces, shard_progress, ProjectedTrace, ShardProgress,
+    StoreMeta, StoreState, StoreWriter, MANIFEST_FILE,
 };
 pub use trace::{scan_trace_shard, TraceRecord, TRACE_BASE_LEN};
 

@@ -21,13 +21,14 @@
 
 use crate::lease::{default_owner, Lease};
 use crate::log::{
-    append_frame, append_payload, scan_shard, write_header_with, FORMAT_VERSION, HEADER_LEN,
-    SHARD_MAGIC, TRACE_MAGIC,
+    append_frame, append_payload, scan_shard, visit_shard, write_header_with, FORMAT_VERSION,
+    HEADER_LEN, SHARD_MAGIC, TRACE_MAGIC,
 };
-use crate::record::CampaignRecord;
+use crate::record::{CampaignRecord, PAYLOAD_LEN};
 use crate::trace::{scan_trace_shard, visit_trace_shard, TraceRecord, TRACE_BASE_LEN};
 use crate::StoreError;
 use drivefi_obs::{EventLog, Field};
+use drivefi_sim::FrameRecord;
 use std::collections::{BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -676,14 +677,27 @@ impl StoreWriter {
 pub fn read_store(dir: impl AsRef<Path>) -> Result<(StoreMeta, Vec<CampaignRecord>), StoreError> {
     let dir = dir.as_ref();
     let meta = read_manifest(dir)?;
+    // Sized once, at the most records the shard files can hold. That is
+    // only a hint: a size the allocator refuses leaves the vector to
+    // grow as it reads.
+    let room: u64 = (0..meta.shards)
+        .map(|index| {
+            std::fs::metadata(shard_path(dir, index))
+                .map_or(0, |m| m.len().saturating_sub(HEADER_LEN) / (8 + PAYLOAD_LEN as u64))
+        })
+        .sum();
     let mut records = Vec::new();
+    records.try_reserve_exact(usize::try_from(room).unwrap_or(usize::MAX)).ok();
     for index in 0..meta.shards {
         let path = shard_path(dir, index);
-        let scan = scan_shard(&path, index)?;
-        for record in &scan.records {
+        let start = records.len();
+        visit_shard(&path, &SHARD_MAGIC, index, |payload| {
+            records.push(CampaignRecord::decode(payload)?);
+            Ok(())
+        })?;
+        for record in &records[start..] {
             check_placement(&path, index, record.job, &meta)?;
         }
-        records.extend(scan.records);
     }
     records.sort_by_key(|r| r.job);
     records.dedup_by_key(|r| r.job);
@@ -781,17 +795,48 @@ fn write_manifest(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
     std::fs::rename(&tmp, &path).map_err(|e| io_err("renaming", &tmp, e))
 }
 
+/// One job's golden trace with every frame reduced by a projection (see
+/// [`read_projected_traces`]): [`read_traces`] keeps whole
+/// [`FrameRecord`]s, a candidate scan two flags a frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProjectedTrace<T> {
+    /// Scenario id of the golden run.
+    pub scenario_id: u32,
+    /// The projection of each scene's frame, in scene order.
+    pub frames: Vec<T>,
+}
+
 /// Reads the golden traces persisted in a trace-logging store, one
 /// [`Trace`](drivefi_sim::Trace) per surviving outcome record, in job
-/// order. Each trace's frame vector is allocated once, at the scene
-/// count its record claims, and the trace shards are decoded straight
-/// into these vectors: frame `s` of a job lands in slot `s`. A frame
-/// whose slot is already filled is a demoted-and-rerun job's second
-/// copy (bitwise identical, because golden runs are deterministic), so
-/// the first persisted copy wins; frames of a job without an outcome
-/// record (a crash before the record flushed) are skipped unread. Every
-/// slot must be filled — an interrupted store whose trace log lags its
-/// outcome log must be reopened (recovered) before fitting from it.
+/// order: [`read_projected_traces`] with the identity projection.
+///
+/// # Errors
+///
+/// See [`read_projected_traces`].
+pub fn read_traces(
+    dir: impl AsRef<Path>,
+) -> Result<(StoreMeta, Vec<drivefi_sim::Trace>), StoreError> {
+    let (meta, traces) = read_projected_traces(dir, |frame| *frame)?;
+    let traces = traces
+        .into_iter()
+        .map(|t| drivefi_sim::Trace { scenario_id: t.scenario_id, frames: t.frames })
+        .collect();
+    Ok((meta, traces))
+}
+
+/// Reads the golden traces persisted in a trace-logging store, one
+/// [`ProjectedTrace`] per surviving outcome record, in job order, keeping
+/// only `project(frame)` of each frame. Each trace's frame vector is
+/// allocated once, at the scene count its record claims, and the trace
+/// shards are decoded straight into these vectors: frame `s` of a job
+/// lands in slot `s`, and a bitmap per job marks the filled slots. A
+/// frame whose slot is already filled is a demoted-and-rerun job's
+/// second copy (bitwise identical, because golden runs are
+/// deterministic), so the first persisted copy wins; frames of a job
+/// without an outcome record (a crash before the record flushed) are
+/// skipped unread. Every slot must be filled — an interrupted store
+/// whose trace log lags its outcome log must be reopened (recovered)
+/// before fitting from it.
 ///
 /// # Errors
 ///
@@ -799,9 +844,10 @@ fn write_manifest(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
 /// store, a shard is missing, a CRC-valid record fails to decode, or a
 /// job's persisted frames do not cover exactly the scenes its record
 /// claims.
-pub fn read_traces(
+pub fn read_projected_traces<T: Clone>(
     dir: impl AsRef<Path>,
-) -> Result<(StoreMeta, Vec<drivefi_sim::Trace>), StoreError> {
+    mut project: impl FnMut(&FrameRecord) -> T,
+) -> Result<(StoreMeta, Vec<ProjectedTrace<T>>), StoreError> {
     let dir = dir.as_ref();
     let (meta, records) = read_store(dir)?;
     if !meta.traces {
@@ -811,10 +857,12 @@ pub fn read_traces(
         )));
     }
     let recover_hint = "recover the store (reopen it for append) before fitting from it";
-    let mut traces: Vec<drivefi_sim::Trace> = records
+    let mut traces: Vec<ProjectedTrace<T>> = records
         .iter()
-        .map(|r| drivefi_sim::Trace { scenario_id: r.scenario_id, frames: Vec::new() })
+        .map(|r| ProjectedTrace { scenario_id: r.scenario_id, frames: Vec::new() })
         .collect();
+    // Bit `s` of a job's bitmap is set once slot `s` holds its frame.
+    let mut filled: Vec<Vec<u64>> = vec![Vec::new(); records.len()];
     for index in 0..meta.shards {
         let path = trace_shard_path(dir, index);
         // The most frames the shard can hold bounds any allocation a
@@ -825,14 +873,15 @@ pub fn read_traces(
             let Ok(at) = records.binary_search_by_key(&record.job, |r| r.job) else {
                 return Ok(());
             };
-            let (scenes, frames) = (records[at].scenes, &mut traces[at].frames);
-            if record.frame.scene >= scenes {
+            let (scenes, scene) = (records[at].scenes, record.frame.scene);
+            if scene >= scenes {
                 return Err(StoreError::new(format!(
-                    "job {} persisted a trace frame for scene {} but its record claims {scenes} \
-                     scenes",
-                    record.job, record.frame.scene
+                    "job {} persisted a trace frame for scene {scene} but its record claims \
+                     {scenes} scenes",
+                    record.job
                 )));
             }
+            let (frames, bits) = (&mut traces[at].frames, &mut filled[at]);
             if frames.is_empty() {
                 if scenes > room {
                     return Err(StoreError::new(format!(
@@ -841,18 +890,20 @@ pub fn read_traces(
                         record.job
                     )));
                 }
-                // Every slot starts as a copy of the first frame, whose
-                // scene number marks the other slots as unfilled.
-                frames.resize(scenes as usize, record.frame);
+                // Every slot starts as a copy of the first frame; the
+                // bitmap tells the filled slots from the copies.
+                frames.resize(scenes as usize, project(&record.frame));
+                bits.resize((scenes as usize).div_ceil(64), 0);
             }
-            let slot = &mut frames[record.frame.scene as usize];
-            if slot.scene != record.frame.scene {
-                *slot = record.frame;
+            let (word, bit) = (scene as usize / 64, 1u64 << (scene % 64));
+            if bits[word] & bit == 0 {
+                bits[word] |= bit;
+                frames[scene as usize] = project(&record.frame);
             }
             Ok(())
         })?;
     }
-    for (record, trace) in records.iter().zip(&traces) {
+    for ((record, trace), bits) in records.iter().zip(&traces).zip(&filled) {
         if trace.frames.is_empty() {
             return Err(StoreError::new(format!(
                 "{}: job {} has an outcome record but no persisted trace — {recover_hint}",
@@ -860,10 +911,10 @@ pub fn read_traces(
                 record.job
             )));
         }
-        let filled = trace.frames.iter().enumerate().filter(|(s, f)| f.scene == *s as u64).count();
-        if filled as u64 != record.scenes {
+        let persisted: u64 = bits.iter().map(|w| u64::from(w.count_ones())).sum();
+        if persisted != record.scenes {
             return Err(StoreError::new(format!(
-                "{}: job {} persisted {filled} trace frames but its record claims {} scenes — \
+                "{}: job {} persisted {persisted} trace frames but its record claims {} scenes — \
                  {recover_hint}",
                 dir.display(),
                 record.job,

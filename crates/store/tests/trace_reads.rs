@@ -1,5 +1,6 @@
 //! `read_traces` against the sort-and-dedup reconstruction it replaced,
-//! and the trace readers against arbitrary shard bytes.
+//! the projected reader against `read_traces`, and the trace readers
+//! against arbitrary shard bytes.
 //!
 //! The reference merges every trace shard into one vector, sorts it by
 //! `(job, scene)`, keeps the first copy of each key, and pairs the
@@ -8,6 +9,9 @@
 //! instead; on every store the writer can leave behind — shuffled job
 //! interleavings, re-run duplicates, torn tails, frames of jobs without
 //! an outcome record — both must return the same traces or both fail.
+//! A projection that drops the scene number must not change the verdict
+//! either: `read_projected_traces` gives `read_traces`'s traces, projected,
+//! or fails where it fails.
 
 use drivefi_kinematics::{Actuation, SafetyPotential, VehicleState};
 use drivefi_sim::{FrameRecord, Outcome, Trace};
@@ -15,8 +19,8 @@ use drivefi_store::log::{
     append_frame, append_payload, write_header_with, SHARD_MAGIC, TRACE_MAGIC,
 };
 use drivefi_store::{
-    open_store_with_traces, read_store, read_traces, scan_trace_shard, CampaignRecord, StoreError,
-    TraceRecord,
+    open_store_with_traces, read_projected_traces, read_store, read_traces, scan_trace_shard,
+    CampaignRecord, StoreError, TraceRecord,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -58,6 +62,31 @@ fn reference_traces(dir: &Path) -> Result<Vec<Trace>, StoreError> {
         traces.push(trace);
     }
     Ok(traces)
+}
+
+/// A projection that keeps no scene number: the reader's filled-slot
+/// bitmap alone must tell a filled slot from an unfilled one.
+fn project(frame: &FrameRecord) -> (bool, u64) {
+    (frame.lead_distance.is_some(), frame.delta_true.longitudinal.to_bits())
+}
+
+/// `read_projected_traces` gives `read_traces`'s verdict on the store at
+/// `dir`: the same traces, projected, or an error.
+fn projection_agrees(dir: &Path) -> Result<(), String> {
+    let projected = read_projected_traces(dir, project).map(|(_, traces)| {
+        traces.into_iter().map(|t| (t.scenario_id, t.frames)).collect::<Vec<_>>()
+    });
+    let decoded = read_traces(dir).map(|(_, traces)| {
+        traces
+            .iter()
+            .map(|t| (t.scenario_id, t.frames.iter().map(project).collect()))
+            .collect::<Vec<_>>()
+    });
+    match (&projected, &decoded) {
+        (Ok(a), Ok(b)) if a == b => Ok(()),
+        (Err(_), Err(_)) => Ok(()),
+        _ => Err(format!("projected {projected:?} but read_traces gave {decoded:?}")),
+    }
 }
 
 fn frame(job: u64, scene: u64) -> FrameRecord {
@@ -210,6 +239,8 @@ proptest! {
         if complete {
             prop_assert!(streamed.is_ok(), "a complete store failed to read: {streamed:?}");
         }
+        let agrees = projection_agrees(&dir);
+        prop_assert!(agrees.is_ok(), "{agrees:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -283,6 +314,8 @@ proptest! {
         let _ = scan_trace_shard(&path, 0);
         let read = read_traces(&dir);
         prop_assert!(claimed == 4 || read.is_err(), "read {read:?}");
+        let agrees = projection_agrees(&dir);
+        prop_assert!(agrees.is_ok(), "{agrees:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -114,8 +114,17 @@ fn fail(message: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// `--help` or `-h` anywhere on the command line prints the usage and
+/// exits 0, rather than being read as a plan, store or root.
+fn help(arg: &str) {
+    if matches!(arg, "--help" | "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
+}
+
 fn parse_args() -> Args {
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args().skip(1).inspect(|arg| help(arg));
     let command = args.next().unwrap_or_else(|| fail(USAGE));
     let target = args.next().unwrap_or_else(|| fail(USAGE));
     let mut parsed = Args {
@@ -820,10 +829,17 @@ fn cmd_submit(args: &Args) {
 
 fn cmd_status(args: &Args) {
     let root = Path::new(&args.target);
+    // A mistyped root must not read as an empty one.
+    match std::fs::metadata(root) {
+        Ok(meta) if meta.is_dir() => {}
+        Ok(_) => fail(format!("{}: not a directory", root.display())),
+        Err(e) => fail(format!("{}: {e}", root.display())),
+    }
     let campaigns = root.join(CAMPAIGNS_DIR);
     let mut dirs: Vec<PathBuf> = match std::fs::read_dir(&campaigns) {
         Ok(entries) => entries.filter_map(|e| e.ok()).map(|e| e.path()).collect(),
-        Err(_) => Vec::new(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => fail(format!("reading {}: {e}", campaigns.display())),
     };
     dirs.sort();
     let mut shown = 0;

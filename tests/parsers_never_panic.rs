@@ -185,6 +185,44 @@ proptest! {
     }
 }
 
+/// Deep nesting and long expression chains are parse errors, not stack
+/// overflows, on a thread with a 2 MiB stack.
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    let check = || {
+        for depth in [65, 10_000, 100_000] {
+            let arrays = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            let tables = format!("{}1{}", "{a = ".repeat(depth), "}".repeat(depth));
+            for value in [arrays, tables] {
+                for err in [
+                    parse_campaign_plan(&format!("name = {value}\n")).unwrap_err(),
+                    parse_scenario_spec(&format!("name = {value}\n")).unwrap_err(),
+                ] {
+                    assert!(err.to_string().contains("levels deep"), "depth {depth}: {err}");
+                }
+            }
+        }
+        for depth in [300, 10_000, 100_000] {
+            for expr in [
+                format!("{}1{}", "(".repeat(depth), ")".repeat(depth)),
+                format!("{}x", "-".repeat(depth)),
+                format!("{}1{}", "min(".repeat(depth), ", 1)".repeat(depth)),
+            ] {
+                let err = parse_expr(&expr).unwrap_err();
+                assert!(err.to_string().contains("tokens"), "depth {depth}: {err}");
+            }
+        }
+        let chain = format!("1{}", "+1".repeat(1_000_000));
+        assert!(parse_expr(&chain).unwrap_err().to_string().contains("tokens"));
+        // Nesting up to the bound still parses.
+        let deepest = format!("{}{}", "[".repeat(64), "]".repeat(64));
+        let err = parse_campaign_plan(&format!("name = {deepest}\n")).unwrap_err();
+        assert!(!err.to_string().contains("levels deep"), "{err}");
+        assert!(parse_expr(&format!("{}1{}", "(".repeat(127), ")".repeat(127))).is_ok());
+    };
+    std::thread::Builder::new().stack_size(2 << 20).spawn(check).unwrap().join().unwrap();
+}
+
 /// Damaged copies of a small persisted campaign's files — its
 /// `events.jsonl`, `report.toml` + `jobs.csv` and first shard log —
 /// through their readers.
