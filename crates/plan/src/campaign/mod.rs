@@ -45,11 +45,15 @@
 //!   on it;
 //! * `adaptive` — the posterior-guided acquisition loop
 //!   (`kind = "adaptive"`): fit on results so far, score unexplored
-//!   candidates, run the top-K batch into a per-round sub-store, refit.
+//!   candidates, run the top-K batch into a per-round sub-store, refit;
+//! * `stores` — the stage layout read back: [`CampaignKind::stage_stores`]
+//!   and [`rebuild_report`], which `drivefi report`/`query`/`compact`
+//!   and the serve daemon use instead of knowing the layout themselves.
 
 mod adaptive;
 mod pipeline;
 mod schema;
+mod stores;
 #[cfg(test)]
 mod tests;
 
@@ -58,6 +62,7 @@ pub use adaptive::{
     ROUND_PREFIX,
 };
 pub use schema::{campaign_plan_to_toml, emit_campaign_plan, parse_campaign_plan};
+pub use stores::{rebuild_report, RebuiltReport};
 
 use crate::report::PlanReport;
 use crate::scenario::{as_bool, as_str, as_uint, get};
@@ -349,8 +354,8 @@ impl Default for SubmitSection {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlSection {
     /// Fail the campaign when the control job is not survivable
-    /// (`assert = false` / `--no-assert-control` downgrades the failed
-    /// control to a recorded verdict).
+    /// (`assert = false` downgrades the failed control to a recorded
+    /// verdict).
     pub assert_survivable: bool,
 }
 
@@ -478,8 +483,8 @@ fn run_control_point(
         return Err(PlanError::new(format!(
             "control job failed: the unfaulted run of scenario {} (`{}`) ended in {} — the \
              baseline is not survivable, so injected hazards would be unattributable. Fix the \
-             scenario, or run with `--no-assert-control` / `[control] assert = false` to record \
-             the verdict and proceed",
+             scenario, or set `[control] assert = false` in the plan to record the verdict and \
+             proceed",
             verdict.scenario_id, verdict.scenario_name, verdict.outcome
         )));
     }

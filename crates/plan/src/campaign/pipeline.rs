@@ -21,8 +21,8 @@ use super::{
 use crate::report::PlanReport;
 use crate::PlanError;
 use drivefi_core::{
-    candidate_record_metas, candidate_specs_from_store, golden_record_metas, pick_record_metas,
-    random_fault_picks, BayesianMiner, MinerConfig, RandomCampaignConfig,
+    candidate_record_metas, candidate_specs_from_store, golden_record_metas, random_fault_picks,
+    BayesianMiner, MinerConfig, RandomCampaignConfig,
 };
 use drivefi_fault::FaultSpec;
 use drivefi_obs::{EventLog, Field};
@@ -353,57 +353,29 @@ pub(super) fn run_persisted(
         CampaignKind::Random { .. } | CampaignKind::Golden => {}
     }
 
+    // A single-stage campaign is one `"main"` stage whose store is the
+    // output root, built as its pipeline counterpart is: a golden run of
+    // the suite, or a sweep of the random picks. Plan suites number their
+    // scenarios by index, so a pick's index is its scenario id.
     let shared = suite.shared();
-    let (metas, jobs, sim, traces): (Vec<RecordMeta>, Vec<CampaignJob>, SimConfig, bool) =
-        match plan.kind {
-            CampaignKind::Random { runs } => {
-                let config = RandomCampaignConfig { runs, seed: plan.seed, workers };
-                let picks = random_fault_picks(suite, &plan.faults, &config);
-                let jobs = picks
-                    .iter()
-                    .enumerate()
-                    .map(|(id, &(index, spec))| CampaignJob {
-                        id: id as u64,
-                        scenario: Arc::clone(&shared[index]),
-                        faults: vec![spec.compile()],
-                    })
-                    .collect();
-                (pick_record_metas(suite, &picks), jobs, sim, false)
-            }
-            CampaignKind::Golden => {
-                let jobs = shared
-                    .iter()
-                    .enumerate()
-                    .map(|(id, scenario)| CampaignJob {
-                        id: id as u64,
-                        scenario: Arc::clone(scenario),
-                        faults: Vec::new(),
-                    })
-                    .collect();
-                // Golden runs survey the whole scenario, as trace
-                // collection does — and persist the traces themselves,
-                // so a golden store is a miner training set on disk.
-                (
-                    golden_record_metas(suite),
-                    jobs,
-                    SimConfig { record_trace: true, stop_on_collision: false, ..sim },
-                    true,
-                )
-            }
-            _ => unreachable!("pipeline kinds dispatched above"),
-        };
-
-    let total = metas.len() as u64;
-    let mut pipeline = Pipeline::begin(plan, output, workers, budget, Some(total));
-    let stage = Stage {
-        name: "main".into(),
-        dir: pipeline.root().to_path_buf(),
-        traces,
-        sim,
-        metas,
-        jobs,
-        fingerprint: pipeline.fingerprint,
+    let root = PathBuf::from(&output.dir);
+    let fingerprint = campaign_fingerprint(plan);
+    let stage = match plan.kind {
+        CampaignKind::Random { runs } => {
+            let config = RandomCampaignConfig { runs, seed: plan.seed, workers };
+            let picks = random_fault_picks(suite, &plan.faults, &config)
+                .into_iter()
+                .map(|(index, spec)| (index as u32, spec))
+                .collect();
+            sweep_stage("main".into(), root, fingerprint, suite, &shared, picks, sim)
+        }
+        CampaignKind::Golden => {
+            Stage { name: "main".into(), ..golden_stage(root, fingerprint, suite, &shared, sim) }
+        }
+        _ => unreachable!("pipeline kinds dispatched above"),
     };
+    let total = stage.total();
+    let mut pipeline = Pipeline::begin(plan, output, workers, budget, Some(total));
     // Tee the stream: records go to disk, tallies stay in memory for the
     // end-to-end cross-check below.
     let mut running = RunningStats::new();

@@ -14,7 +14,10 @@
 //!   selection + [`drivefi_fault::FaultSpace`] + budget/seed/workers +
 //!   ablation switches + persistent `[output]` store, with [`run_plan`]
 //!   running every kind through one store-backed pipeline (a plan
-//!   without `[output]` gets a throwaway store);
+//!   without `[output]` gets a throwaway store), and the one reader of
+//!   what a plan left on disk:
+//!   [`CampaignKind::stage_stores`] lists the stores it writes, and
+//!   [`rebuild_report`] rebuilds its report from them;
 //! * [`report`] — [`PlanReport`]: the round-trip result artifact
 //!   (summary TOML + per-job CSV) aggregated from a `drivefi-store`
 //!   directory, so whole experiments round-trip (plan in → report out)
@@ -40,10 +43,11 @@ pub mod toml;
 
 pub use campaign::{
     campaign_fingerprint, campaign_plan_to_toml, emit_campaign_plan, parse_campaign_plan,
-    round_dirs, round_subdir, run_plan, run_plan_budget, AdaptiveProgress, AdaptiveSection,
-    CampaignKind, CampaignPlan, ControlSection, ControlVerdict, OutputSpec, PlanResult,
-    RoundSummary, ScenarioSelection, SimSection, SubmitSection, CONTROL_FILE, FINGERPRINT_EXCLUDED,
-    GOLDEN_SUBDIR, ROUNDS_FILE, ROUND_PREFIX, SWEEP_SUBDIR, VALIDATE_SUBDIR,
+    rebuild_report, round_dirs, round_subdir, run_plan, run_plan_budget, AdaptiveProgress,
+    AdaptiveSection, CampaignKind, CampaignPlan, ControlSection, ControlVerdict, OutputSpec,
+    PlanResult, RebuiltReport, RoundSummary, ScenarioSelection, SimSection, SubmitSection,
+    CONTROL_FILE, FINGERPRINT_EXCLUDED, GOLDEN_SUBDIR, ROUNDS_FILE, ROUND_PREFIX, SWEEP_SUBDIR,
+    VALIDATE_SUBDIR,
 };
 pub use diff::{diff_records, diff_stores, CellDelta, StoreDiff};
 pub use expr::{emit_expr, parse_expr};

@@ -25,7 +25,11 @@
 //!   free: `kill -9` the daemon anywhere, restart it, and every report
 //!   comes out byte-identical to an uninterrupted standalone
 //!   `drivefi run`. Sealed stage stores are compacted in the gaps
-//!   between rounds.
+//!   between rounds. The daemon knows no stage layout of its own: the
+//!   stores a campaign writes, and its current stage for `drivefi
+//!   status`, come from
+//!   [`CampaignKind::stage_stores`](drivefi_plan::CampaignKind::stage_stores),
+//!   the lister the CLI's `report`, `query` and `compact` share.
 //!
 //! The daemon holds the store lease (see `drivefi_store::lease`) of
 //! every store it appends to, so a concurrent `drivefi compact` — or a second

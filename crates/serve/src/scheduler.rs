@@ -22,14 +22,14 @@
 //! Between rounds the daemon compacts at most one *sealed* stage store
 //! (manifest marked complete — a finished single-stage campaign, or a
 //! pipeline's golden store once its stage is done), marking each with
-//! a `.compacted` file so restarts don't redo the work.
+//! a `.compacted` file so restarts don't redo the work. A sealed store
+//! whose shards lost records is corrupt: compaction refuses it and
+//! rewrites nothing.
 
 use crate::spool::{claim_submissions, CAMPAIGNS_DIR, PLAN_FILE, SPOOL_DIR};
 use crate::status::{CampaignState, CampaignStatus};
 use crate::ServeError;
-use drivefi_plan::{
-    round_dirs, run_plan_budget, CampaignPlan, OutputSpec, PlanReport, PlanResult, GOLDEN_SUBDIR,
-};
+use drivefi_plan::{run_plan_budget, CampaignPlan, OutputSpec, PlanReport, PlanResult};
 use drivefi_store::{compact_store, read_manifest, MANIFEST_FILE};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -120,17 +120,9 @@ fn force_output(plan: &mut CampaignPlan, dir: &Path) {
     plan.output = Some(OutputSpec { dir: store.display().to_string(), ..spec });
 }
 
-/// Every stage store directory the plan writes, golden first.
-fn stage_dirs(plan: &CampaignPlan) -> Vec<PathBuf> {
-    let root = PathBuf::from(&plan.output.as_ref().expect("serve plans always have output").dir);
-    match plan.kind.store_subdir() {
-        Some(subdir) => vec![root.join(GOLDEN_SUBDIR), root.join(subdir)],
-        // Adaptive: golden plus every acquisition round swept so far.
-        None if plan.kind.is_staged() => {
-            std::iter::once(root.join(GOLDEN_SUBDIR)).chain(round_dirs(&root)).collect()
-        }
-        None => vec![root],
-    }
+/// The store root [`force_output`] gave an admitted plan.
+fn store_root(plan: &CampaignPlan) -> PathBuf {
+    PathBuf::from(&plan.output.as_ref().expect("serve plans always have output").dir)
 }
 
 /// Admits the campaign directory `dir`: parses its plan, forces the
@@ -170,8 +162,7 @@ fn admit(dir: PathBuf) -> Campaign {
         }
     }
     // A previous daemon may have finished this campaign already.
-    let store_root = PathBuf::from(&plan.output.as_ref().expect("forced above").dir);
-    if let Ok(report) = PlanReport::load(&store_root) {
+    if let Ok(report) = PlanReport::load(store_root(&plan)) {
         if report.complete() {
             apply_report(&mut status, &plan, &report);
         }
@@ -194,29 +185,19 @@ fn apply_report(status: &mut CampaignStatus, plan: &CampaignPlan, report: &PlanR
     status.safe = report.safe();
     status.hazards = report.hazards();
     status.collisions = report.collisions();
-    status.stage = match plan.kind.store_subdir() {
-        // Adaptive: golden until it seals, then whichever acquisition
-        // round is newest on disk — `round-000`, `round-001`, … walk by
-        // in `drivefi status` as the loop progresses.
-        None if plan.kind.is_staged() => {
-            let root = PathBuf::from(&plan.output.as_ref().expect("serve plan").dir);
-            match read_manifest(root.join(GOLDEN_SUBDIR)) {
-                Ok(meta) if meta.complete => round_dirs(&root)
-                    .last()
-                    .and_then(|dir| dir.file_name())
-                    .map_or_else(|| GOLDEN_SUBDIR.into(), |n| n.to_string_lossy().into_owned()),
-                _ => GOLDEN_SUBDIR.into(),
-            }
+    // A single-stage campaign's one store is its root, reported as
+    // "main". A pipeline is in its golden stage until that seals, then in
+    // its newest sweep store: `validate`, `sweep`, or `round-000`,
+    // `round-001`, … walking by as the acquisition loop progresses.
+    let root = store_root(plan);
+    let stores = plan.kind.stage_stores(&root);
+    status.stage = match stores.split_first() {
+        Some((golden, sweep)) if *golden != root => {
+            let sealed = read_manifest(golden).is_ok_and(|meta| meta.complete);
+            let current = if sealed { sweep.last().unwrap_or(golden) } else { golden };
+            current.file_name().map_or_else(String::new, |n| n.to_string_lossy().into_owned())
         }
-        None => "main".into(),
-        Some(subdir) => {
-            let golden =
-                PathBuf::from(&plan.output.as_ref().expect("serve plan").dir).join(GOLDEN_SUBDIR);
-            match read_manifest(&golden) {
-                Ok(meta) if meta.complete => subdir.into(),
-                _ => GOLDEN_SUBDIR.into(),
-            }
-        }
+        _ => "main".into(),
     };
     status.state = if report.complete() { CampaignState::Done } else { CampaignState::Running };
     if status.state == CampaignState::Done {
@@ -277,7 +258,7 @@ fn run_slice(campaign: &mut Campaign, slice: u64) {
 fn compact_one(campaigns: &[Campaign]) -> bool {
     for campaign in campaigns {
         let Some(plan) = &campaign.plan else { continue };
-        for dir in stage_dirs(plan) {
+        for dir in plan.kind.stage_stores(&store_root(plan)) {
             if !dir.join(MANIFEST_FILE).is_file() || dir.join(COMPACTED_MARKER).is_file() {
                 continue;
             }

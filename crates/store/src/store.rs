@@ -673,7 +673,13 @@ impl StoreWriter {
 /// Returns a [`StoreError`] when the directory is not a store, a shard
 /// file is missing, a CRC-valid record fails to decode, or a record
 /// contradicts the manifest (a job past `total_jobs`, or one in a shard
-/// other than `job % shards`) — the checks a resume applies too.
+/// other than `job % shards`) — the checks a resume applies too. The
+/// store is also corrupt, not interrupted, when its shards hold fewer
+/// distinct records than the manifest vouches for: fewer than its
+/// `checkpoint_records`, or fewer than `total_jobs` under `complete`.
+/// No crash leaves that behind, because a checkpoint syncs the shards
+/// before it writes the manifest. The error names each short shard and,
+/// under `complete`, the jobs it is missing.
 pub fn read_store(dir: impl AsRef<Path>) -> Result<(StoreMeta, Vec<CampaignRecord>), StoreError> {
     let dir = dir.as_ref();
     let meta = read_manifest(dir)?;
@@ -701,7 +707,48 @@ pub fn read_store(dir: impl AsRef<Path>) -> Result<(StoreMeta, Vec<CampaignRecor
     }
     records.sort_by_key(|r| r.job);
     records.dedup_by_key(|r| r.job);
+    let held = records.len() as u64;
+    if held < meta.checkpoint_records || (meta.complete && held < meta.total_jobs) {
+        return Err(lost_records(dir, &meta, &records));
+    }
     Ok((meta, records))
+}
+
+/// The [`read_store`] error for a store whose shards hold fewer records
+/// (`records`, sorted and distinct) than its manifest vouches for: one
+/// line per short shard and, when the manifest says `complete`, the
+/// first jobs it is missing.
+#[cold]
+fn lost_records(dir: &Path, meta: &StoreMeta, records: &[CampaignRecord]) -> StoreError {
+    use std::fmt::Write;
+    let vouched = if meta.complete { meta.total_jobs } else { meta.checkpoint_records };
+    let mut message = format!(
+        "{}: corrupt store: its manifest vouches for {vouched} records but the shards hold {} — \
+         damaged, not interrupted, since a checkpoint syncs the shards before it writes the \
+         manifest",
+        dir.display(),
+        records.len()
+    );
+    for ShardProgress { shard, records: held, expected } in progress_of(meta, records) {
+        if held >= expected {
+            continue;
+        }
+        let _ = write!(message, "\n  shard {shard:03}: {held} of {expected} records");
+        if meta.complete {
+            let listed: Vec<String> = (u64::from(shard)..meta.total_jobs)
+                .step_by(meta.shards as usize)
+                .filter(|&job| records.binary_search_by_key(&job, |r| r.job).is_err())
+                .take(8)
+                .map(|job| job.to_string())
+                .collect();
+            let _ = write!(message, "; missing jobs {}", listed.join(", "));
+            let more = expected - held - listed.len() as u64;
+            if more > 0 {
+                let _ = write!(message, " and {more} more");
+            }
+        }
+    }
+    StoreError::new(message)
 }
 
 /// Checks that the record for `job`, read from shard `index` at `path`,
@@ -745,31 +792,31 @@ impl ShardProgress {
     }
 }
 
-/// Surveys every shard of the store at `dir`: distinct persisted jobs
-/// and expected jobs. Read-only — no lease is claimed,
-/// no torn tails truncated — so it is safe to run against a store with
-/// live writers (counts are then a snapshot, not a barrier).
+/// Surveys every shard of the store at `dir`, as [`read_store`] reads
+/// it: distinct persisted jobs and expected jobs. Read-only — no lease
+/// is claimed, no torn tails truncated — so it is safe to run against a
+/// store with live writers (counts are then a snapshot, not a barrier).
 ///
 /// # Errors
 ///
-/// Returns a [`StoreError`] when the directory is not a store or a
-/// shard fails to scan.
+/// Returns the [`StoreError`] of [`read_store`].
 pub fn shard_progress(dir: impl AsRef<Path>) -> Result<Vec<ShardProgress>, StoreError> {
-    let dir = dir.as_ref();
-    let meta = read_manifest(dir)?;
-    let mut progress = Vec::with_capacity(meta.shards as usize);
-    for index in 0..meta.shards {
-        let mut jobs: Vec<u64> =
-            scan_shard(&shard_path(dir, index), index)?.records.iter().map(|r| r.job).collect();
-        jobs.sort_unstable();
-        jobs.dedup();
-        // Jobs fan out by `job % shards`, so shard `i` owns
-        // ceil((total - i) / shards) jobs.
-        let expected =
-            meta.total_jobs.saturating_sub(u64::from(index)).div_ceil(u64::from(meta.shards));
-        progress.push(ShardProgress { shard: index, records: jobs.len() as u64, expected });
-    }
-    Ok(progress)
+    let (meta, records) = read_store(dir)?;
+    Ok(progress_of(&meta, &records))
+}
+
+/// [`shard_progress`] over a store's records.
+fn progress_of(meta: &StoreMeta, records: &[CampaignRecord]) -> Vec<ShardProgress> {
+    let shards = u64::from(meta.shards);
+    (0..meta.shards)
+        .map(|shard| ShardProgress {
+            shard,
+            records: records.iter().filter(|r| r.job % shards == u64::from(shard)).count() as u64,
+            // Jobs fan out by `job % shards`, so shard `i` owns
+            // ceil((total - i) / shards) jobs.
+            expected: meta.total_jobs.saturating_sub(u64::from(shard)).div_ceil(shards),
+        })
+        .collect()
 }
 
 /// Reads and parses a store directory's manifest.
@@ -1533,6 +1580,52 @@ mod tests {
         assert!(!lock.exists(), "stale lease reclaimed");
         let (_, records) = read_store(&dir).unwrap();
         assert_eq!(records.len(), 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn records_the_manifest_vouches_for_must_be_in_the_shards() {
+        // Drops shard `index`'s last record, as a flipped byte in its
+        // final frame would.
+        let drop_last = |dir: &Path, index: u32| {
+            let path = shard_path(dir, index);
+            let len = std::fs::metadata(&path).unwrap().len();
+            let frame = 8 + PAYLOAD_LEN as u64;
+            OpenOptions::new().write(true).open(&path).unwrap().set_len(len - frame).unwrap();
+        };
+
+        // Interrupted after 8 of 12 jobs, all checkpointed.
+        let dir = temp_dir("vouched");
+        let (mut writer, _) = open_store(&dir, 3, 12, 3, 2).unwrap();
+        for job in 0..8u64 {
+            writer.append(&record(job)).unwrap();
+        }
+        assert!(!writer.finish().unwrap().complete);
+        assert_eq!(read_store(&dir).unwrap().1.len(), 8);
+        drop_last(&dir, 0);
+        let err = read_store(&dir).unwrap_err().to_string();
+        assert!(err.contains("corrupt store") && err.contains("vouches for 8 records"), "{err}");
+        assert!(err.contains("shard 000: 2 of 4 records") && !err.contains("missing"), "{err}");
+
+        // Complete, then job 10 is lost from shard 1.
+        let dir = temp_dir("vouched-complete");
+        let (mut writer, _) = open_store(&dir, 3, 12, 3, 100).unwrap();
+        for job in 0..12u64 {
+            writer.append(&record(job)).unwrap();
+        }
+        assert!(writer.finish().unwrap().complete);
+        drop_last(&dir, 1);
+        let err = read_store(&dir).unwrap_err().to_string();
+        assert!(err.contains("vouches for 12 records"), "{err}");
+        assert!(err.contains("shard 001: 3 of 4 records; missing jobs 10"), "{err}");
+        assert!(!err.contains("shard 000") && !err.contains("shard 002"), "{err}");
+        // Resuming re-runs the lost job.
+        let (mut writer, state) = open_store(&dir, 3, 12, 3, 100).unwrap();
+        assert!(!state.is_done(10));
+        writer.append(&record(10)).unwrap();
+        assert!(writer.finish().unwrap().complete);
+        assert_eq!(read_store(&dir).unwrap().1.len(), 12);
+        std::fs::remove_dir_all(temp_dir("vouched")).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 

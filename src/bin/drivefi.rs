@@ -2,9 +2,9 @@
 //! query, and *serve* plan-file campaigns with a persistent store.
 //!
 //! ```text
-//! drivefi run     <plan.toml> [--max-jobs N] [--output-dir DIR] [--no-assert-control]
-//! drivefi resume  <plan.toml> [--output-dir DIR] [--no-assert-control]
-//! drivefi mine    <plan.toml> [--max-jobs N] [--output-dir DIR] [--no-assert-control]
+//! drivefi run     <plan.toml> [--max-jobs N] [--output-dir DIR]
+//! drivefi resume  <plan.toml> [--output-dir DIR]
+//! drivefi mine    <plan.toml> [--max-jobs N] [--output-dir DIR]
 //! drivefi report  <plan.toml> [--partial] [--output-dir DIR] [--format toml|md|html]
 //! drivefi compact <plan.toml|store-dir> [--output-dir DIR]
 //! drivefi query   <plan.toml|store-dir> [--outcome safe|hazard|collision]
@@ -28,11 +28,13 @@
 //!   (`kind = "mine"`: golden → fit → mine → validate, or
 //!   `kind = "adaptive"`: the posterior-guided acquisition loop over
 //!   per-round sub-stores `round-000/`, `round-001/`, …).
-//! * `report` rebuilds `report.toml` + `jobs.csv` from the store
+//! * `report` rebuilds `report.toml` + `jobs.csv` from the stores
 //!   without running any jobs. An interrupted store needs `--partial` —
 //!   a partial report is otherwise indistinguishable from a finished
-//!   run's at a glance; the refusal surveys the shards and says *which*
-//!   of them are incomplete, and whose lease holds the store. `--format md|html`
+//!   run's at a glance; the refusal names the first incomplete store,
+//!   surveys its shards to say *which* of them are short, and says whose
+//!   lease holds it. A store whose shards lost records its manifest
+//!   vouches for is corrupt, and every reader refuses it. `--format md|html`
 //!   additionally renders `report.md`/`report.html` with per-fault and
 //!   per-family breakdowns plus whatever `DRIVEFI_OBS` lifecycle events
 //!   and `DRIVEFI_PROFILE` tick timings the run left behind.
@@ -42,8 +44,8 @@
 //!   family names in the listing.
 //! * `run`/`resume`/`mine` on random and mine plans first execute an
 //!   unfaulted *control job* and assert it survivable (a hazardous
-//!   baseline means faulted outcomes prove nothing); opt out with
-//!   `--no-assert-control` or `[control] assert = false`.
+//!   baseline means faulted outcomes prove nothing); the plan's
+//!   `[control] assert = false` records the verdict and proceeds.
 //! * `compact` rewrites a store's shards in pure job order (torn tails
 //!   and duplicate records dropped); `read_store` results are unchanged.
 //! * `query` prints matching per-job records as CSV on stdout. Filter
@@ -61,15 +63,18 @@
 //!   once everything submitted has finished.
 //!
 //! Relative `[output] dir` paths are resolved against the plan file's
-//! directory, so `drivefi run plans/foo.toml` works from anywhere. For
-//! the two-stage pipeline kinds (`mine`, `exhaustive`) `report` and
-//! `query` read the sweep-stage sub-store (`validate/` / `sweep/`).
+//! directory, so `drivefi run plans/foo.toml` works from anywhere. Given
+//! a plan, `report`, `query` and `compact` learn which stores it wrote,
+//! and which of them its report reads, from `drivefi-plan`
+//! ([`CampaignKind::stage_stores`] and [`rebuild_report`]): the one store
+//! of a single-stage kind, the sweep store of `mine` and `exhaustive`,
+//! the concatenated `round-*/` stores of `adaptive`, or the golden store
+//! of a pipeline interrupted before its sweep.
 
 use drivefi::plan::{
-    ads_profile_rows, campaign_fingerprint, diff_stores, known_fault_filter, report_document,
-    round_dirs, run_plan_budget, to_html, to_markdown, AdaptiveProgress, CampaignKind,
-    CampaignPlan, ControlVerdict, OutputSpec, PlanReport, PlanResult, RenderContext, GOLDEN_SUBDIR,
-    SWEEP_SUBDIR, VALIDATE_SUBDIR,
+    ads_profile_rows, diff_stores, known_fault_filter, rebuild_report, report_document,
+    run_plan_budget, to_html, to_markdown, AdaptiveProgress, CampaignKind, CampaignPlan,
+    ControlVerdict, OutputSpec, PlanReport, PlanResult, RebuiltReport, RenderContext,
 };
 use drivefi::serve::{serve, submit_plan, CampaignStatus, ServeConfig, CAMPAIGNS_DIR, SPOOL_DIR};
 use drivefi::store::{
@@ -79,7 +84,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: drivefi <run|resume|mine|report|compact|query> <plan.toml|store-dir> \
-                     [--max-jobs N] [--output-dir DIR] [--partial] [--no-assert-control] \
+                     [--max-jobs N] [--output-dir DIR] [--partial] \
                      [--outcome safe|hazard|collision] [--scenario ID] [--fault SUBSTR] \
                      [--limit N] [--format toml|md|html|csv|jsonl]\n       \
                      drivefi diff <baseline-store> <candidate-store> [--plan plan.toml]\n       \
@@ -104,7 +109,6 @@ struct Args {
     drain: bool,
     max_rounds: Option<u64>,
     format: Option<String>,
-    no_assert_control: bool,
     /// `diff --plan`: the plan whose suite names scenario families.
     plan: Option<String>,
 }
@@ -143,7 +147,6 @@ fn parse_args() -> Args {
         drain: false,
         max_rounds: None,
         format: None,
-        no_assert_control: false,
         plan: None,
     };
     while let Some(flag) = args.next() {
@@ -216,7 +219,6 @@ fn parse_args() -> Args {
                 }
                 parsed.format = Some(format)
             }
-            "--no-assert-control" => parsed.no_assert_control = true,
             "--plan" => parsed.plan = Some(value("--plan")),
             "--max-rounds" => {
                 parsed.max_rounds = Some(
@@ -257,18 +259,20 @@ fn load_plan(path: &str, output_dir: Option<&str>) -> CampaignPlan {
 }
 
 /// For a `<store-dir>` target with no manifest: a hint listing the
-/// pipeline stage sub-stores available at or near the target, so a
-/// mistyped stage name (`store/valdate`) or a bare pipeline root names
-/// what the user probably meant instead of "no such store".
+/// stores at or near the target, so a mistyped stage name
+/// (`store/valdate`) or a bare pipeline root names what the user
+/// probably meant instead of "no such store". Any subdirectory holding
+/// a store manifest is listed, so the hint needs no stage layout.
 fn sub_store_hint(target: &Path) -> Option<String> {
     let list = |dir: &Path| -> Vec<String> {
-        [GOLDEN_SUBDIR, VALIDATE_SUBDIR, SWEEP_SUBDIR]
-            .iter()
-            .map(|stage| dir.join(stage))
-            .chain(round_dirs(dir))
-            .filter(|stage| stage.join(MANIFEST_FILE).is_file())
-            .map(|stage| format!("{}/", stage.display()))
-            .collect()
+        let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+        let mut stores: Vec<PathBuf> = entries
+            .filter_map(|entry| entry.ok())
+            .map(|entry| entry.path())
+            .filter(|store| store.join(MANIFEST_FILE).is_file())
+            .collect();
+        stores.sort();
+        stores.iter().map(|store| format!("{}/", store.display())).collect()
     };
     let here = list(target);
     if !here.is_empty() {
@@ -298,19 +302,6 @@ fn store_dir(plan: &CampaignPlan) -> &str {
     }
 }
 
-/// The directory holding the plan's final per-job records: the store
-/// itself for single-stage kinds, the sweep-stage sub-store
-/// (`validate/` / `sweep/`) for two-stage pipeline kinds. Adaptive
-/// campaigns have no single records dir — their report concatenates
-/// every `round-*/` sub-store ([`adaptive_records`]).
-fn records_dir(plan: &CampaignPlan) -> PathBuf {
-    let root = Path::new(store_dir(plan));
-    match plan.kind.store_subdir() {
-        Some(subdir) => root.join(subdir),
-        None => root.to_path_buf(),
-    }
-}
-
 /// One line per run: the report's tallies, and where it was saved —
 /// nowhere for a plan without `[output]`, whose store was throwaway.
 fn print_summary(report: &PlanReport, saved: bool) {
@@ -329,10 +320,7 @@ fn print_summary(report: &PlanReport, saved: bool) {
 }
 
 fn cmd_run(args: &Args, require_store: bool, require_mine: bool) {
-    let mut plan = load_plan(&args.target, args.output_dir.as_deref());
-    if args.no_assert_control {
-        plan.control.assert_survivable = false;
-    }
+    let plan = load_plan(&args.target, args.output_dir.as_deref());
     if require_mine
         && !matches!(plan.kind, CampaignKind::Mine { .. } | CampaignKind::Adaptive { .. })
     {
@@ -343,14 +331,9 @@ fn cmd_run(args: &Args, require_store: bool, require_mine: bool) {
         ));
     }
     if require_store {
-        // Pipeline kinds create their golden sub-store first, so that is
-        // what an interrupted run is guaranteed to have left behind.
-        let dir = store_dir(&plan);
-        let first_store = if plan.kind.is_staged() {
-            Path::new(dir).join(GOLDEN_SUBDIR)
-        } else {
-            PathBuf::from(dir)
-        };
+        // A campaign creates its first stage store first, so that is what
+        // an interrupted run is guaranteed to have left behind.
+        let first_store = plan.kind.stage_stores(Path::new(store_dir(&plan))).remove(0);
         if !first_store.join(MANIFEST_FILE).is_file() {
             fail(format!("nothing to resume: no store manifest under {}", first_store.display()));
         }
@@ -368,148 +351,23 @@ fn cmd_run(args: &Args, require_store: bool, require_mine: bool) {
 
 fn cmd_report(args: &Args) {
     let plan = load_plan(&args.target, args.output_dir.as_deref());
-    if matches!(plan.kind, CampaignKind::Adaptive { .. }) {
-        return cmd_report_adaptive(args, &plan);
-    }
-    let mut dir = records_dir(&plan);
-    // Pipeline reports live at the output root, next to the sub-stores.
-    let mut report_dir = PathBuf::from(store_dir(&plan));
-    if plan.kind.store_subdir().is_some() && !dir.join(MANIFEST_FILE).is_file() {
-        // The pipeline was interrupted before its sweep stage existed —
-        // the golden sub-store is all there is to report on.
-        let golden = report_dir.join(GOLDEN_SUBDIR);
-        if golden.join(MANIFEST_FILE).is_file() {
-            eprintln!(
-                "drivefi: note: pipeline interrupted before its sweep stage — reporting on \
-                 the golden stage under {}",
-                golden.display()
-            );
-            dir = golden.clone();
-            report_dir = golden;
-        }
-    }
-    if !dir.join(MANIFEST_FILE).is_file() {
-        if let Some(hint) = sub_store_hint(&dir) {
-            fail(hint);
-        }
-    }
-    let (meta, records) = read_store(&dir).unwrap_or_else(|e| fail(e));
-    let expected = campaign_fingerprint(&plan);
-    check_fingerprint(&dir, meta.fingerprint, expected);
-    let report = PlanReport::new(
-        plan.name.clone(),
-        plan.kind.name(),
-        meta.fingerprint,
-        meta.total_jobs,
-        records,
-    );
-    if !report.complete() && !args.partial {
-        fail(incomplete_store_message(&dir, &report));
-    }
-    report.save(&report_dir).unwrap_or_else(|e| fail(e));
-    match args.format.as_deref() {
-        None | Some("toml") => {}
-        Some("md" | "html") => render_report(args, &plan, &report, &report_dir),
-        Some(other) => fail(format!("report --format must be toml, md, or html, got `{other}`")),
-    }
-    print_summary(&report, true);
-}
-
-/// Fails unless the store under `dir` was written by this plan.
-fn check_fingerprint(dir: &Path, found: u64, expected: u64) {
-    if found != expected {
-        fail(format!(
-            "store under {} was created by a different plan \
-             (fingerprint 0x{found:016x}, plan is 0x{expected:016x})",
-            dir.display()
-        ));
-    }
-}
-
-/// Reads and concatenates every `round-*/` sub-store under an adaptive
-/// campaign's output root, renumbering each round's store-local job ids
-/// by the planned jobs before it — the exact record stream the
-/// acquisition loop itself reports. Returns the records, the campaign's
-/// planned job total so far, and the first incomplete round, if any.
-fn adaptive_records(
-    root: &Path,
-    expected: u64,
-) -> (Vec<drivefi::store::CampaignRecord>, u64, Option<PathBuf>) {
-    let mut base = 0u64;
-    let mut partial = None;
-    let mut all = Vec::new();
-    for dir in round_dirs(root) {
-        if !dir.join(MANIFEST_FILE).is_file() {
-            continue; // swept but never started — nothing persisted yet
-        }
-        let (meta, records) = read_store(&dir).unwrap_or_else(|e| fail(e));
-        check_fingerprint(&dir, meta.fingerprint, expected);
-        if !meta.complete && partial.is_none() {
-            partial = Some(dir.clone());
-        }
-        for mut record in records {
-            record.job += base;
-            all.push(record);
-        }
-        base += meta.total_jobs;
-    }
-    (all, base, partial)
-}
-
-/// `report` for an adaptive plan: the report concatenates every
-/// `round-*/` sub-store at the output root (where the acquisition loop
-/// saves its own), falling back to the golden stage when the campaign
-/// was interrupted before its first round.
-fn cmd_report_adaptive(args: &Args, plan: &CampaignPlan) {
-    let root = PathBuf::from(store_dir(plan));
-    let expected = campaign_fingerprint(plan);
-    let (records, total, partial) = adaptive_records(&root, expected);
-    if total == 0 {
-        let golden = root.join(GOLDEN_SUBDIR);
-        if !golden.join(MANIFEST_FILE).is_file() {
-            fail(format!(
-                "nothing to report: no round sub-store or golden stage under {}",
-                root.display()
-            ));
-        }
+    let root = Path::new(store_dir(&plan));
+    let RebuiltReport { report, dir, incomplete } =
+        rebuild_report(&plan).unwrap_or_else(|e| fail(e));
+    if dir != root {
         eprintln!(
-            "drivefi: note: acquisition loop interrupted before its first round — reporting on \
-             the golden stage under {}",
-            golden.display()
+            "drivefi: note: pipeline interrupted before its sweep stage — reporting on the golden \
+             stage under {}",
+            dir.display()
         );
-        let (meta, records) = read_store(&golden).unwrap_or_else(|e| fail(e));
-        check_fingerprint(&golden, meta.fingerprint, expected);
-        let report = PlanReport::new(
-            plan.name.clone(),
-            plan.kind.name(),
-            expected,
-            meta.total_jobs,
-            records,
-        );
-        if !report.complete() && !args.partial {
-            fail(incomplete_store_message(&golden, &report));
-        }
-        report.save(&golden).unwrap_or_else(|e| fail(e));
-        if matches!(args.format.as_deref(), Some("md" | "html")) {
-            render_report(args, plan, &report, &golden);
-        }
-        return print_summary(&report, true);
     }
-    let report = PlanReport::new(plan.name.clone(), plan.kind.name(), expected, total, records);
-    if !report.complete() && !args.partial {
-        let dir = partial.unwrap_or_else(|| root.clone());
-        fail(format!(
-            "adaptive round under {} is incomplete ({} of {} campaign job records persisted) — \
-             resume it with `drivefi resume`, or pass --partial to report on it as-is",
-            dir.display(),
-            report.jobs.len(),
-            report.total_jobs
-        ));
+    if let (Some(store), false) = (&incomplete, args.partial) {
+        fail(incomplete_store_message(store, &report));
     }
-    report.save(&root).unwrap_or_else(|e| fail(e));
+    report.save(&dir).unwrap_or_else(|e| fail(e));
     match args.format.as_deref() {
         None | Some("toml") => {}
-        Some("md" | "html") => render_report(args, plan, &report, &root),
+        Some("md" | "html") => render_report(args, &plan, &report, &dir),
         Some(other) => fail(format!("report --format must be toml, md, or html, got `{other}`")),
     }
     print_summary(&report, true);
@@ -543,14 +401,13 @@ fn render_context(plan: &CampaignPlan, report_dir: &Path) -> RenderContext {
         context.family_names.insert(scenario.id, scenario.name);
     }
     // Single-stage campaigns log everything into one root events.jsonl;
-    // pipeline stages also log into their sub-stores. Merge in seq
+    // pipeline stages also log into their stage stores. Merge in seq
     // order (the sequence counter is process-global).
     let mut events = drivefi::obs::read_events(report_dir).unwrap_or_default();
-    for stage in [GOLDEN_SUBDIR, VALIDATE_SUBDIR, SWEEP_SUBDIR] {
-        events.extend(drivefi::obs::read_events(&report_dir.join(stage)).unwrap_or_default());
-    }
-    for round in round_dirs(report_dir) {
-        events.extend(drivefi::obs::read_events(&round).unwrap_or_default());
+    for store in plan.kind.stage_stores(report_dir) {
+        if store != report_dir {
+            events.extend(drivefi::obs::read_events(&store).unwrap_or_default());
+        }
     }
     events.sort_by_key(|event| event.seq);
     events.dedup_by_key(|event| event.seq);
@@ -558,19 +415,21 @@ fn render_context(plan: &CampaignPlan, report_dir: &Path) -> RenderContext {
     context
 }
 
-/// The `report` refusal for an interrupted store: survey the shards so
-/// the message says *which* of them are short, and probe the lease so it
-/// says whether a writer still holds (or abandoned) the store — an
+/// The `report` refusal for an interrupted campaign, naming its first
+/// incomplete store `dir`: survey that store's shards so the message
+/// says *which* of them are short, and probe its lease so it says
+/// whether a writer still holds (or abandoned) the store — an
 /// actively-running campaign, a crashed one, and one that stopped just
 /// short of finishing all read differently.
 fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
     use std::fmt::Write;
     let mut message = format!(
-        "store under {} holds {} of {} job records — an interrupted campaign; resume it \
-         with `drivefi resume`, or pass --partial to report on it as-is",
-        dir.display(),
+        "the report holds {} of {} job records and the store under {} is incomplete — an \
+         interrupted campaign; resume it with `drivefi resume`, or pass --partial to report on \
+         it as-is",
         report.jobs.len(),
-        report.total_jobs
+        report.total_jobs,
+        dir.display()
     );
     let Ok(progress) = shard_progress(dir) else { return message };
     let lease = match probe_lease(dir) {
@@ -578,19 +437,9 @@ fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
         LeaseState::Live { holder } => format!("held live by {holder} — still running"),
         LeaseState::Stale { holder } => format!("stale lease from {holder} — crashed"),
     };
-    let _ = write!(message, "\n  lease: {lease}");
-    let all_shards_full = progress.iter().all(|shard| shard.complete());
-    message.push_str("\n  incomplete shards:");
-    if all_shards_full {
-        // Every shard has all its records but the manifest never went
-        // complete: the writer stopped after its last checkpoint and
-        // before `finish`.
-        message.push_str(
-            "\n    none — every shard is fully persisted, but the writer stopped after its \
-             last checkpoint and before finishing; `drivefi resume` marks the store complete",
-        );
-        return message;
-    }
+    // The store is short of records, so some shard is; a live writer may
+    // have filled more by the time they are surveyed.
+    let _ = write!(message, "\n  lease: {lease}\n  incomplete shards:");
     for shard in progress.iter().filter(|shard| !shard.complete()) {
         let _ = write!(
             message,
@@ -612,15 +461,7 @@ fn cmd_compact(args: &Args) {
             fail(hint);
         }
         let plan = load_plan(&args.target, args.output_dir.as_deref());
-        let root = PathBuf::from(store_dir(&plan));
-        match plan.kind.store_subdir() {
-            Some(subdir) => vec![root.join(GOLDEN_SUBDIR), root.join(subdir)],
-            // Adaptive: golden plus every round that has run so far.
-            None if plan.kind.is_staged() => {
-                std::iter::once(root.join(GOLDEN_SUBDIR)).chain(round_dirs(&root)).collect()
-            }
-            None => vec![root],
-        }
+        plan.kind.stage_stores(Path::new(store_dir(&plan)))
     };
     for dir in dirs {
         if !dir.join(MANIFEST_FILE).is_file() {
@@ -649,12 +490,7 @@ fn cmd_query(args: &Args) {
             fail(hint);
         }
         let plan = load_plan(&args.target, args.output_dir.as_deref());
-        if matches!(plan.kind, CampaignKind::Adaptive { .. }) {
-            let root = PathBuf::from(store_dir(&plan));
-            adaptive_records(&root, campaign_fingerprint(&plan)).0
-        } else {
-            read_store(records_dir(&plan)).unwrap_or_else(|e| fail(e)).1
-        }
+        rebuild_report(&plan).unwrap_or_else(|e| fail(e)).report.jobs
     };
 
     let jsonl = match args.format.as_deref() {

@@ -438,9 +438,10 @@ fn golden_plan_persists_and_resumes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A complete store whose manifest was edited afterwards is corrupt, not
-/// interrupted and not complete: `read_store`, which `drivefi report`
-/// reads, refuses it with the checks a resume applies.
+/// A complete store that lost records, or whose manifest was edited
+/// afterwards, is corrupt, not interrupted and not complete: `read_store`,
+/// which `drivefi report`, `query` and `compact` read through, refuses it.
+/// A byte flipped mid-shard still resumes to the uninterrupted bytes.
 #[test]
 fn doctored_manifests_read_as_corrupt() {
     let dir = std::env::temp_dir().join(format!("drivefi-crash-doctored-{}", std::process::id()));
@@ -458,21 +459,53 @@ fn doctored_manifests_read_as_corrupt() {
     let PlanResult::Persisted(report) = run_plan(&plan_into(&full)).unwrap();
     assert!(report.complete());
     let manifest = std::fs::read_to_string(full.join(MANIFEST_FILE)).unwrap();
-
-    for (i, (line, doctored)) in
-        [("total_jobs = 40", "total_jobs = 30"), ("shards = 4", "shards = 8")].iter().enumerate()
-    {
-        assert!(manifest.contains(line), "the shipped plan changed: {manifest}");
-        let copy = dir.join(format!("doctored-{i}"));
+    let copy_of_full = |name: &str| {
+        let copy = dir.join(name);
         std::fs::create_dir_all(&copy).unwrap();
         for entry in std::fs::read_dir(&full).unwrap() {
             let path = entry.unwrap().path();
             std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
         }
+        copy
+    };
+
+    for (i, (line, doctored)) in [
+        ("total_jobs = 40", "total_jobs = 30"),
+        ("shards = 4", "shards = 8"),
+        ("total_jobs = 40", "total_jobs = 50"),
+        ("shards = 4", "shards = 2"),
+        // Too many jobs to enumerate: the refusal must still be quick.
+        ("total_jobs = 40", "total_jobs = 18446744073709551615"),
+    ]
+    .iter()
+    .enumerate()
+    {
+        assert!(manifest.contains(line), "the shipped plan changed: {manifest}");
+        let copy = copy_of_full(&format!("doctored-{i}"));
         std::fs::write(copy.join(MANIFEST_FILE), manifest.replace(line, doctored)).unwrap();
         let err = read_store(&copy).unwrap_err().to_string();
         assert!(err.contains("corrupt store"), "{doctored}: {err}");
         assert!(run_plan(&plan_into(&copy)).is_err(), "{doctored}: resumed a doctored store");
     }
+
+    // One byte flipped halfway through a shard of the complete store.
+    let flipped = copy_of_full("flipped");
+    let shard = flipped.join("shard-001.log");
+    let mut bytes = std::fs::read(&shard).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0xFF;
+    std::fs::write(&shard, &bytes).unwrap();
+    let err = read_store(&flipped).unwrap_err().to_string();
+    for needle in ["corrupt store", "shard 001", "missing jobs"] {
+        assert!(err.contains(needle), "flipped store: no `{needle}` in {err}");
+    }
+    // Compaction refuses it and rewrites nothing.
+    let logs = log_bytes(&flipped);
+    assert!(compact_store(&flipped).is_err(), "compacted a corrupt store");
+    assert_eq!(log_bytes(&flipped), logs, "a refused compaction changed the shards");
+    // Resuming drops the bad frame's tail and re-runs the jobs behind it.
+    let PlanResult::Persisted(resumed) = run_plan(&plan_into(&flipped)).unwrap();
+    assert_eq!(resumed, report);
+    assert_eq!(report_bytes(&flipped), report_bytes(&full));
     std::fs::remove_dir_all(&dir).ok();
 }
