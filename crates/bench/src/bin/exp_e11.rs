@@ -51,10 +51,10 @@ fn main() {
 
     // The mined set, from the miner refitted on the golden store.
     let config = MinerConfig { scene_stride: stride, ..MinerConfig::default() };
-    let (miner, traces) =
+    let (miner, corpus) =
         BayesianMiner::fit_from_store(run.root.join(GOLDEN_SUBDIR), config).expect("model fit");
     let mine_start = std::time::Instant::now();
-    let mined = miner.mine(&traces);
+    let mined = miner.mine_corpus(&corpus);
     let mining_time = mine_start.elapsed();
     let mined_keys: BTreeSet<_> =
         mined.iter().map(|c| key(c.scenario_id, c.fault_spec())).collect();

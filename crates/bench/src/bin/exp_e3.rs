@@ -49,9 +49,9 @@ fn main() {
     let validation_time = validate.1 - validate.0;
     let total_mining = golden_time + fit_mine_time;
     let config = MinerConfig { scene_stride: stride, ..MinerConfig::default() };
-    let (miner, traces) =
+    let (_, corpus) =
         BayesianMiner::fit_from_store(run.root.join(GOLDEN_SUBDIR), config).expect("model fit");
-    let pool = miner.candidate_count(&traces);
+    let pool = corpus.candidate_count();
     let validated = &run.report.jobs;
 
     println!();

@@ -52,7 +52,9 @@ pub mod tbn;
 pub use acquisition::{AcquisitionConfig, CandidateScorer};
 pub use exhaustive::{candidate_record_metas, candidate_specs, candidate_specs_from_store};
 pub use golden::{collect_golden_traces, golden_record_metas};
-pub use miner::{BayesianMiner, CandidateFault, MinedFault, MinerConfig, SceneEligibility};
+pub use miner::{
+    BayesianMiner, CandidateFault, GoldenCorpus, MinedFault, MinerConfig, SceneEligibility,
+};
 pub use random::{pick_record_metas, random_fault_picks, RandomCampaignConfig};
 pub use report::{validate_candidates, AccelerationReport, ValidationStats};
 pub use tbn::{SceneObs, TbnModel, TbnVar, NO_LEAD};

@@ -1,10 +1,11 @@
 //! The Bayesian fault-selection engine (paper §III-B).
 
-use crate::tbn::{SceneCategories, SceneObs, TbnModel, TbnVar};
+use crate::tbn::{SceneCategories, SceneObs, TbnFrame, TbnModel, TbnVar};
 use drivefi_ads::Signal;
 use drivefi_bayes::{BayesError, Counterfactual};
 use drivefi_fault::ScalarFaultModel;
-use drivefi_sim::Trace;
+use drivefi_sim::{FrameRecord, Trace};
+use drivefi_store::StoreError;
 use std::collections::HashMap;
 
 /// Miner configuration.
@@ -136,7 +137,11 @@ pub struct SceneEligibility {
 
 impl SceneEligibility {
     /// The eligibility of the scene `frame` recorded.
-    pub fn of(frame: &drivefi_sim::FrameRecord) -> SceneEligibility {
+    pub fn of(frame: &FrameRecord) -> SceneEligibility {
+        Self::of_projected(&TbnFrame::of(frame))
+    }
+
+    fn of_projected(frame: &TbnFrame) -> SceneEligibility {
         SceneEligibility { safe: frame.delta_true.is_safe(), lead: frame.lead_distance.is_some() }
     }
 }
@@ -170,9 +175,83 @@ pub(crate) fn scene_candidates(
         })
 }
 
+/// The golden corpus as mining reads it once the 3-TBN is fitted:
+/// [`BayesianMiner::fit_from_store`] returns it, and
+/// [`BayesianMiner::mine_corpus`], [`BayesianMiner::predict_corpus`] and
+/// [`GoldenCorpus::candidate_count`] read it. Every scene keeps its
+/// [`SceneEligibility`], which is all that candidate enumeration reads.
+/// Only the scenes a forecast reads keep the fields the 3-TBN observes
+/// and procedure P speculates from: each stride-sampled scene k (1, 1 +
+/// stride, …) and its predecessor k − 1. At stride 8 that is a quarter
+/// of the frames, at stride 64 one in 32.
+#[derive(Debug, Clone)]
+pub struct GoldenCorpus {
+    /// The miner's scene stride the corpus was thinned at (at least 1).
+    scene_stride: usize,
+    traces: Vec<CorpusTrace>,
+}
+
+/// One golden trace of a [`GoldenCorpus`].
+#[derive(Debug, Clone)]
+struct CorpusTrace {
+    scenario_id: u32,
+    /// Every scene's eligibility, in scene order.
+    scenes: Vec<SceneEligibility>,
+    /// The frames of scenes `i` with `i % stride < 2`, in scene order.
+    kept: Vec<TbnFrame>,
+}
+
+impl GoldenCorpus {
+    /// Thins `(scenario id, frames)` traces at `scene_stride`.
+    fn new<F: ExactSizeIterator<Item = TbnFrame>>(
+        scene_stride: usize,
+        traces: impl Iterator<Item = (u32, F)>,
+    ) -> GoldenCorpus {
+        let stride = scene_stride.max(1);
+        let traces = traces
+            .map(|(scenario_id, frames)| {
+                let n = frames.len();
+                let mut scenes = Vec::with_capacity(n);
+                let mut kept = Vec::with_capacity(n.div_ceil(stride) * stride.min(2));
+                for (i, frame) in frames.enumerate() {
+                    scenes.push(SceneEligibility::of_projected(&frame));
+                    if i % stride < 2 {
+                        kept.push(frame);
+                    }
+                }
+                CorpusTrace { scenario_id, scenes, kept }
+            })
+            .collect();
+        GoldenCorpus { scene_stride: stride, traces }
+    }
+
+    /// The kept frame of scene `i` of `trace`.
+    fn frame<'c>(&self, trace: &'c CorpusTrace, i: usize) -> &'c TbnFrame {
+        let stride = self.scene_stride;
+        debug_assert!(i % stride < 2, "scene {i} is not kept at stride {stride}");
+        &trace.kept[i / stride * stride.min(2) + i % stride]
+    }
+
+    /// The candidates of `trace`, as [`BayesianMiner::candidates`] lists
+    /// them.
+    fn candidates<'c>(
+        &self,
+        trace: &'c CorpusTrace,
+    ) -> impl Iterator<Item = (usize, Signal, TbnVar, ScalarFaultModel)> + 'c {
+        scene_candidates(self.scene_stride, trace.scenes.iter().copied())
+    }
+
+    /// Total number of candidate faults over the corpus: what
+    /// [`BayesianMiner::candidate_count`] counts over the traces it was
+    /// thinned from.
+    pub fn candidate_count(&self) -> usize {
+        self.traces.iter().map(|t| self.candidates(t).count()).sum()
+    }
+}
+
 /// The continuous value of `signal` recorded in a trace frame, when the
 /// trace captures that signal.
-fn recorded_value(frame: &drivefi_sim::FrameRecord, signal: Signal) -> Option<f64> {
+fn recorded_value(frame: &TbnFrame, signal: Signal) -> Option<f64> {
     match signal {
         Signal::LeadDistance => frame.lead_distance,
         Signal::LeadSpeed => frame.lead_speed,
@@ -206,7 +285,11 @@ impl BayesianMiner {
     ///
     /// Propagates model-fitting failures.
     pub fn fit(traces: &[Trace], config: MinerConfig) -> Result<Self, BayesError> {
-        let model = TbnModel::fit(traces, config.bins)?;
+        Self::compile(TbnModel::fit(traces, config.bins)?, config)
+    }
+
+    /// The miner of a fitted model: compiles its counterfactual queries.
+    fn compile(model: TbnModel, config: MinerConfig) -> Result<Self, BayesError> {
         let forecast_values = FORECAST_VARS.map(|v| {
             // Every category `forecast` can read back, as its `rep1` does.
             let mut values: Vec<f64> = (0..model.net.cardinality(model.id(1, v)))
@@ -222,28 +305,47 @@ impl BayesianMiner {
     }
 
     /// Fits the miner from the golden traces persisted in a
-    /// trace-logging store (see [`drivefi_store::read_traces`]) — the
-    /// resumable form of [`BayesianMiner::fit`]: an interrupted mining
-    /// pipeline re-fits from disk instead of re-simulating its golden
-    /// runs. Returns the loaded traces alongside so the caller can mine
-    /// without re-reading the store. Persisted frames round-trip every
-    /// `f64` bit-exactly, so the fitted miner — and therefore the mined
-    /// `F_crit` — is identical to one fitted from the same traces in
-    /// memory.
+    /// trace-logging store — the resumable form of
+    /// [`BayesianMiner::fit`]: an interrupted mining pipeline re-fits
+    /// from disk instead of re-simulating its golden runs. Returns the
+    /// [`GoldenCorpus`] alongside, so the caller can mine without
+    /// re-reading the store.
+    ///
+    /// One pass over the store ([`drivefi_store::read_projected_traces`])
+    /// keeps only what the fit and the miner read of each frame. The
+    /// 3-TBN is fitted on that, the corpus is thinned at the config's
+    /// stride, and only then are the counterfactual queries compiled, so
+    /// they never share the heap with the whole projection. Persisted
+    /// frames round-trip every `f64` bit-exactly, so the fitted miner,
+    /// and therefore everything it mines and predicts from the corpus,
+    /// is identical to one fitted from the same traces in memory.
     ///
     /// # Errors
     ///
-    /// Returns a [`drivefi_store::StoreError`] on store I/O failure,
-    /// incomplete traces, or a (bug-indicating) model-fit failure.
+    /// Returns a [`StoreError`] on store I/O failure, incomplete traces,
+    /// or a model-fit failure.
     pub fn fit_from_store(
         dir: impl AsRef<std::path::Path>,
         config: MinerConfig,
-    ) -> Result<(Self, Vec<Trace>), drivefi_store::StoreError> {
-        let (_, traces) = drivefi_store::read_traces(dir)?;
-        let miner = Self::fit(&traces, config).map_err(|e| {
-            drivefi_store::StoreError::new(format!("fitting 3-TBN from persisted traces: {e}"))
-        })?;
-        Ok((miner, traces))
+    ) -> Result<(Self, GoldenCorpus), StoreError> {
+        let (_, traces) = drivefi_store::read_projected_traces(dir, TbnFrame::of)?;
+        let fit_error =
+            |e: BayesError| StoreError::new(format!("fitting 3-TBN from persisted traces: {e}"));
+        let model = TbnModel::fit_projected(&traces, config.bins).map_err(fit_error)?;
+        let corpus = GoldenCorpus::new(
+            config.scene_stride,
+            traces.into_iter().map(|t| (t.scenario_id, t.frames.into_iter())),
+        );
+        Ok((Self::compile(model, config).map_err(fit_error)?, corpus))
+    }
+
+    /// The [`GoldenCorpus`] of in-memory golden traces, thinned at this
+    /// miner's stride.
+    fn corpus(&self, traces: &[Trace]) -> GoldenCorpus {
+        GoldenCorpus::new(
+            self.config.scene_stride,
+            traces.iter().map(|t| (t.scenario_id, t.frames.iter().map(TbnFrame::of))),
+        )
     }
 
     /// The fitted model.
@@ -335,18 +437,19 @@ impl BayesianMiner {
     /// counterfactual safety potential. Forecasting the same horizon the
     /// validator injects is what makes δ̂ commensurable with the real
     /// outcome.
-    pub fn delta_hat_from_forecast(
-        &self,
-        frame: &drivefi_sim::FrameRecord,
-        response: &ResponseForecast,
-    ) -> f64 {
+    pub fn delta_hat_from_forecast(&self, frame: &FrameRecord, response: &ResponseForecast) -> f64 {
+        self.delta_hat_projected(&TbnFrame::of(frame), response)
+    }
+
+    /// [`BayesianMiner::delta_hat_from_forecast`] at a projected frame.
+    fn delta_hat_projected(&self, frame: &TbnFrame, response: &ResponseForecast) -> f64 {
         const SCENE_DT: f64 = 4.0 / 30.0;
         let window = crate::report::VALIDATION_WINDOW_SCENES as f64;
         let horizon = window * SCENE_DT;
         let params = drivefi_kinematics::VehicleParams::default();
 
         // Longitudinal: the held actuation determines acceleration.
-        let v0 = frame.ego.v;
+        let v0 = frame.ego_v;
         let throttle = response.throttle.clamp(0.0, 1.0);
         let brake = response.brake.clamp(0.0, 1.0);
         let a_lon = throttle * params.max_accel - brake * params.max_decel - params.drag * v0;
@@ -390,14 +493,19 @@ impl BayesianMiner {
     /// BN can give, i.e. every combination of bin representatives of the
     /// three final-actuation channels. Such a fault's `δ̂` is that
     /// function of one of these combinations, so it is never lower.
-    pub fn delta_hat_floor(&self, frame: &drivefi_sim::FrameRecord) -> f64 {
+    pub fn delta_hat_floor(&self, frame: &FrameRecord) -> f64 {
+        self.floor_projected(&TbnFrame::of(frame))
+    }
+
+    /// [`BayesianMiner::delta_hat_floor`] at a projected frame.
+    fn floor_projected(&self, frame: &TbnFrame) -> f64 {
         let [throttles, brakes, steerings] = &self.forecast_values;
         let mut floor = f64::INFINITY;
         for &throttle in throttles {
             for &brake in brakes {
                 for &steering in steerings {
                     let response = ResponseForecast { throttle, brake, steering };
-                    floor = floor.min(self.delta_hat_from_forecast(frame, &response));
+                    floor = floor.min(self.delta_hat_projected(frame, &response));
                 }
             }
         }
@@ -442,7 +550,7 @@ impl BayesianMiner {
     /// Propagates inference failures.
     pub fn delta_hat(
         &self,
-        frame: &drivefi_sim::FrameRecord,
+        frame: &FrameRecord,
         obs0: &SceneObs,
         obs1: &SceneObs,
         signal: Signal,
@@ -481,7 +589,12 @@ impl BayesianMiner {
     /// Mines the critical set `F_crit` over golden traces (Eq. 1):
     /// candidates whose counterfactual δ̂ falls at or below the
     /// threshold. Results are sorted by ascending δ̂ (most critical
-    /// first).
+    /// first). [`BayesianMiner::mine_corpus`] of the traces' corpus.
+    pub fn mine(&self, traces: &[Trace]) -> Vec<CandidateFault> {
+        self.mine_corpus(&self.corpus(traces))
+    }
+
+    /// [`BayesianMiner::mine`] over a [`GoldenCorpus`].
     ///
     /// The cost is one [`BayesianMiner::forecast`] per candidate that is
     /// neither a no-op nor pruned: a compiled MAP query, or none at all
@@ -490,17 +603,27 @@ impl BayesianMiner {
     /// scene's [`BayesianMiner::delta_hat_floor`] (computed once per
     /// scene) exceeds the threshold: its `δ̂` cannot reach it, so the
     /// result is the same as without pruning. Forecasts are memoized on
-    /// the discretized evidence, which pays only when sampled scenes
-    /// repeat their bins; the paper-scale benchmark at stride 64 sees no
-    /// repeats.
-    pub fn mine(&self, traces: &[Trace]) -> Vec<CandidateFault> {
+    /// the discretized evidence, one trace at a time: sampled scenes
+    /// seldom repeat their bins, and scenes of different scenarios
+    /// hardly ever. On the paper suite 14 of 6,255 lookups hit within a
+    /// trace at stride 8 (35 corpus-wide) and 1,049 of 48,588 at stride
+    /// 1 (1,926), none at stride 64, while a corpus-wide table held
+    /// every forecast: 8,192 slots of 48 bytes at stride 8.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the corpus was thinned at another stride than this
+    /// miner's.
+    pub fn mine_corpus(&self, corpus: &GoldenCorpus) -> Vec<CandidateFault> {
+        self.check_stride(corpus);
         let mut cache: HashMap<ForecastKey, ResponseForecast> = HashMap::new();
         let mut out = Vec::new();
-        for trace in traces {
+        for trace in &corpus.traces {
+            cache.clear();
             // The last scene that needed a floor, and its floor (scene 0
             // is never a candidate).
             let mut floor = (0, f64::NAN);
-            for (k, signal, var, model) in self.candidates(trace) {
+            for (k, signal, var, model) in corpus.candidates(trace) {
                 let value = match model {
                     ScalarFaultModel::StuckMin => signal.range().min,
                     ScalarFaultModel::StuckMax => signal.range().max,
@@ -510,13 +633,14 @@ impl BayesianMiner {
                     }
                 };
                 let category = self.model.category_of(var, value);
-                let obs0 = self.model.observe(&trace.frames[k - 1]);
-                let obs1 = self.model.observe(&trace.frames[k]);
+                let frame = corpus.frame(trace, k);
+                let obs0 = self.model.observe_projected(corpus.frame(trace, k - 1));
+                let obs1 = self.model.observe_projected(frame);
                 // Skip true no-ops. For exact-override channels that
                 // means the injected value equals the recorded one; for
                 // the rest, bin identity (the forecast cannot change).
                 if Self::overrides_exact(signal) {
-                    if let Some(r) = recorded_value(&trace.frames[k], signal) {
+                    if let Some(r) = recorded_value(frame, signal) {
                         if (r - value).abs() < 1e-9 {
                             continue;
                         }
@@ -526,7 +650,7 @@ impl BayesianMiner {
                 } else {
                     // Skip what cannot reach the threshold.
                     if floor.0 != k {
-                        floor = (k, self.delta_hat_floor(&trace.frames[k]));
+                        floor = (k, self.floor_projected(frame));
                     }
                     if floor.1 > self.config.delta_threshold {
                         continue;
@@ -539,17 +663,14 @@ impl BayesianMiner {
                             .expect("inference on fitted model")
                     });
                 Self::apply_exact_value(signal, value, &mut response);
-                let delta_hat = self.delta_hat_from_forecast(&trace.frames[k], &response);
+                let delta_hat = self.delta_hat_projected(frame, &response);
                 if delta_hat <= self.config.delta_threshold {
                     out.push(CandidateFault {
                         scenario_id: trace.scenario_id,
-                        scene: trace.frames[k].scene,
+                        scene: frame.scene,
                         signal,
                         model,
-                        golden_delta: trace.frames[k]
-                            .delta_true
-                            .longitudinal
-                            .min(trace.frames[k].delta_true.lateral),
+                        golden_delta: frame.delta_true.longitudinal.min(frame.delta_true.lateral),
                         predicted_delta: delta_hat,
                     });
                 }
@@ -567,17 +688,30 @@ impl BayesianMiner {
     /// need a prediction per candidate rather than only the critical
     /// set. `predictions[i].fault_spec()` is exactly
     /// `candidate_specs(miner, traces)[i].1`, so the two enumerations
-    /// index the same job space.
+    /// index the same job space. [`BayesianMiner::predict_corpus`] of
+    /// the traces' corpus.
+    pub fn predict_deltas(&self, traces: &[Trace]) -> Vec<CandidateFault> {
+        self.predict_corpus(&self.corpus(traces))
+    }
+
+    /// [`BayesianMiner::predict_deltas`] over a [`GoldenCorpus`].
     ///
     /// Candidates [`BayesianMiner::mine`] skips as true no-ops (the
     /// injected value equals the recorded one, or the bin cannot change)
     /// keep their golden δ: injecting them would leave the run — and so
     /// its safety margin — unchanged.
-    pub fn predict_deltas(&self, traces: &[Trace]) -> Vec<CandidateFault> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the corpus was thinned at another stride than this
+    /// miner's.
+    pub fn predict_corpus(&self, corpus: &GoldenCorpus) -> Vec<CandidateFault> {
+        self.check_stride(corpus);
         let mut cache: HashMap<ForecastKey, ResponseForecast> = HashMap::new();
         let mut out = Vec::new();
-        for trace in traces {
-            for (k, signal, var, model) in self.candidates(trace) {
+        for trace in &corpus.traces {
+            cache.clear();
+            for (k, signal, var, model) in corpus.candidates(trace) {
                 let value = match model {
                     ScalarFaultModel::StuckMin => signal.range().min,
                     ScalarFaultModel::StuckMax => signal.range().max,
@@ -586,17 +720,16 @@ impl BayesianMiner {
                         continue;
                     }
                 };
-                let golden_delta =
-                    trace.frames[k].delta_true.longitudinal.min(trace.frames[k].delta_true.lateral);
+                let frame = corpus.frame(trace, k);
+                let golden_delta = frame.delta_true.longitudinal.min(frame.delta_true.lateral);
                 let category = self.model.category_of(var, value);
-                let obs0 = self.model.observe(&trace.frames[k - 1]);
-                let obs1 = self.model.observe(&trace.frames[k]);
+                let obs0 = self.model.observe_projected(corpus.frame(trace, k - 1));
+                let obs1 = self.model.observe_projected(frame);
                 // Same no-op test as mine(): exact-override channels
                 // compare injected to recorded values, the rest compare
                 // bins. A no-op's forecast is the golden margin itself.
                 let noop = if Self::overrides_exact(signal) {
-                    recorded_value(&trace.frames[k], signal)
-                        .is_some_and(|r| (r - value).abs() < 1e-9)
+                    recorded_value(frame, signal).is_some_and(|r| (r - value).abs() < 1e-9)
                 } else {
                     self.model.obs_category(var, &obs1) == category
                 };
@@ -610,11 +743,11 @@ impl BayesianMiner {
                                 .expect("inference on fitted model")
                         });
                     Self::apply_exact_value(signal, value, &mut response);
-                    self.delta_hat_from_forecast(&trace.frames[k], &response)
+                    self.delta_hat_projected(frame, &response)
                 };
                 out.push(CandidateFault {
                     scenario_id: trace.scenario_id,
-                    scene: trace.frames[k].scene,
+                    scene: frame.scene,
                     signal,
                     model,
                     golden_delta,
@@ -623,6 +756,15 @@ impl BayesianMiner {
             }
         }
         out
+    }
+
+    /// Panics unless `corpus` was thinned at this miner's stride.
+    fn check_stride(&self, corpus: &GoldenCorpus) {
+        assert_eq!(
+            corpus.scene_stride,
+            self.config.scene_stride.max(1),
+            "the corpus was thinned at another scene stride than the miner's"
+        );
     }
 
     /// Total number of candidate faults over the traces — the size of
@@ -765,16 +907,17 @@ mod tests {
         }
         assert!(writer.finish().unwrap().complete);
 
-        let (from_store, loaded) = BayesianMiner::fit_from_store(&dir, config).unwrap();
+        let (from_store, corpus) = BayesianMiner::fit_from_store(&dir, config).unwrap();
+        let (_, loaded) = drivefi_store::read_traces(&dir).unwrap();
         assert_eq!(loaded, traces, "persisted traces round-trip bit-exactly");
         assert_eq!(
             in_memory.candidate_count(&traces),
-            from_store.candidate_count(&loaded),
+            corpus.candidate_count(),
             "candidate enumeration drifted through the store"
         );
         assert_eq!(
             in_memory.mine(&traces),
-            from_store.mine(&loaded),
+            from_store.mine_corpus(&corpus),
             "mined F_crit drifted through the store"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -16,7 +16,9 @@
 use drivefi_bayes::{
     check_categories, fit_cpts, BayesError, BayesNet, DbnTemplate, Discretizer, VarId,
 };
+use drivefi_kinematics::{Actuation, SafetyPotential};
 use drivefi_sim::{FrameRecord, Trace};
+use drivefi_store::ProjectedTrace;
 
 /// The ADS variables modeled per slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +86,7 @@ impl TbnVar {
         matches!(self, TbnVar::WDist | TbnVar::WSpeed)
     }
 
-    fn extract(self, f: &FrameRecord) -> Option<f64> {
+    fn extract(self, f: &TbnFrame) -> Option<f64> {
         match self {
             TbnVar::WDist => f.lead_distance,
             TbnVar::WSpeed => f.lead_speed,
@@ -96,6 +98,42 @@ impl TbnVar {
             TbnVar::AThrottle => Some(f.final_cmd.throttle),
             TbnVar::ABrake => Some(f.final_cmd.brake),
             TbnVar::ASteer => Some(f.final_cmd.steering),
+        }
+    }
+}
+
+/// What the 3-TBN fit and the miner read of one golden frame: the ten
+/// template variables, plus the scene index, ground-truth speed and δ
+/// that mining reads at an injection scene. A golden store is read
+/// straight into this projection, 128 bytes against a [`FrameRecord`]'s
+/// 224; the `FrameRecord` API projects each frame it is given.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TbnFrame {
+    pub(crate) scene: u64,
+    pub(crate) lead_distance: Option<f64>,
+    pub(crate) lead_speed: Option<f64>,
+    pub(crate) imu_speed: f64,
+    pub(crate) imu_accel: f64,
+    pub(crate) raw_cmd: Actuation,
+    pub(crate) final_cmd: Actuation,
+    /// Ground-truth ego speed \[m/s\].
+    pub(crate) ego_v: f64,
+    pub(crate) delta_true: SafetyPotential,
+}
+
+impl TbnFrame {
+    /// The projection of `f`.
+    pub(crate) fn of(f: &FrameRecord) -> TbnFrame {
+        TbnFrame {
+            scene: f.scene,
+            lead_distance: f.lead_distance,
+            lead_speed: f.lead_speed,
+            imu_speed: f.imu_speed,
+            imu_accel: f.imu_accel,
+            raw_cmd: f.raw_cmd,
+            final_cmd: f.final_cmd,
+            ego_v: f.ego.v,
+            delta_true: f.delta_true,
         }
     }
 }
@@ -187,6 +225,21 @@ impl TbnModel {
     /// propagates CPT validation failures (which indicate a bug, since
     /// the structure is fixed and acyclic).
     pub fn fit(traces: &[Trace], bins: usize) -> Result<Self, BayesError> {
+        let projected: Vec<_> = traces
+            .iter()
+            .map(|t| ProjectedTrace {
+                scenario_id: t.scenario_id,
+                frames: t.frames.iter().map(TbnFrame::of).collect(),
+            })
+            .collect();
+        Self::fit_projected(&projected, bins)
+    }
+
+    /// [`TbnModel::fit`] over traces already reduced to [`TbnFrame`]s.
+    pub(crate) fn fit_projected(
+        traces: &[ProjectedTrace<TbnFrame>],
+        bins: usize,
+    ) -> Result<Self, BayesError> {
         if bins == 0 {
             return Err(BayesError::NoBins);
         }
@@ -223,7 +276,8 @@ impl TbnModel {
         let mut scenes: Vec<SceneCategories> = Vec::new();
         for trace in traces {
             scenes.clear();
-            scenes.extend(trace.frames.iter().map(|f| model.categories(&model.observe(f))));
+            scenes
+                .extend(trace.frames.iter().map(|f| model.categories(&model.observe_projected(f))));
             for window in scenes.windows(3) {
                 let start = data.len();
                 data.resize(start + width, 0);
@@ -352,6 +406,11 @@ impl TbnModel {
     /// Discretizes one frame record into per-variable categories
     /// ([`NO_LEAD`] marks an absent lead object).
     pub fn observe(&self, f: &FrameRecord) -> SceneObs {
+        self.observe_projected(&TbnFrame::of(f))
+    }
+
+    /// [`TbnModel::observe`] of a projected frame.
+    pub(crate) fn observe_projected(&self, f: &TbnFrame) -> SceneObs {
         let mut obs = [0usize; 10];
         for (k, var) in TbnVar::ALL.iter().enumerate() {
             obs[k] = match var.extract(f) {

@@ -1,13 +1,19 @@
 //! The exhaustive sweep's candidate list comes from a scan of the golden
 //! store that fits nothing; it must be the list the fitted miner
 //! enumerates over the decoded traces, element for element and in order,
-//! because job `i` of a sweep store means candidate `i`.
+//! because job `i` of a sweep store means candidate `i`. Likewise the
+//! miner fitted from the store mines and predicts from its thinned
+//! corpus exactly what the miner fitted on the decoded traces mines and
+//! predicts from them, bit for bit.
 
+use drivefi_ads::Signal;
 use drivefi_core::{
-    candidate_specs, candidate_specs_from_store, collect_golden_traces, BayesianMiner, MinerConfig,
+    candidate_specs, candidate_specs_from_store, collect_golden_traces, BayesianMiner,
+    CandidateFault, MinerConfig,
 };
+use drivefi_fault::ScalarFaultModel;
 use drivefi_sim::SimConfig;
-use drivefi_store::{open_store_with_traces, CampaignRecord, TraceRecord};
+use drivefi_store::{open_store_with_traces, read_traces, CampaignRecord, TraceRecord};
 use drivefi_world::ScenarioSuite;
 use std::path::Path;
 
@@ -55,9 +61,10 @@ fn the_store_scan_lists_the_fitted_miners_candidates() {
         let dir = std::env::temp_dir()
             .join(format!("drivefi-candidate-scan-{name}-{}", std::process::id()));
         golden_store(&dir, &suite);
+        let (_, traces) = read_traces(&dir).unwrap();
         for scene_stride in [1, 8, 40, 64] {
             let config = MinerConfig { scene_stride, ..MinerConfig::default() };
-            let (miner, traces) = BayesianMiner::fit_from_store(&dir, config).unwrap();
+            let miner = BayesianMiner::fit(&traces, config).unwrap();
             let fitted = candidate_specs(&miner, &traces);
             let scanned = candidate_specs_from_store(&dir, scene_stride).unwrap();
             assert!(!scanned.is_empty(), "{name} at stride {scene_stride}: no candidates");
@@ -68,4 +75,39 @@ fn the_store_scan_lists_the_fitted_miners_candidates() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Every field of a candidate, its `f64`s as bits.
+fn bits(c: &CandidateFault) -> (u32, u64, Signal, ScalarFaultModel, u64, u64) {
+    let (golden, predicted) = (c.golden_delta.to_bits(), c.predicted_delta.to_bits());
+    (c.scenario_id, c.scene, c.signal, c.model, golden, predicted)
+}
+
+#[test]
+fn the_store_fitted_miner_mines_and_predicts_what_the_trace_fitted_one_does() {
+    // Scenario 0 of this suite is free driving: no frame has a lead, so
+    // the projection's absent lead object reaches the fit and the miner.
+    let suite = ScenarioSuite::generate(4, 42);
+    let dir = std::env::temp_dir().join(format!("drivefi-corpus-{}", std::process::id()));
+    golden_store(&dir, &suite);
+    let (_, traces) = read_traces(&dir).unwrap();
+    assert!(traces.iter().any(|t| t.frames.iter().all(|f| f.lead_distance.is_none())));
+    assert!(traces.iter().any(|t| t.frames.iter().any(|f| f.lead_distance.is_some())));
+    for scene_stride in [1, 8, 64] {
+        let config = MinerConfig { scene_stride, ..MinerConfig::default() };
+        let (from_store, corpus) = BayesianMiner::fit_from_store(&dir, config).unwrap();
+        let in_memory = BayesianMiner::fit(&traces, config).unwrap();
+        let at = format!("stride {scene_stride}");
+        assert_eq!(corpus.candidate_count(), in_memory.candidate_count(&traces), "{at}");
+        for (what, stored, decoded) in [
+            ("mine", from_store.mine_corpus(&corpus), in_memory.mine(&traces)),
+            ("predict", from_store.predict_corpus(&corpus), in_memory.predict_deltas(&traces)),
+        ] {
+            assert!(!stored.is_empty(), "{what} at {at}: nothing to compare");
+            let stored: Vec<_> = stored.iter().map(bits).collect();
+            let decoded: Vec<_> = decoded.iter().map(bits).collect();
+            assert_eq!(stored, decoded, "{what} at {at}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

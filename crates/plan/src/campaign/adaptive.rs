@@ -314,14 +314,14 @@ pub(super) fn run_adaptive(
     // Fit from the persisted traces and enumerate + score the candidate
     // space. `predict_deltas` keeps `candidate_specs` order, so a
     // candidate index means the same fault on every resume. The golden
-    // traces and the miner are dropped once the predictions exist: the
+    // corpus and the miner are dropped once the predictions exist: the
     // rounds need neither.
     let config = MinerConfig { scene_stride, ..MinerConfig::default() };
     let predictions = {
-        let (miner, traces) =
+        let (miner, corpus) =
             BayesianMiner::fit_from_store(pipeline.stage_dir(GOLDEN_SUBDIR), config)
                 .map_err(|e| PlanError::new(format!("[output] store: {e}")))?;
-        miner.predict_deltas(&traces)
+        miner.predict_corpus(&corpus)
     };
     let candidates: Vec<(u32, FaultSpec)> =
         predictions.iter().map(|p| (p.scenario_id, p.fault_spec())).collect();

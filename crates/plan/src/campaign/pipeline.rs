@@ -461,10 +461,10 @@ fn run_two_stage(
     let golden_dir = pipeline.stage_dir(GOLDEN_SUBDIR);
     let (candidates, subdir) = match plan.kind {
         CampaignKind::Mine { scene_stride } => {
-            // The golden traces and the miner live only until the mined
+            // The golden corpus and the miner live only until the mined
             // set exists: the injection stage below needs neither.
             let config = MinerConfig { scene_stride, ..MinerConfig::default() };
-            let (miner, traces) =
+            let (miner, corpus) =
                 BayesianMiner::fit_from_store(golden_dir, config).map_err(store_err)?;
             // Mining stays on this thread; only the injection stages fan
             // out over `workers`. With compiled queries the mine stage is
@@ -473,7 +473,7 @@ fn run_two_stage(
             // repeatable on a shared 2-vCPU VM (campaignbench paper_mine:
             // the spread of the fastest runs ~5x wider) for a ~15%
             // shorter median.
-            let mined = miner.mine(&traces);
+            let mined = miner.mine_corpus(&corpus);
             (mined.iter().map(|c| (c.scenario_id, c.fault_spec())).collect(), VALIDATE_SUBDIR)
         }
         CampaignKind::Exhaustive { scene_stride } => {

@@ -15,6 +15,7 @@ use crate::toml::{emit_document, parse_document, Map, Toml};
 use crate::PlanError;
 use drivefi_ads::Signal;
 use drivefi_fault::{CorruptionGrid, FaultSpace, ScalarFaultModel};
+use drivefi_store::MAX_SHARDS;
 use drivefi_world::spec::ScenarioSpec;
 
 fn model_names(models: &[ScalarFaultModel]) -> Toml {
@@ -604,10 +605,9 @@ fn output_spec_from_toml(table: &Map) -> Result<OutputSpec, PlanError> {
         None => OutputSpec::DEFAULT_SHARDS,
         Some(v) => {
             let s = as_uint(v, "`shards`")?;
-            u32::try_from(s)
-                .ok()
-                .filter(|s| (1..=4096).contains(s))
-                .ok_or_else(|| PlanError::new(format!("`shards` must be in 1..=4096, got {s}")))?
+            u32::try_from(s).ok().filter(|s| (1..=MAX_SHARDS).contains(s)).ok_or_else(|| {
+                PlanError::new(format!("`shards` must be in 1..={MAX_SHARDS}, got {s}"))
+            })?
         }
     };
     let checkpoint_every = match table.get("checkpoint_every") {

@@ -906,9 +906,9 @@ fn small_exhaustive_sweep_is_coherent() {
     // The miner, refitted from the golden sub-store, flags only faults
     // the sweep injected — so precision and recall are well defined.
     let config = MinerConfig { scene_stride: 40, ..MinerConfig::default() };
-    let (miner, traces) = BayesianMiner::fit_from_store(dir.join(GOLDEN_SUBDIR), config).unwrap();
+    let (miner, corpus) = BayesianMiner::fit_from_store(dir.join(GOLDEN_SUBDIR), config).unwrap();
     let mined: BTreeSet<_> =
-        miner.mine(&traces).iter().map(|c| (c.scenario_id, c.fault_spec().key())).collect();
+        miner.mine_corpus(&corpus).iter().map(|c| (c.scenario_id, c.fault_spec().key())).collect();
     assert!(mined.is_subset(&swept), "the miner flagged a fault the sweep never injected");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,7 +24,7 @@
 //! pipeline's golden store once its stage is done), marking each with
 //! a `.compacted` file so restarts don't redo the work. A sealed store
 //! whose shards lost records is corrupt: compaction refuses it and
-//! rewrites nothing.
+//! rewrites nothing, and the campaign fails with that refusal.
 
 use crate::spool::{claim_submissions, CAMPAIGNS_DIR, PLAN_FILE, SPOOL_DIR};
 use crate::status::{CampaignState, CampaignStatus};
@@ -254,9 +254,11 @@ fn run_slice(campaign: &mut Campaign, slice: u64) {
 /// Compacts at most one sealed, not-yet-compacted stage store across
 /// all campaigns. Returns true when it did work. A compaction refused
 /// by a live lease (an outside writer resumed the store by hand) is
-/// left for a later round rather than treated as fatal.
-fn compact_one(campaigns: &[Campaign]) -> bool {
-    for campaign in campaigns {
+/// left for a later round rather than treated as fatal. A store the
+/// compactor finds corrupt fails its campaign, with the refusal as the
+/// status error: no later round can mend it, so none retries it.
+fn compact_one(campaigns: &mut [Campaign]) -> bool {
+    for campaign in campaigns.iter_mut().filter(|c| c.status.state != CampaignState::Failed) {
         let Some(plan) = &campaign.plan else { continue };
         for dir in plan.kind.stage_stores(&store_root(plan)) {
             if !dir.join(MANIFEST_FILE).is_file() || dir.join(COMPACTED_MARKER).is_file() {
@@ -271,9 +273,15 @@ fn compact_one(campaigns: &[Campaign]) -> bool {
                     std::fs::write(dir.join(COMPACTED_MARKER), b"").ok();
                     return true;
                 }
-                Err(e) => {
-                    eprintln!("drivefi serve: deferring compaction of {}: {e}", dir.display());
+                Err(e) if e.is_corrupt() => {
+                    eprintln!("drivefi serve: campaign {} failed: {e}", campaign.status.name);
+                    campaign.status.state = CampaignState::Failed;
+                    campaign.status.error = Some(e.to_string());
+                    save_status(&mut campaign.status, &campaign.dir);
+                    break;
                 }
+                // The error names the store.
+                Err(e) => eprintln!("drivefi serve: deferring compaction: {e}"),
             }
         }
     }
@@ -344,7 +352,7 @@ pub fn serve(root: &Path, config: &ServeConfig) -> Result<ServeSummary, ServeErr
                 sliced = true;
             }
         }
-        let compacted = compact_one(&campaigns);
+        let compacted = compact_one(&mut campaigns);
 
         if config.max_rounds.is_some_and(|max| rounds >= max) {
             break;

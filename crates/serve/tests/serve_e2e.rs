@@ -200,3 +200,38 @@ fn mine_pipeline_reports_stage_transitions_and_drains() {
     std::fs::remove_dir_all(&reference).ok();
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn a_corrupt_sealed_store_fails_its_campaign_for_good() {
+    let root = temp_root("corrupt");
+    let plan = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../plans/persistent_random.toml");
+    let id = submit_plan(&root, &plan).unwrap();
+    let drain = ServeConfig { slice: 64, drain: true, ..ServeConfig::default() };
+    assert_eq!(serve(&root, &drain).unwrap().done, 1);
+    let dir = root.join(CAMPAIGNS_DIR).join(&id);
+    let store = dir.join("store");
+
+    // Damage the sealed store: one byte halfway through shard 1, and
+    // the marker that says it was compacted goes.
+    let shard = store.join("shard-001.log");
+    let mut bytes = std::fs::read(&shard).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0xFF;
+    std::fs::write(&shard, &bytes).unwrap();
+    std::fs::remove_file(store.join(".compacted")).unwrap();
+
+    // The next daemon's compactor refuses the store and fails the
+    // campaign; later rounds and daemons leave it failed.
+    let rounds = ServeConfig { poll_ms: 1, max_rounds: Some(3), ..ServeConfig::default() };
+    for _ in 0..2 {
+        let summary = serve(&root, &rounds).unwrap();
+        assert_eq!((summary.done, summary.failed), (0, 1));
+        let status = CampaignStatus::load(&dir).unwrap();
+        assert_eq!(status.state, CampaignState::Failed);
+        let error = status.error.unwrap_or_default();
+        assert!(error.contains("corrupt store"), "{error}");
+        assert_eq!(std::fs::read(&shard).unwrap(), bytes, "the refused shard is left as it was");
+        assert!(!store.join(".compacted").exists());
+    }
+    std::fs::remove_dir_all(&root).ok();
+}

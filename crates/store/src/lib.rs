@@ -49,7 +49,7 @@ pub use sink::{RecordMeta, StoreSink};
 pub use store::{
     compact_store, fingerprint64, open_store, open_store_with_traces, read_manifest,
     read_projected_traces, read_store, read_traces, shard_progress, ProjectedTrace, ShardProgress,
-    StoreMeta, StoreState, StoreWriter, MANIFEST_FILE,
+    StoreMeta, StoreState, StoreWriter, MANIFEST_FILE, MAX_SHARDS,
 };
 pub use trace::{scan_trace_shard, TraceRecord, TRACE_BASE_LEN};
 
@@ -57,12 +57,26 @@ pub use trace::{scan_trace_shard, TraceRecord, TRACE_BASE_LEN};
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreError {
     message: String,
+    corrupt: bool,
 }
 
 impl StoreError {
     /// An error carrying `message`.
     pub fn new(message: String) -> Self {
-        StoreError { message }
+        StoreError { message, corrupt: false }
+    }
+
+    /// The error for the store at `path` whose bytes contradict its
+    /// manifest: "`path`: corrupt store: `detail`".
+    pub(crate) fn corrupt(path: &std::path::Path, detail: impl std::fmt::Display) -> Self {
+        let message = format!("{}: corrupt store: {detail}", path.display());
+        StoreError { message, corrupt: true }
+    }
+
+    /// True when the store is damaged, not interrupted or busy: no
+    /// retry or resume can complete it.
+    pub fn is_corrupt(&self) -> bool {
+        self.corrupt
     }
 }
 

@@ -37,6 +37,11 @@ use std::path::{Path, PathBuf};
 /// The manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.toml";
 
+/// The most shards a store has. Readers visit every shard a manifest
+/// names, so a doctored count must fail at once, not stat billions of
+/// missing files.
+pub const MAX_SHARDS: u32 = 4096;
+
 /// FNV-1a 64-bit hash — the store's plan fingerprint. Stable across
 /// processes and platforms (unlike `DefaultHasher`), cheap, and good
 /// enough for its job: refusing to resume a campaign under a plan that
@@ -149,10 +154,10 @@ impl StoreMeta {
             value.ok_or_else(|| StoreError::new(format!("manifest is missing `{name}`")))
         }
         let shards = require("shards", shards)?;
-        if shards == 0 {
-            return Err(StoreError::new(
-                "manifest `shards` = `0`: a store has at least one shard".into(),
-            ));
+        if !(1..=MAX_SHARDS).contains(&shards) {
+            return Err(StoreError::new(format!(
+                "manifest `shards` = `{shards}`: a store has 1 to {MAX_SHARDS} shards"
+            )));
         }
         Ok(StoreMeta {
             format: require("format", format)?,
@@ -282,8 +287,9 @@ fn has_orphaned_shards(dir: &Path) -> bool {
 ///
 /// # Errors
 ///
-/// Returns a [`StoreError`] on I/O failure, when a live writer holds
-/// the store, on a manifest that does not match the resuming campaign,
+/// Returns a [`StoreError`] on I/O failure, for a shard count outside
+/// `1..=`[`MAX_SHARDS`], when a live writer holds the store, on a
+/// manifest that does not match the resuming campaign,
 /// or on CRC-valid records that no longer decode (format drift —
 /// truncating them would destroy good data).
 pub fn open_store(
@@ -325,7 +331,12 @@ fn open(
     checkpoint_every: u64,
     traces: bool,
 ) -> Result<(StoreWriter, StoreState), StoreError> {
-    assert!(shards > 0, "a store needs at least one shard");
+    if !(1..=MAX_SHARDS).contains(&shards) {
+        return Err(StoreError::new(format!(
+            "{}: a store has 1 to {MAX_SHARDS} shards, not {shards}",
+            dir.display()
+        )));
+    }
     assert!(checkpoint_every > 0, "checkpoint period must be at least 1");
     let meta = StoreMeta {
         format: FORMAT_VERSION,
@@ -723,10 +734,8 @@ fn lost_records(dir: &Path, meta: &StoreMeta, records: &[CampaignRecord]) -> Sto
     use std::fmt::Write;
     let vouched = if meta.complete { meta.total_jobs } else { meta.checkpoint_records };
     let mut message = format!(
-        "{}: corrupt store: its manifest vouches for {vouched} records but the shards hold {} — \
-         damaged, not interrupted, since a checkpoint syncs the shards before it writes the \
-         manifest",
-        dir.display(),
+        "its manifest vouches for {vouched} records but the shards hold {} — damaged, not \
+         interrupted, since a checkpoint syncs the shards before it writes the manifest",
         records.len()
     );
     for ShardProgress { shard, records: held, expected } in progress_of(meta, records) {
@@ -748,7 +757,7 @@ fn lost_records(dir: &Path, meta: &StoreMeta, records: &[CampaignRecord]) -> Sto
             }
         }
     }
-    StoreError::new(message)
+    StoreError::corrupt(dir, message)
 }
 
 /// Checks that the record for `job`, read from shard `index` at `path`,
@@ -757,18 +766,19 @@ fn lost_records(dir: &Path, meta: &StoreMeta, records: &[CampaignRecord]) -> Sto
 /// (or a manifest edited after the fact), never an interruption.
 fn check_placement(path: &Path, index: u32, job: u64, meta: &StoreMeta) -> Result<(), StoreError> {
     if job >= meta.total_jobs {
-        return Err(StoreError::new(format!(
-            "{}: corrupt store: record for job {job} but the campaign has only {} jobs",
-            path.display(),
-            meta.total_jobs
-        )));
+        return Err(StoreError::corrupt(
+            path,
+            format_args!("record for job {job} but the campaign has only {} jobs", meta.total_jobs),
+        ));
     }
     if job % u64::from(meta.shards) != u64::from(index) {
-        return Err(StoreError::new(format!(
-            "{}: corrupt store: record for job {job} does not belong in shard {index} of {}",
-            path.display(),
-            meta.shards
-        )));
+        return Err(StoreError::corrupt(
+            path,
+            format_args!(
+                "record for job {job} does not belong in shard {index} of {}",
+                meta.shards
+            ),
+        ));
     }
     Ok(())
 }
@@ -1133,11 +1143,16 @@ mod tests {
         for (from, to, key) in [
             ("shards = 1\n", "shards = 0\n", "`shards`"),
             ("shards = 1\n", "shards = 4294967300\n", "`shards`"),
+            ("shards = 1\n", "shards = 4294967295\n", "`shards`"),
             ("format = 1\n", "format = 4294967297\n", "`format`"),
         ] {
             let err = StoreMeta::parse(&legacy.replace(from, to)).expect_err(to);
             assert!(err.to_string().contains(key), "{to}: {err}");
         }
+        // Opening refuses such a store before it creates anything.
+        let dir = temp_dir("too-many-shards");
+        assert!(open_store(&dir, 1, 1, MAX_SHARDS + 1, 1).is_err());
+        assert!(!dir.exists());
     }
 
     proptest::proptest! {
